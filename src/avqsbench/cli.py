@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channels import merging_fidelity
-from .config import Config, DimensionCapError, get_config, set_config, update_config
+from .config import Config, DimensionCapError, check_word_cap, get_config, set_config, update_config
 from .io import (
     ParseError,
     instrument_to_dict,
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", parents=[common], help="merging/classical costs of a state set")
     p.add_argument("--set", required=True, dest="set_path", help="state-set JSON file")
     p.add_argument("--hull", action="store_true", help="maximize over the convex hull")
-    p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser(
         "distill-capacity", parents=[common], help="distillation rate of a (hull of a) state set"
@@ -203,8 +202,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_rates(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
-    merging = compound_merging_cost(xs, hull=args.hull, restarts=args.restarts, seed=args.seed)
-    classical = compound_classical_cost(xs, hull=args.hull, restarts=args.restarts, seed=args.seed)
+    merging = compound_merging_cost(xs, hull=args.hull)
+    classical = compound_classical_cost(xs, hull=args.hull)
     payload = {
         "command": "rates",
         "seed": args.seed,
@@ -311,8 +310,7 @@ def _word_fidelity_function(xs: StateSet, l: int):
 def _cmd_robustify(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
     l = args.blocklength
-    if xs.n**l > 4096:
-        raise DimensionCapError(f"{xs.n}^{l} words exceed the word enumeration cap")
+    check_word_cap(xs.n**l, "robustify-check")
     report = check_robustification(_word_fidelity_function(xs, l), xs.n, l)
     payload = {
         "command": "robustify-check",
@@ -344,7 +342,7 @@ def _cmd_example_gap(args):
     else:
         base = state_from_dict(load_json(args.base), args.base)
     family = build_orthogonal_family(base, args.n)
-    report = rate_gap_report(family, l=args.blocklength, seed=args.seed)
+    report = rate_gap_report(family, l=args.blocklength)
     payload = {
         "command": "example-gap",
         "seed": args.seed,

@@ -7,7 +7,10 @@ from dataclasses import dataclass, replace
 
 
 class DimensionCapError(Exception):
-    """Raised when an operation would exceed the configured dimension cap."""
+    """Raised when an operation would exceed a dimension or word cap."""
+
+
+WORD_CAP = 4096  # largest number of source words enumerated one by one
 
 
 @dataclass(frozen=True)
@@ -20,7 +23,6 @@ class Config:
     herm_tol: float = 1e-9      # max-entry deviation from Hermiticity
     psd_tol: float = 1e-9       # allowed negativity of eigenvalues
     trace_tol: float = 1e-9     # allowed deviation of trace / norm from 1
-    eig_tol: float = 1e-10      # eigendecomposition reconstruction residual
     close_tol: float = 1e-8     # trace-norm threshold for "same state"
     rank_tol: float = 1e-10     # spectral cutoff for rank / Schmidt rank
     tp_tol: float = 1e-9        # deviation from trace preservation
@@ -65,3 +67,8 @@ def check_dim_cap(dim: int, context: str = "") -> None:
         raise DimensionCapError(
             f"dimension {dim} exceeds the configured cap of {cap}{where}"
         )
+
+
+def check_word_cap(n_words: int, context: str) -> None:
+    if n_words > WORD_CAP:
+        raise DimensionCapError(f"{n_words} words exceed the enumeration cap of {WORD_CAP} in {context}")

@@ -25,7 +25,7 @@ from .channels import (
     apply_cp_map,
     trivial_resource,
 )
-from .config import check_dim_cap, get_config
+from .config import check_dim_cap, check_word_cap, get_config
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -38,8 +38,6 @@ from .linalg import (
     trace_norm,
 )
 from .rates import StateSet, compound_classical_cost, compound_merging_cost, worst_case_protocol_fidelity
-
-FAMILY_WORD_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +247,7 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
     d_a, d_b = fam.base.dims
     if sub.copy_dims != (d_a, d_b):
         raise ValueError("subprotocol must act on the base state's spaces")
-    if fam.n**l > FAMILY_WORD_CAP:
-        raise ValueError(f"{fam.n}^{l} words exceed the enumeration cap {FAMILY_WORD_CAP}")
+    check_word_cap(fam.n**l, "the family protocol")
     m = fam.enlarged_dim
     disc = discriminating_instrument(fam)
     k0a = sub.phi_in.dims[0]
@@ -309,9 +306,11 @@ class RateGapReport:
     hull_merging_numeric: float
     hull_merging_closed: float
     hull_merging_weights: tuple[float, ...]
+    hull_merging_duality_gap: float
     hull_classical_numeric: float
     hull_classical_closed: float
     hull_classical_weights: tuple[float, ...]
+    hull_classical_duality_gap: float
     protocol_entanglement_rate: float
     protocol_classical_rate: float
     worst_case_fidelity: float
@@ -333,11 +332,13 @@ class RateGapReport:
                 "numeric": self.hull_merging_numeric,
                 "closed_form": self.hull_merging_closed,
                 "weights": list(self.hull_merging_weights),
+                "duality_gap": self.hull_merging_duality_gap,
             },
             "hull_classical_cost": {
                 "numeric": self.hull_classical_numeric,
                 "closed_form": self.hull_classical_closed,
                 "weights": list(self.hull_classical_weights),
+                "duality_gap": self.hull_classical_duality_gap,
             },
             "protocol": {
                 "entanglement_rate": self.protocol_entanglement_rate,
@@ -354,15 +355,13 @@ class RateGapReport:
         }
 
 
-def rate_gap_report(
-    fam: OrthogonalFamily, l: int = 1, restarts: int = 8, seed: int = 0
-) -> RateGapReport:
+def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
     """Compare hull costs against the family protocol's achieved rates.
 
-    Hull costs are maximized numerically over mixture weights and reported
-    next to their closed forms (base cost plus log2 n for merging, plus
-    2 log2 n for the classical side, both from the orthogonal-support
-    entropy identity).  The protocol rates come from the wrapped base-state
+    Hull costs are maximized over mixture weights, with duality gaps, next
+    to their closed forms (base cost plus log2 n for merging, plus 2 log2 n
+    for the classical side, both from the orthogonal-support entropy
+    identity).  The protocol rates come from the wrapped base-state
     protocol at the given blocklength; both gaps are expected to be log2 n.
     """
     members = fam.members
@@ -370,8 +369,8 @@ def rate_gap_report(
     base_env = mutual_info_env(fam.base).value
     log_n = log2(fam.n) if fam.n > 1 else 0.0
 
-    merge_hull = compound_merging_cost(members, hull=True, restarts=restarts, seed=seed)
-    classical_hull = compound_classical_cost(members, hull=True, restarts=restarts, seed=seed)
+    merge_hull = compound_merging_cost(members, hull=True)
+    classical_hull = compound_classical_cost(members, hull=True)
     merge_closed = base_cond + log_n
     classical_closed = base_env + 2 * log_n
 
@@ -399,9 +398,11 @@ def rate_gap_report(
         hull_merging_numeric=merge_hull.value,
         hull_merging_closed=merge_closed,
         hull_merging_weights=merge_hull.weights or (1.0,),
+        hull_merging_duality_gap=merge_hull.metadata["duality_gap"],
         hull_classical_numeric=classical_hull.value,
         hull_classical_closed=classical_closed,
         hull_classical_weights=classical_hull.weights or (1.0,),
+        hull_classical_duality_gap=classical_hull.metadata["duality_gap"],
         protocol_entanglement_rate=ent_rate,
         protocol_classical_rate=cls_rate,
         worst_case_fidelity=worst_f,

@@ -1,6 +1,7 @@
 """Source models over finite state sets: convex-hull geometry, Hausdorff
 distance, compound merging costs, and the instrument-maximized distillation
-rate for both compound and adversarially varying sources."""
+rate for both compound and adversarially varying sources; hull costs carry a
+Frank-Wolfe duality gap."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .channels import (
     identity_instrument,
     merging_fidelity,
 )
-from .config import check_dim_cap, get_config
+from .config import check_dim_cap, check_word_cap, get_config
 from .entropy import (
     conditional_entropy,
     instrument_coherent_info,
@@ -30,12 +31,10 @@ from .entropy import (
 from .linalg import PureState, State, fidelity, tensor_power, tensor_product, trace_distance
 from .optim import (
     hermitian_from_params,
-    maximize_over_simplex,
+    maximize_concave_over_simplex,
     minimize_over_simplex,
     unitary_from_hermitian,
 )
-
-WORD_ENUMERATION_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,63 +175,60 @@ def hausdorff_distance(xs: StateSet, ys: StateSet, mode: str = "pointset") -> fl
 # ---------------------------------------------------------------------------
 # compound merging costs
 
-def compound_merging_cost(
-    xs: StateSet, hull: bool = False, restarts: int = 8, seed: int = 0
-) -> RateReport:
-    """Largest conditional entropy S(A|B) over the set (or its hull).
+def _entropy_sum(xs: StateSet, terms):
+    """p -> (sum_T sign_T S(rho_T(p)), its gradient), one eigh per term.
+
+    d/dp_s S(rho_T(p)) = -tr[rho_{s,T} log2 rho_T(p)] - 1/ln 2; the constant
+    cancels on simplex directions.  The log on eigenvalues above ``eig_clip``
+    only is exact for members inside the mixture's support: those of positive
+    weight, and those dropped to 0, as the line search never empties a member
+    whose support leaves the rest's (the derivative in its weight is +inf
+    there).  Exception: if S(B) loses support at the same rate, the divergences
+    cancel and the outside part's own S(A|B), <= 0 if it is pure, is left out.
+    """
+    clip = get_config().eig_clip
+    blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
+
+    def value_and_grad(p):
+        value, grad = 0.0, np.zeros(xs.n)
+        for sign, mats in blocks:
+            w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
+            w, v = w[w > clip], v[:, w > clip]
+            log_w = np.log2(w)
+            value -= sign * float(w @ log_w)
+            grad -= sign * np.einsum("ik,sij,jk->sk", v.conj(), mats, v).real @ log_w
+        return value, grad
+
+    return value_and_grad
+
+
+def _compound_cost(xs: StateSet, hull: bool, quantity: str, functional, terms) -> RateReport:
+    if not hull:
+        values = [functional(m).value for m in xs.members]
+        idx = int(np.argmax(values))
+        return RateReport(
+            quantity, float(values[idx]), attained_by=xs.labels[idx], metadata={"over": "members"}
+        )
+    p, _, meta = maximize_concave_over_simplex(_entropy_sum(xs, terms), xs.n)
+    value = functional(convex_mixture(xs, p)).value
+    return RateReport(quantity, value, weights=tuple(p), metadata={"over": "hull", **meta})
+
+
+def compound_merging_cost(xs: StateSet, hull: bool = False) -> RateReport:
+    """Largest conditional entropy S(A|B) = S(AB) - S(B) over the set or hull.
 
     This is the achievable entanglement cost per copy; callers add their own
-    slack.  Over the hull the maximization runs over mixture weights.
+    slack.  Over the hull the maximum lies in [value, value + duality_gap].
     """
-    if not hull:
-        values = [conditional_entropy(m).value for m in xs.members]
-        idx = int(np.argmax(values))
-        return RateReport(
-            quantity="merging-cost",
-            value=float(values[idx]),
-            attained_by=xs.labels[idx],
-            metadata={"over": "members"},
-        )
-    p, value, meta = maximize_over_simplex(
-        lambda p: conditional_entropy(convex_mixture(xs, p)).value,
-        xs.n,
-        restarts=restarts,
-        seed=seed,
-    )
-    return RateReport(
-        quantity="merging-cost",
-        value=float(value),
-        weights=tuple(p),
-        metadata={"over": "hull", **meta},
-    )
+    terms = ((("A", "B"), 1.0), (("B",), -1.0))
+    return _compound_cost(xs, hull, "merging-cost", conditional_entropy, terms)
 
 
-def compound_classical_cost(
-    xs: StateSet, hull: bool = False, restarts: int = 8, seed: int = 0
-) -> RateReport:
-    """Largest environment mutual information I(A;E) over the set or hull —
-    the classical communication rate attached to the merging cost."""
-    if not hull:
-        values = [mutual_info_env(m).value for m in xs.members]
-        idx = int(np.argmax(values))
-        return RateReport(
-            quantity="classical-cost",
-            value=float(values[idx]),
-            attained_by=xs.labels[idx],
-            metadata={"over": "members"},
-        )
-    p, value, meta = maximize_over_simplex(
-        lambda p: mutual_info_env(convex_mixture(xs, p)).value,
-        xs.n,
-        restarts=restarts,
-        seed=seed,
-    )
-    return RateReport(
-        quantity="classical-cost",
-        value=float(value),
-        weights=tuple(p),
-        metadata={"over": "hull", **meta},
-    )
+def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
+    """Largest I(A;E) = S(A) + S(AB) - S(B) over the set or hull — the
+    classical communication rate attached to the merging cost."""
+    terms = ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))
+    return _compound_cost(xs, hull, "classical-cost", mutual_info_env, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +423,11 @@ def worst_case_protocol_fidelity(
     fidelity to it.  Enumeration is exhaustive up to the word cap; beyond it
     a seeded sample of words must be requested explicitly.
     """
-    n_words = xs.n**l
-    if sample is None and n_words > WORD_ENUMERATION_CAP:
-        raise ValueError(
-            f"{n_words} words exceed the enumeration cap {WORD_ENUMERATION_CAP}; "
-            "pass sample=<count> for a seeded sampled search"
-        )
     if sample is not None:
         rng = np.random.default_rng(seed)
         words = [tuple(int(s) for s in rng.integers(0, xs.n, size=l)) for _ in range(sample)]
     else:
+        check_word_cap(xs.n**l, "worst-case; pass sample=<count> for a seeded sampled search")
         words = list(itertools.product(range(xs.n), repeat=l))
     best_val = np.inf
     best_word = None

@@ -68,7 +68,7 @@ def test_criterion_1_example_gap():
     for n in (2, 4):
         family = build_orthogonal_family(base, n)
         for l in (1, 2):
-            report = rate_gap_report(family, l=l, restarts=4, seed=0)
+            report = rate_gap_report(family, l=l)
             log_n = np.log2(n)
             # hull costs: closed form vs numeric simplex maximization
             assert report.hull_merging_closed == pytest.approx(-1.0 + log_n, abs=1e-9)
@@ -285,7 +285,7 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
     save_json(protocol_path, protocol_to_dict(known_pure_state_merging(bell, 1)))
 
     invocations = [
-        ["rates", "--set", set_path, "--hull", "--restarts", "2", "--seed", "3"],
+        ["rates", "--set", set_path, "--hull", "--seed", "3"],
         ["distill-capacity", "--set", set_path, "--restarts", "1", "--maxiter", "5", "--seed", "3"],
         ["worst-case", "--protocol", protocol_path, "--set", set_path, "--blocklength", "1",
          "--seed", "3"],

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import avqsbench
 from avqsbench.cli import main
 from avqsbench.io import (
     ParseError,
@@ -260,6 +264,11 @@ class TestCliExitCodes:
         code = main(["rates", "--set", bell_set_file, "--dim-cap", "2"])
         assert code == 3
 
+    def test_word_cap_violation_exit_code(self, bell_protocol_file, two_state_file, capsys):
+        argv = ["worst-case", "--protocol", bell_protocol_file, "--set", two_state_file]
+        assert main(argv + ["--blocklength", "13"]) == 3
+        assert "enumeration cap" in capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         import avqsbench.cli as cli_module
 
@@ -287,7 +296,7 @@ class TestCliDeterminism:
     ):
         invocations = [
             ["rates", "--set", bell_set_file, "--seed", "7"],
-            ["rates", "--set", two_state_file, "--hull", "--restarts", "2", "--seed", "7"],
+            ["rates", "--set", two_state_file, "--hull", "--seed", "7"],
             ["example-gap", "--N", "2", "--blocklength", "1", "--seed", "7"],
             [
                 "distill-capacity",
@@ -351,3 +360,15 @@ class TestCliDeterminism:
             first = self._capture(argv, capsys)
             second = self._capture(argv, capsys)
             assert first == second, f"nondeterministic output for {argv}"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the distill-capacity instrument search needs scipy.optimize; every
+    # other subcommand should not pay for importing it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, avqsbench.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 
 from avqsbench.optim import (
     hermitian_from_params,
-    maximize_over_simplex,
+    maximize_concave_over_simplex,
     minimize_over_simplex,
     project_to_simplex,
     unitary_from_hermitian,
@@ -40,17 +40,19 @@ class TestSimplexProjection:
 class TestSimplexOptimizers:
     def test_maximize_concave_quadratic(self):
         target = np.array([0.6, 0.3, 0.1])
-        fn = lambda p: -np.sum((p - target) ** 2)
-        p, value, meta = maximize_over_simplex(fn, 3, restarts=3, seed=0)
+        fn = lambda p: (-np.sum((p - target) ** 2), -2 * (p - target))
+        p, value, meta = maximize_concave_over_simplex(fn, 3)
         assert value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(p, target, atol=1e-4)
-        assert meta["seed"] == 0
+        assert meta["stop_reason"] == "gap"
+        assert meta["duality_gap"] <= 1e-9
 
     def test_maximize_entropy_peaks_at_uniform(self):
-        fn = lambda p: float(-(p[p > 1e-15] * np.log2(p[p > 1e-15])).sum())
-        p, value, _ = maximize_over_simplex(fn, 4, restarts=3, seed=1)
+        fn = lambda p: (float(-(p * np.log2(p)).sum()), -np.log2(p))
+        p, value, meta = maximize_concave_over_simplex(fn, 4)
         assert value == pytest.approx(2.0, abs=1e-8)
         assert np.allclose(p, 0.25, atol=1e-4)
+        assert meta["iterations"] == 0
 
     def test_minimize_linear_hits_a_vertex(self):
         cost = np.array([0.3, 0.8, 0.1])
@@ -59,9 +61,10 @@ class TestSimplexOptimizers:
         assert value == pytest.approx(0.1, abs=1e-3)
 
     def test_single_point_simplex(self):
-        p, value, _ = maximize_over_simplex(lambda p: 5.0, 1)
+        p, value, meta = maximize_concave_over_simplex(lambda p: (5.0, np.zeros(1)), 1)
         assert p.tolist() == [1.0]
         assert value == 5.0
+        assert meta == {"iterations": 0, "duality_gap": 0.0, "stop_reason": "gap"}
 
 
 class TestHermitianParameterization:

@@ -13,7 +13,12 @@ from avqsbench.linalg import (
     trace_distance,
     trace_norm,
 )
-from avqsbench.rates import convex_mixture, worst_case_protocol_fidelity
+from avqsbench.rates import (
+    compound_classical_cost,
+    compound_merging_cost,
+    convex_mixture,
+    worst_case_protocol_fidelity,
+)
 from avqsbench.rate_gap import (
     build_orthogonal_family,
     discriminating_instrument,
@@ -189,7 +194,7 @@ class TestOrthogonalSupportEntropyIdentity:
 class TestRateGapReport:
     def test_bell_family_of_two(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
-        report = rate_gap_report(fam, l=1, restarts=4, seed=0)
+        report = rate_gap_report(fam, l=1)
         assert report.passed
         assert report.hull_merging_numeric == pytest.approx(report.hull_merging_closed, abs=1e-6)
         assert report.hull_classical_numeric == pytest.approx(
@@ -201,13 +206,24 @@ class TestRateGapReport:
 
     def test_maximizer_is_uniform(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
-        report = rate_gap_report(fam, l=1, restarts=4, seed=0)
+        report = rate_gap_report(fam, l=1)
         tv = 0.5 * sum(abs(w - 0.5) for w in report.hull_merging_weights)
         assert tv <= 1e-4
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_hull_costs_certified_at_uniform_weights(self, n):
+        members = build_orthogonal_family(bell_pair().density(), n).members
+        closed = {compound_merging_cost: -1.0 + np.log2(n), compound_classical_cost: 2 * np.log2(n)}
+        for cost, value in closed.items():
+            report = cost(members, hull=True)
+            assert report.metadata["stop_reason"] == "gap"
+            assert report.metadata["duality_gap"] <= 1e-9
+            assert np.max(np.abs(np.array(report.weights) - 1.0 / n)) <= 1e-12
+            assert report.value == pytest.approx(value, abs=1e-9)
+
     def test_family_of_four_gap_is_two(self):
         fam = build_orthogonal_family(bell_pair().density(), 4)
-        report = rate_gap_report(fam, l=1, restarts=4, seed=0)
+        report = rate_gap_report(fam, l=1)
         assert report.merging_gap == pytest.approx(2.0, abs=1e-6)
         assert report.classical_gap == pytest.approx(2.0, abs=1e-6)
         assert report.passed

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import identity_instrument
+from avqsbench.config import DimensionCapError
 from avqsbench.entropy import (
     coherent_information,
     conditional_entropy,
     instrument_coherent_info,
+    mutual_info_env,
     von_neumann_entropy,
 )
 from avqsbench.linalg import (
@@ -43,6 +45,24 @@ def _bell_diagonal(spectrum) -> np.ndarray:
 
 def _random_set(n, dims=(2, 2), parties=("A", "B")):
     return StateSet(tuple(random_density(dims, rng, parties=parties) for _ in range(n)))
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    w = np.clip(np.linalg.eigvalsh(mats), 1e-300, None)  # 0 log 0 = 0
+    return -np.sum(w * np.log2(w), axis=-1)
+
+
+def _grid_maximum(xs: StateSet, classical: bool, steps: int = 100) -> float:
+    """Largest S(A|B) (or I(A;E)) of a three-member qubit-pair set over the
+    1/steps grid of the 2-simplex, by batched eigenvalues of the mixtures."""
+    grid = [(i, j, steps - i - j) for i in range(steps + 1) for j in range(steps + 1 - i)]
+    members = np.stack([m.matrix for m in xs.members])
+    mixes = np.tensordot(np.array(grid) / steps, members, axes=1).reshape(-1, 2, 2, 2, 2)
+    s_ab = _entropies(mixes.reshape(-1, 4, 4))
+    s_a = _entropies(np.einsum("nabcb->nac", mixes))
+    s_b = _entropies(np.einsum("nabad->nbd", mixes))
+    values = s_ab - s_b + (s_a if classical else 0.0)
+    return float(values.max())
 
 
 class TestStateSet:
@@ -147,21 +167,54 @@ class TestCompoundCosts:
         assert compound_merging_cost(small).value <= compound_merging_cost(large).value + 1e-12
         assert compound_classical_cost(small).value <= compound_classical_cost(large).value + 1e-12
 
-    def test_conditional_entropy_concavity_over_mixtures(self):
+    # the hull costs' duality-gap certificate relies on this concavity
+    @pytest.mark.parametrize(
+        "functional",
+        [conditional_entropy, mutual_info_env],
+        ids=["conditional_entropy", "mutual_info_env"],
+    )
+    def test_conditional_entropy_concavity_over_mixtures(self, functional):
         xs = _random_set(3)
         for _ in range(10):
             p = rng.dirichlet([1, 1, 1])
-            mixed = conditional_entropy(convex_mixture(xs, p)).value
+            mixed = functional(convex_mixture(xs, p)).value
             averaged = sum(
-                float(q) * conditional_entropy(m).value for q, m in zip(p, xs.members)
+                float(q) * functional(m).value for q, m in zip(p, xs.members)
             )
             assert mixed >= averaged - 1e-8
 
     def test_hull_maximization_beats_vertices(self):
         xs = _random_set(2)
         vertex = compound_merging_cost(xs).value
-        hull = compound_merging_cost(xs, hull=True, restarts=3, seed=0).value
+        hull = compound_merging_cost(xs, hull=True).value
         assert hull >= vertex - 1e-7
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, "face"])
+    @pytest.mark.parametrize(
+        "cost", [compound_merging_cost, compound_classical_cost], ids=["merging", "classical"]
+    )
+    def test_hull_certificate_brackets_grid_maximum(self, cost, seed):
+        if seed == "face":
+            # S(A|B) and I(A;E) peak at log2 d_A and 2 log2 d_A exactly on the
+            # edge of the two I/2 (x) sigma_B members: the Werner member must
+            # be dropped to weight exactly 0
+            werner = 0.8 * bell_pair().density().matrix + 0.2 * np.eye(4) / 4
+            mats = [np.diag([0.5, 0, 0.5, 0]), np.diag([0, 0.5, 0, 0.5]), werner]
+            xs = StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in mats))
+        else:
+            seeded = np.random.default_rng(seed)
+            xs = StateSet(
+                tuple(random_density([2, 2], seeded, parties=("A", "B")) for _ in range(3))
+            )
+        report = cost(xs, hull=True)
+        gap = report.metadata["duality_gap"]
+        grid_max = _grid_maximum(xs, classical=cost is compound_classical_cost)
+        assert report.metadata["stop_reason"] == "gap"
+        assert gap <= 1e-9
+        assert report.value >= grid_max - 1e-9
+        assert grid_max <= report.value + gap + 1e-12
+        if seed == "face":
+            assert report.weights[2] == 0.0
 
 
 class TestDistillation:
@@ -257,5 +310,5 @@ class TestWorstCase:
 
     def test_word_cap(self):
         xs = _random_set(3)
-        with pytest.raises(ValueError, match="enumeration cap"):
+        with pytest.raises(DimensionCapError, match="enumeration cap"):
             worst_case_protocol_fidelity(None, xs, 9)
