@@ -25,10 +25,9 @@ from .linalg import (
     Party,
     PureState,
     State,
-    partial_trace,
+    check_purification,
     permute_factors,
     purify,
-    trace_distance,
 )
 
 
@@ -69,7 +68,13 @@ class CpMap:
             raise ValueError(f"out_dims {out_dims} do not match Kraus rows {rows}")
         if self.out_parties is not None and len(self.out_parties) != len(out_dims):
             raise ValueError("out_parties must label every output factor")
-        gram = self.gram_with(kraus)
+        # sum K^dagger K = S^dagger S for the stacked S; S S^dagger has the
+        # same nonzero spectrum and is the smaller one for wide operators
+        stacked = np.concatenate(kraus)
+        if stacked.shape[0] < cols:
+            gram = stacked @ stacked.conj().T
+        else:
+            gram = stacked.conj().T @ stacked
         top = float(np.linalg.eigvalsh(gram).max(initial=0.0))
         if top > 1.0 + get_config().tp_tol:
             raise ValueError(f"map increases trace (largest Gram eigenvalue {top:.12f})")
@@ -414,9 +419,8 @@ def merging_fidelity(p: MergingProtocol, rho: State, purification: PureState | N
     """Fidelity between the protocol output on a purified source and the
     relabeled purification next to the produced resource.
 
-    The comparison target phi_out x psi' is pure, so the fidelity equals the
-    overlap <t| output |t>; the output never has to be materialized as a
-    matrix.  The value does not depend on which purification is supplied.
+    The purification (supplied, or the canonical one) is checked against
+    ``rho``; the value does not depend on which purification is supplied.
     """
     l = p.blocklength
     d_a, d_b = p.copy_dims
@@ -425,17 +429,43 @@ def merging_fidelity(p: MergingProtocol, rho: State, purification: PureState | N
             f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties"
         )
     psi = purification if purification is not None else purify(rho)
-    if psi.dims[: 2 * l] != rho.dims:
-        raise ValueError("purification must extend the source factors")
-    reduced = partial_trace(psi.density(), range(2 * l))
-    if trace_distance(reduced, rho) > get_config().close_tol:
-        raise ValueError("supplied vector does not purify the source state")
-    n_env = len(psi.dims) - 2 * l
+    check_purification(psi, rho)
+    return purified_merging_fidelity(p, psi)
 
-    in_vec = np.kron(p.phi_in.vector, psi.vector)
+
+def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
+    """Merging fidelity on the source purified by ``psi``, whose factors
+    after the first 2l (the (A, B) copies) are the environment.
+
+    The comparison target phi_out x psi' is pure, so the fidelity equals the
+    overlap <t| output |t>; the output never has to be materialized as a
+    matrix.  Sending-side branches of weight ||K_a psi||^2 <= prob_tol are
+    skipped: every receiving channel is trace preserving, so a branch adds
+    at most its weight.
+    """
+    l = p.blocklength
+    d_a, d_b = p.copy_dims
+    if psi.dims[: 2 * l] != (d_a, d_b) * l or psi.parties[: 2 * l] != ("A", "B") * l:
+        raise ValueError(
+            f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties"
+        )
+    n_env = len(psi.dims) - 2 * l
+    prob_tol = get_config().prob_tol
+
+    # input factors (K0_A, K0_B, A_1, B_1, ..., A_l, B_l, env), sending ones
+    # moved in front once for all sending-side Kraus operators
     in_dims = p.phi_in.dims + psi.dims
     a_targets = [0] + [2 + 2 * i for i in range(l)]
-    b_targets = [1] + [3 + 2 * i for i in range(l)]
+    rest = [i for i in range(len(in_dims)) if i not in a_targets]
+    rest_dims = tuple(in_dims[i] for i in rest)
+    arranged = (
+        np.kron(p.phi_in.vector, psi.vector)
+        .reshape(in_dims)
+        .transpose(a_targets + rest)
+        .reshape(p.locc.a_instrument.dim_in, -1)
+    )
+    # receiving-side factors directly follow the K1_A output after the sender acts
+    b_now = list(range(1, l + 2))
 
     target = np.kron(p.phi_out.vector, psi.vector)
     target_dims = p.phi_out.dims + psi.dims
@@ -446,10 +476,10 @@ def merging_fidelity(p: MergingProtocol, rho: State, purification: PureState | N
     total = 0.0
     for t_k, r_k in zip(p.locc.a_instrument.outcomes, p.locc.b_channels):
         for ka in t_k.kraus:
-            mid, rest_dims = apply_kraus_to_vector(in_vec, in_dims, ka, a_targets)
+            mid = (ka @ arranged).reshape(-1)
+            if np.vdot(mid, mid).real <= prob_tol:
+                continue
             mid_dims = t_k.out_dims + rest_dims
-            # receiving-side factors now directly follow the K1_A output
-            b_now = list(range(1, l + 2))
             for kb in r_k.kraus:
                 out, _ = apply_kraus_to_vector(mid, mid_dims, kb, b_now)
                 total += abs(np.vdot(t_perm, out)) ** 2

@@ -339,6 +339,17 @@ def purify(s: State, env_party: Party = "E") -> PureState:
     return PureState(vec, s.dims + (rank,), s.parties + (env_party,))
 
 
+def check_purification(psi: PureState, s: State) -> None:
+    """Raise ``ValueError`` unless ``psi`` extends the factors of ``s`` and
+    tracing out its remaining factors gives ``s`` within ``close_tol``."""
+    k = s.n_factors
+    if psi.dims[:k] != s.dims:
+        raise ValueError("purification must extend the source factors")
+    reduced = partial_trace(psi.density(), range(k))
+    if trace_distance(reduced, s) > get_config().close_tol:
+        raise ValueError("supplied vector does not purify the source state")
+
+
 @dataclass(frozen=True)
 class SchmidtDecomposition:
     """Result of a bipartite Schmidt decomposition.

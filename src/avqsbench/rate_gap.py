@@ -249,12 +249,13 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
         raise ValueError("subprotocol must act on the base state's spaces")
     check_word_cap(fam.n**l, "the family protocol")
     m = fam.enlarged_dim
+    # the receiving side outputs a word state per Kraus operator; refuse
+    # before building when word states could not be evaluated anyway
+    check_dim_cap((m * d_b) ** l, "the family protocol's word states")
     disc = discriminating_instrument(fam)
     k0a = sub.phi_in.dims[0]
     k1b = sub.phi_out.dims[1]
     eye_k0a = np.eye(k0a, dtype=complex)
-    eye_k1b = np.eye(k1b, dtype=complex)
-    eye_b = np.eye(d_b, dtype=complex)
 
     # per-member restore maps on a mirror factor: base space -> enlarged block
     complement = _orthonormal_complement(fam.embed.conj().T)  # in the base space
@@ -271,21 +272,29 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
     for word in itertools.product(range(fam.n), repeat=l):
         sort = _kron_power_list([disc.outcomes[s].kraus[0] for s in word])
         lifted_sort = np.kron(eye_k0a, sort)
-        word_restores = []
-        for choice in itertools.product(*[restore[s] for s in word]):
-            g = eye_k1b
-            for op in choice:
-                g = np.kron(g, np.kron(op, eye_b))
-            word_restores.append(g)
+        choices = list(itertools.product(*[restore[s] for s in word]))
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
             kraus = tuple(kt @ lifted_sort for kt in t_k.kraus)
             outcomes.append(CpMap(kraus, (k0a,) + (m,) * l, t_k.out_dims))
-            b_kraus = tuple(g @ kb for g in word_restores for kb in r_k.kraus)
+            b_kraus = tuple(
+                _restore_mirrors(kb, ops, k1b, (d_a, d_b)) for ops in choices for kb in r_k.kraus
+            )
             b_channels.append(
                 CpMap(b_kraus, r_k.in_dims, (k1b,) + (m, d_b) * l)
             )
     locc = OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))
     return MergingProtocol(locc, sub.phi_in, sub.phi_out, l)
+
+
+def _restore_mirrors(kb: np.ndarray, ops, k1b: int, copy_dims: tuple[int, int]) -> np.ndarray:
+    """Apply ``ops[i]`` to mirror factor B'_i of a receiving Kraus operator
+    with output factors (K1_B, B'_1, B_1, ..., B'_l, B_l), one factor at a
+    time; the identity elsewhere is never formed."""
+    cols = kb.shape[1]
+    t = kb.reshape((k1b,) + tuple(copy_dims) * len(ops) + (cols,))
+    for i, op in enumerate(ops):
+        t = np.moveaxis(np.tensordot(op, t, axes=(1, 1 + 2 * i)), 0, 1 + 2 * i)
+    return t.reshape(-1, cols)
 
 
 def _kron_power_list(mats: list[np.ndarray]) -> np.ndarray:

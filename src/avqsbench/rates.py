@@ -20,7 +20,7 @@ from .channels import (
     OneWayLoccChannel,
     apply_one_way_locc,
     identity_instrument,
-    merging_fidelity,
+    purified_merging_fidelity,
 )
 from .config import check_dim_cap, check_word_cap, get_config
 from .entropy import (
@@ -28,7 +28,18 @@ from .entropy import (
     instrument_coherent_info,
     mutual_info_env,
 )
-from .linalg import PureState, State, fidelity, tensor_power, tensor_product, trace_distance
+from .linalg import (
+    PureState,
+    State,
+    check_purification,
+    fidelity,
+    permute_pure,
+    purify,
+    tensor_power,
+    tensor_product,
+    tensor_pure,
+    trace_distance,
+)
 from .optim import (
     hermitian_from_params,
     maximize_concave_over_simplex,
@@ -418,10 +429,9 @@ def worst_case_protocol_fidelity(
 ) -> tuple[float, tuple[int, ...]]:
     """Minimum protocol fidelity over words of member indices of length l.
 
-    Merging protocols are scored by merging fidelity; bare one-way LOCC
-    channels need a ``target`` resource state and are scored by output
-    fidelity to it.  Enumeration is exhaustive up to the word cap; beyond it
-    a seeded sample of words must be requested explicitly.
+    Words are scored by :func:`word_fidelities`.  Enumeration is exhaustive
+    up to the word cap; beyond it a seeded sample of words must be requested
+    explicitly.
     """
     if sample is not None:
         rng = np.random.default_rng(seed)
@@ -429,18 +439,60 @@ def worst_case_protocol_fidelity(
     else:
         check_word_cap(xs.n**l, "worst-case; pass sample=<count> for a seeded sampled search")
         words = list(itertools.product(range(xs.n), repeat=l))
-    best_val = np.inf
-    best_word = None
-    for w in words:
-        rho = xs.word_state(w)
-        if isinstance(protocol, MergingProtocol):
-            val = merging_fidelity(protocol, rho)
-        else:
-            if target is None:
-                raise ValueError("a bare one-way LOCC channel needs a target state")
-            out = apply_one_way_locc(protocol, rho)
-            val = fidelity(out.matrix, target.density().matrix)
-        if val < best_val:
-            best_val = val
-            best_word = w
-    return float(best_val), best_word
+    values = word_fidelities(protocol, xs, words, target)
+    if not values:
+        return float(np.inf), None
+    best = int(np.argmin(values))
+    return float(values[best]), words[best]
+
+
+def word_fidelities(
+    protocol: MergingProtocol | OneWayLoccChannel,
+    xs: StateSet,
+    words: Sequence[Sequence[int]],
+    target: PureState | None = None,
+) -> list[float]:
+    """Protocol fidelity on the word state of each word of member indices.
+
+    Merging protocols are scored by merging fidelity.  Word states are
+    products, so each member is purified and checked once, and a word's
+    purification is the tensor product of its members' with the environment
+    factors moved last; no word state is ever formed.  Bare one-way LOCC
+    channels need a ``target`` resource state and are scored by output
+    fidelity to it.  Word states over the dimension cap raise
+    ``DimensionCapError`` before any member or word is evaluated.
+    """
+    longest = max((len(w) for w in words), default=1)
+    check_dim_cap(prod(xs.dims) ** longest, "word states")
+    if isinstance(protocol, MergingProtocol):
+        purifications = [purify(m) for m in xs.members]
+        for psi, m in zip(purifications, xs.members):
+            check_purification(psi, m)
+        return [
+            purified_merging_fidelity(protocol, _word_purification(purifications, w))
+            for w in words
+        ]
+    if target is None:
+        raise ValueError("a bare one-way LOCC channel needs a target state")
+    target_matrix = target.density().matrix
+    return [
+        fidelity(apply_one_way_locc(protocol, xs.word_state(w)).matrix, target_matrix)
+        for w in words
+    ]
+
+
+def _word_purification(purifications: Sequence[PureState], word: Sequence[int]) -> PureState:
+    """Product of member purifications along a word, reordered so that the
+    source factors come first in word order, then one environment factor per
+    letter."""
+    word = [int(s) for s in word]
+    if not word or any(not 0 <= s < len(purifications) for s in word):
+        raise ValueError(
+            f"word {word} is not a nonempty sequence of indices into {len(purifications)} members"
+        )
+    psi = purifications[word[0]]
+    for s in word[1:]:
+        psi = tensor_pure(psi, purifications[s])
+    width = len(psi.dims) // len(word)  # source factors plus the environment
+    order = [i * width + j for i in range(len(word)) for j in range(width - 1)]
+    return permute_pure(psi, order + [i * width + width - 1 for i in range(len(word))])

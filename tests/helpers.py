@@ -100,3 +100,32 @@ def random_instrument_kraus(rng, d_in: int, d_out: int, n_outcomes: int) -> list
 
 def all_words(n_symbols: int, l: int):
     return list(itertools.product(range(n_symbols), repeat=l))
+
+
+def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:
+    """Receiving Kraus operators of the family merging protocol, one list per
+    receiving channel in protocol order, built the dense way: each operator
+    is eye(K1_B) x (R_1 x I_B) x ... x (R_l x I_B) times a subprotocol
+    operator, with R_i one restore map of the member at letter i."""
+    d_b = fam.base.dims[1]
+    m = fam.enlarged_dim
+    proj = np.eye(fam.base.dims[0]) - fam.embed.conj().T @ fam.embed
+    w, v = np.linalg.eigh(proj)
+    first = np.zeros((m, 1))
+    first[0, 0] = 1.0
+    restore = [
+        [fam.unitaries[s] @ fam.embed] + [first @ col.conj().reshape(1, -1) for col in v[:, w > 0.5].T]
+        for s in range(fam.n)
+    ]
+    eye_k1b = np.eye(sub.phi_out.dims[1])
+    out = []
+    for word in itertools.product(range(fam.n), repeat=l):
+        restores = []
+        for choice in itertools.product(*[restore[s] for s in word]):
+            g = eye_k1b
+            for op in choice:
+                g = np.kron(g, np.kron(op, np.eye(d_b)))
+            restores.append(g)
+        for r_k in sub.locc.b_channels:
+            out.append([g @ kb for g in restores for kb in r_k.kraus])
+    return out

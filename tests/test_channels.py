@@ -45,6 +45,13 @@ class TestCpMapValidation:
         with pytest.raises(ValueError, match="increases trace"):
             CpMap((np.eye(2) * 1.1,))
 
+    def test_wide_operators_checked_on_the_small_gram(self):
+        # three 1x4 rows stack to 3x4: the bound is read off the 3x3 side
+        rows = [np.eye(4)[i : i + 1] for i in range(3)]
+        assert not CpMap(tuple(rows), (4,), (1,)).is_trace_preserving
+        with pytest.raises(ValueError, match="increases trace"):
+            CpMap((1.1 * rows[0],) + tuple(rows[1:]), (4,), (1,))
+
     def test_trace_preserving_flag(self):
         assert identity_channel((2,)).is_trace_preserving
         half = CpMap((np.eye(2) / np.sqrt(2),))

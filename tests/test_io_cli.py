@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import avqsbench
+from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, trivial_resource
 from avqsbench.cli import main
 from avqsbench.io import (
     ParseError,
@@ -268,6 +269,22 @@ class TestCliExitCodes:
         argv = ["worst-case", "--protocol", bell_protocol_file, "--set", two_state_file]
         assert main(argv + ["--blocklength", "13"]) == 3
         assert "enumeration cap" in capsys.readouterr().err
+
+    def test_word_dimension_cap_exit_code(self, tmp_path, two_state_file, capsys):
+        # l=2 protocol with trivial resources: only the 16-dimensional word
+        # states exceed --dim-cap 15, not anything loaded from the files; the
+        # purification of the rank-4 word needs 64
+        discard = Instrument((CpMap(tuple(np.eye(4)[i : i + 1] for i in range(4)), (1, 2, 2), (1,)),))
+        keep = CpMap((np.kron(np.eye(4)[:, :1], np.eye(4)),), (1, 2, 2), (1, 2, 2, 2, 2))
+        protocol = MergingProtocol(
+            OneWayLoccChannel(discard, (keep,)), trivial_resource(), trivial_resource(), 2
+        )
+        path = str(tmp_path / "protocol_l2.json")
+        save_json(path, protocol_to_dict(protocol))
+        argv = ["worst-case", "--protocol", path, "--set", two_state_file, "--blocklength", "2"]
+        assert main(argv + ["--dim-cap", "15"]) == 3
+        assert "word states" in capsys.readouterr().err
+        assert main(argv + ["--dim-cap", "64"]) == 0
 
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         import avqsbench.cli as cli_module

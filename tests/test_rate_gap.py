@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import apply_cp_map, merging_fidelity
+from avqsbench.config import DimensionCapError
 from avqsbench.entropy import conditional_entropy, von_neumann_entropy
 from avqsbench.linalg import (
     bell_pair,
@@ -26,6 +27,8 @@ from avqsbench.rate_gap import (
     known_pure_state_merging,
     rate_gap_report,
 )
+
+from helpers import dense_family_receiving_kraus
 
 rng = np.random.default_rng(53)
 
@@ -175,6 +178,29 @@ class TestFamilyProtocol:
         protocol = family_merging_protocol(fam, sub, 1)
         value, _ = worst_case_protocol_fidelity(protocol, fam.members, 1)
         assert value == pytest.approx(1.0, abs=1e-9)
+
+    def test_word_dimension_cap_raises_before_building(self):
+        # N=8 l=3 word states have dimension (16 * 2)^3 = 32768; the
+        # receiving Kraus operators alone would take 16 GiB
+        fam = build_orthogonal_family(bell_pair().density(), 8)
+        sub = known_pure_state_merging(bell_pair().density(), 3)
+        with pytest.raises(DimensionCapError, match="word states"):
+            family_merging_protocol(fam, sub, 3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("base", [bell_pair().density(), _rank2_negative_base()], ids=["bell", "rank2"])
+    def test_receiving_kraus_match_dense_restore(self, base, n, l):
+        fam = build_orthogonal_family(base, n)
+        sub = known_pure_state_merging(base, l)
+        protocol = family_merging_protocol(fam, sub, l)
+        dense = dense_family_receiving_kraus(fam, sub, l)
+        assert len(dense) == len(protocol.locc.b_channels)
+        for channel, expected in zip(protocol.locc.b_channels, dense):
+            assert len(channel.kraus) == len(expected)
+            for k, ref in zip(channel.kraus, expected):
+                assert k.shape == ref.shape
+                assert np.max(np.abs(k - ref)) <= 1e-12
 
 
 class TestOrthogonalSupportEntropyIdentity:

@@ -1,10 +1,21 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from avqsbench.channels import identity_instrument
-from avqsbench.config import DimensionCapError
+import avqsbench.rates
+from avqsbench.channels import (
+    CpMap,
+    Instrument,
+    MergingProtocol,
+    OneWayLoccChannel,
+    apply_one_way_locc,
+    identity_instrument,
+    merging_fidelity,
+    trivial_resource,
+)
+from avqsbench.config import DimensionCapError, local_config
 from avqsbench.entropy import (
     coherent_information,
     conditional_entropy,
@@ -14,8 +25,10 @@ from avqsbench.entropy import (
 )
 from avqsbench.linalg import (
     bell_pair,
+    fidelity,
     maximally_entangled,
     maximally_mixed,
+    purify,
     random_density,
     state,
     tensor_product,
@@ -29,8 +42,11 @@ from avqsbench.rates import (
     convex_mixture,
     distillation_rate_lower_bound,
     hausdorff_distance,
+    word_fidelities,
     worst_case_protocol_fidelity,
 )
+
+from helpers import random_instrument_kraus, random_kraus_channel
 
 rng = np.random.default_rng(41)
 
@@ -45,6 +61,22 @@ def _bell_diagonal(spectrum) -> np.ndarray:
 
 def _random_set(n, dims=(2, 2), parties=("A", "B")):
     return StateSet(tuple(random_density(dims, rng, parties=parties) for _ in range(n)))
+
+
+def _random_merging_protocol(l: int) -> MergingProtocol:
+    """Qubit-pair protocol at blocklength l with trivial resource registers
+    and 2^l + 1 one-row sending outcomes."""
+    d = 2**l
+    n_outcomes = d + 1
+    rows = random_instrument_kraus(rng, d, 1, n_outcomes)
+    instrument = Instrument(tuple(CpMap((row,), (1,) + (2,) * l, (1,)) for row in rows))
+    b_channels = tuple(
+        CpMap(tuple(random_kraus_channel(rng, d, d * d, 2)), (1,) + (2,) * l, (1,) + (2,) * (2 * l))
+        for _ in range(n_outcomes)
+    )
+    return MergingProtocol(
+        OneWayLoccChannel(instrument, b_channels), trivial_resource(), trivial_resource(), l
+    )
 
 
 def _entropies(mats: np.ndarray) -> np.ndarray:
@@ -307,6 +339,64 @@ class TestWorstCase:
         value, word = worst_case_protocol_fidelity(locc, xs, 1, target=bell_pair())
         assert word == (1,)
         assert value < 1.0
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_word_values_match_dense_word_states(self, l):
+        xs = StateSet(
+            tuple(random_density([2, 2], rng, rank=r, parties=("A", "B")) for r in (1, 2, 3, 4))
+        )
+        protocol = _random_merging_protocol(l)
+        words = list(itertools.product(range(xs.n), repeat=l))
+        values = word_fidelities(protocol, xs, words)
+        dense = [merging_fidelity(protocol, xs.word_state(w)) for w in words]
+        assert np.max(np.abs(np.array(values) - dense)) <= 1e-10
+        value, word = worst_case_protocol_fidelity(protocol, xs, l)
+        assert value == min(values) and word == words[int(np.argmin(values))]
+
+    def test_zero_weight_sending_branch_is_pruned_exactly(self):
+        # members live on span{|0>,|1>} of a qutrit sending side, so the
+        # outcome projecting onto |2> never fires
+        embed = np.eye(3)[:, :2]
+        lift = np.kron(embed, np.eye(2))
+        xs = StateSet(
+            tuple(
+                state(lift @ random_density([2, 2], rng).matrix @ lift.T, (3, 2), ("A", "B"))
+                for _ in range(2)
+            )
+        )
+        fires = [CpMap((row @ embed.T,), (1, 3), (1,)) for row in random_instrument_kraus(rng, 2, 1, 2)]
+        dead = CpMap((np.eye(3)[2:],), (1, 3), (1,))
+        receiving = [CpMap(tuple(random_kraus_channel(rng, 2, 6, 2)), (1, 2), (1, 3, 2)) for _ in range(4)]
+
+        def protocol(b_dead):
+            locc = OneWayLoccChannel(Instrument((*fires, dead)), (*receiving[:2], b_dead))
+            return MergingProtocol(locc, trivial_resource(), trivial_resource(), 1)
+
+        words = [(0,), (1,)]
+        pruned = word_fidelities(protocol(receiving[2]), xs, words)
+        # the branch is as good as removed: its receiving channel is irrelevant
+        assert word_fidelities(protocol(receiving[3]), xs, words) == pruned
+        # and no weight is lost: the whole output state, assembled as a
+        # matrix, has the same fidelity with the pure target
+        resources = tensor_product(
+            state(np.ones((1, 1)), (1,), ("A",)), state(np.ones((1, 1)), (1,), ("B",))
+        )
+        for value, rho in zip(pruned, xs.members):
+            psi = purify(rho).density()
+            out = apply_one_way_locc(protocol(receiving[2]).locc, tensor_product(resources, psi))
+            assert value == pytest.approx(fidelity(out.matrix, psi.matrix), abs=1e-10)
+
+    def test_word_dimension_cap_raises_before_any_evaluation(self, monkeypatch):
+        xs = _random_set(2)
+        protocol = _random_merging_protocol(2)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a member or word was evaluated")
+
+        monkeypatch.setattr(avqsbench.rates, "purify", no_work)
+        monkeypatch.setattr(avqsbench.rates, "purified_merging_fidelity", no_work)
+        with local_config(dim_cap=15), pytest.raises(DimensionCapError, match="word states"):
+            worst_case_protocol_fidelity(protocol, xs, 2)
 
     def test_word_cap(self):
         xs = _random_set(3)

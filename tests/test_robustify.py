@@ -175,8 +175,12 @@ class TestSymmetrizeChannel:
             assert all(np.array_equal(k1, k2) for k1, k2 in zip(m1.kraus, m2.kraus))
 
     def test_exact_mode_blocklength_cap(self):
-        locc = self._measure_first_cell()
-        with pytest.raises(ValueError, match="instrument input dimension"):
+        # dimensions fit 2^7 sending and 1^7 receiving cells, so only the
+        # blocklength cap can reject it
+        locc = OneWayLoccChannel(
+            Instrument((identity_channel((2,) * 7),)), (identity_channel((1,) * 7),)
+        )
+        with pytest.raises(ValueError, match="limited to blocklength"):
             symmetrize_channel(locc, 7, 2, 1)
 
     def test_symmetrized_worst_case_obeys_lemma_arithmetic(self):
