@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields as dataclass_fields
+from math import prod
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .io import (
     state_from_dict,
     state_set_from_dict,
 )
-from .linalg import bell_pair, fidelity, tensor_power
+from .linalg import bell_pair, fidelity
 from .rates import (
     StateSet,
     avqs_distillation_capacity,
@@ -37,7 +38,7 @@ from .rates import (
 )
 from .rate_gap import build_orthogonal_family, rate_gap_report
 from .robustify import check_robustification
-from .schur_weyl import build_entropy_instrument
+from .schur_weyl import build_entropy_instrument, sending_marginal
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -269,8 +270,7 @@ def _cmd_merge_fidelity(args):
 
 def _cmd_schur_demo(args):
     source = state_from_dict(load_json(args.state_path), args.state_path)
-    parties = set(source.parties)
-    marginal = source.marginal("A") if "A" in parties and len(parties) > 1 else source
+    marginal = sending_marginal(source)
     if marginal.dim != args.dim:
         raise ParseError(
             f"--dim {args.dim} does not match the sending-side dimension {marginal.dim}"
@@ -296,13 +296,15 @@ def _cmd_schur_demo(args):
     return payload, EXIT_OK, "csv"
 
 
-def _word_fidelity_function(xs: StateSet, l: int):
-    """Fidelity of each word state to the tensor power of the set average."""
+def _word_fidelity_function(xs: StateSet):
+    """Fidelity of each word state to the tensor power of the set average,
+    as the product of its letters' member fidelities (F is multiplicative
+    on tensor products)."""
     average = convex_mixture(xs, np.full(xs.n, 1.0 / xs.n))
-    reference = tensor_power(average, l).matrix
+    member = [fidelity(rho, average) for rho in xs.members]
 
     def f(word):
-        return fidelity(xs.word_state(word).matrix, reference)
+        return prod(member[s] for s in word)
 
     return f
 
@@ -311,7 +313,7 @@ def _cmd_robustify(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
     l = args.blocklength
     check_word_cap(xs.n**l, "robustify-check")
-    report = check_robustification(_word_fidelity_function(xs, l), xs.n, l)
+    report = check_robustification(_word_fidelity_function(xs), xs.n, l)
     payload = {
         "command": "robustify-check",
         "seed": args.seed,

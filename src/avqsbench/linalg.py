@@ -304,10 +304,10 @@ def fidelity(a, b) -> float:
         w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         if w.min(initial=0.0) < -cfg.psd_tol:
             raise ValueError(f"{name} argument is not PSD (min eigenvalue {w.min():.3e})")
-    root = sqrt_psd(am)
-    w = np.linalg.eigvalsh(root @ bm @ root)
-    w = np.where(w < cfg.eig_clip, 0.0, w)
-    return float(np.sum(np.sqrt(w)) ** 2)
+    # singular values need no clip against rounding noise, unlike square roots
+    # of the eigenvalues of sqrt(a) b sqrt(a), where a clip biases F low
+    s = np.linalg.svd(sqrt_psd(am) @ sqrt_psd(bm), compute_uv=False)
+    return float(np.sum(s) ** 2)
 
 
 def trace_norm(m) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import log2
 
 import numpy as np
@@ -169,13 +170,6 @@ def _orthonormal_complement(basis: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def _kron_power(mat: np.ndarray, copies: int) -> np.ndarray:
-    out = mat
-    for _ in range(copies - 1):
-        out = np.kron(out, mat)
-    return out
-
-
 def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     """Single-message merging of l copies of a known pure state with a flat
     Schmidt spectrum.
@@ -208,20 +202,20 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     a_basis = sd.left_vectors[:, :r]
     b_basis = sd.right_vectors[:, :r]
 
-    s_a = _kron_power(a_basis.conj().T, l)          # (r^l, d_a^l)
-    s_b = _kron_power(b_basis.conj().T, l)          # (r^l, d_b^l)
+    s_a = reduce(np.kron, [a_basis.conj().T] * l)  # (r^l, d_a^l)
+    s_b = reduce(np.kron, [b_basis.conj().T] * l)  # (r^l, d_b^l)
     first_out = basis_ket(r**l, 0).reshape(-1, 1)
 
     a_kraus = [s_a]
-    for col in _orthonormal_complement(_kron_power(a_basis, l)).T:
+    for col in _orthonormal_complement(reduce(np.kron, [a_basis] * l)).T:
         a_kraus.append(first_out @ col.conj().reshape(1, -1))
     instrument = Instrument(
         (CpMap(tuple(a_kraus), (1,) + (d_a,) * l, (r**l,)),)
     )
 
-    prepared = _kron_power(psi.vector.reshape(-1, 1), l)  # ((d_a d_b)^l, 1)
+    prepared = reduce(np.kron, [psi.vector.reshape(-1, 1)] * l)  # ((d_a d_b)^l, 1)
     b_kraus = [np.kron(s_b, prepared)]
-    for col in _orthonormal_complement(_kron_power(b_basis, l)).T:
+    for col in _orthonormal_complement(reduce(np.kron, [b_basis] * l)).T:
         b_kraus.append(np.kron(first_out @ col.conj().reshape(1, -1), prepared))
     b_channel = CpMap(
         tuple(b_kraus),
@@ -270,7 +264,7 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
     outcomes = []
     b_channels = []
     for word in itertools.product(range(fam.n), repeat=l):
-        sort = _kron_power_list([disc.outcomes[s].kraus[0] for s in word])
+        sort = reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word])
         lifted_sort = np.kron(eye_k0a, sort)
         choices = list(itertools.product(*[restore[s] for s in word]))
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
@@ -295,13 +289,6 @@ def _restore_mirrors(kb: np.ndarray, ops, k1b: int, copy_dims: tuple[int, int]) 
     for i, op in enumerate(ops):
         t = np.moveaxis(np.tensordot(op, t, axes=(1, 1 + 2 * i)), 0, 1 + 2 * i)
     return t.reshape(-1, cols)
-
-
-def _kron_power_list(mats: list[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for mat in mats[1:]:
-        out = np.kron(out, mat)
-    return out
 
 
 @dataclass

@@ -168,9 +168,8 @@ class RobustificationReport:
 
     def word_margins(self) -> list[tuple[Word, float]]:
         """Conclusion margin for every word (margins depend only on type)."""
-        words, _, type_of_word, _ = _word_table(self.n_symbols, self.blocklength)
+        words, types, type_of_word, _ = _word_table(self.n_symbols, self.blocklength)
         by_type = {tc.counts: tc.conclusion_margin for tc in self.type_checks}
-        _, types, _, _ = _word_table(self.n_symbols, self.blocklength)
         return [
             (w, by_type[types[type_of_word[i]].counts]) for i, w in enumerate(words)
         ]

@@ -2,10 +2,11 @@
 entropy-estimating instrument built from them.
 
 The isotypic projector for a frame can be materialized as a matrix via the
-central character sum (feasible for small blocklengths), while traces
-against product states are evaluated exactly through cycle types and power
-sums, which stays cheap at blocklengths where the matrix form is out of
-reach.
+central character sum, which costs l! permutations and stops at blocklength
+8.  Traces against product states are the Keyl-Werner weights
+dim(frame) * s_frame(spectrum), with the Schur polynomial evaluated
+subtraction-free by the branching rule.  For a fixed local dimension d
+that costs a polynomial in l, at most about l^(2(d-1)) terms per spectrum.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, factorial, log2, prod
+from math import ceil, exp, factorial, log, log2, prod
 
 import numpy as np
 
-from .config import check_dim_cap, get_config
+from .config import check_dim_cap
+from .entropy import spectrum_entropy
 from .linalg import State
 
 # matrix-form projectors sum over all l! permutations; beyond this the
@@ -76,15 +78,6 @@ def young_frames(l: int, d: int) -> list[YoungFrame]:
 def cycle_types(l: int) -> list[tuple[int, ...]]:
     """All cycle types (partitions) of the symmetric group on l letters."""
     return list(_partitions(l))
-
-
-def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
-    l = sum(cycle_type)
-    z = 1
-    for k in set(cycle_type):
-        m = cycle_type.count(k)
-        z *= k**m * factorial(m)
-    return factorial(l) // z
 
 
 def frame_entropy(f: YoungFrame) -> float:
@@ -209,29 +202,43 @@ def _spectrum_of(rho) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(arr, dtype=complex))
 
 
-def frame_probability(f: YoungFrame, rho, copies: int | None = None) -> float:
+def frame_probability(f: YoungFrame, rho) -> float:
     """Exact trace of (isotypic projector of ``f``) against rho^(x l).
 
-    Evaluated through cycle types and power sums of the spectrum:
-    (dim/l!) sum_mu |C_mu| chi(mu) prod_k tr(rho^k)^{m_k}.  Agrees with the
-    matrix-form projector wherever both are available but has no blocklength
-    cap.  ``rho`` may be a State, a density matrix, or a spectrum.
+    This is dim(f) * s_f(x) for the spectrum x of rho clipped at 0, so a
+    frame with more rows than positive eigenvalues gets 0.  Agrees with the
+    matrix-form projector wherever both are available.  ``rho`` may be a
+    State, a density matrix, or a spectrum.
     """
-    l = f.size if copies is None else int(copies)
-    if l != f.size:
-        raise ValueError(f"frame of size {f.size} cannot bin {l} copies")
-    spectrum = _spectrum_of(rho)
-    power_sums = {k: float(np.sum(spectrum**k)) for k in range(1, l + 1)}
+    x = tuple(sorted((float(v) for v in _spectrum_of(rho) if v > 0), reverse=True))
+    if f.rows > len(x):
+        return 0.0
+    log_leading = log(frame_dimension(f)) + sum(p * log(v) for p, v in zip(f.parts, x))
+    return exp(log_leading) * _schur_ratio(f.parts, x)
+
+
+@lru_cache(maxsize=1 << 16)
+def _schur_ratio(parts: tuple[int, ...], x: tuple[float, ...]) -> float:
+    """s_parts(x) / prod_i x_i^parts_i for descending positive x, memoized
+    across the frames and bins of one spectrum.
+
+    Branching rule: s_parts(x_1..x_n) sums s_mu(x_1..x_{n-1}) x_n^(|parts|-|mu|)
+    over mu interlacing parts (parts_{i+1} <= mu_i <= parts_i).  Divided, a
+    term is the ratio for mu times prod_i (x_n/x_i)^(parts_i - mu_i) <= 1, so
+    no term is negative and the value stays in [1, weyl_dimension].
+    """
+    if len(x) == 1 or not parts:
+        return 1.0
+    tail = parts + (0,)
+    ranges = (range(tail[i + 1], parts[i] + 1) for i in range(min(len(parts), len(x) - 1)))
+    ratios = [x[-1] / v for v in x]
     total = 0.0
-    for mu in cycle_types(l):
-        c = symmetric_group_character(f.parts, mu)
-        if c == 0:
-            continue
-        weight = conjugacy_class_size(mu) * c
-        for k in mu:
-            weight *= power_sums[k]
-        total += weight
-    return frame_dimension(f) * total / factorial(l)
+    for mu in itertools.product(*ranges):
+        term = _schur_ratio(tuple(m for m in mu if m), x[:-1])
+        for p, m, r in zip(parts, mu, ratios):
+            term *= r ** (p - m)
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +340,7 @@ class EntropyInstrument:
         rows = []
         for b in self.bins:
             lo, hi = self.binning.interval(b.index)
-            rows.append((b.index, lo, hi, sum(frame_probability(f, spectrum) for f in b.frames)))
+            rows.append((b.index, lo, hi, self.bin_probability(spectrum, b)))
         return rows
 
 
@@ -348,6 +355,13 @@ def build_entropy_instrument(l: int, d: int, eta: float) -> EntropyInstrument:
     return EntropyInstrument(binning, bins)
 
 
+def sending_marginal(rho: State) -> State:
+    """The part of a source copy that the entropy instrument measures: the
+    A marginal when rho has an A party and others, rho itself otherwise."""
+    parties = set(rho.parties)
+    return rho.marginal("A") if "A" in parties and len(parties) > 1 else rho
+
+
 def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None = None) -> float:
     """Probability that the entropy estimate lands outside the immediate
     neighborhood of the true bin.
@@ -357,13 +371,9 @@ def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None
     over bins j with |j - i| > 1, where i is the bin of the marginal's
     entropy (derived when not supplied).
     """
-    parties = set(rho.parties)
-    marginal = rho.marginal("A") if "A" in parties and len(parties) > 1 else rho
-    spectrum = np.linalg.eigvalsh(marginal.matrix)
+    spectrum = np.linalg.eigvalsh(sending_marginal(rho).matrix)
     if true_bin is None:
-        clipped = spectrum[spectrum > get_config().eig_clip]
-        entropy = float(-np.sum(clipped * np.log2(clipped)))
-        true_bin = inst.binning.bin_of(entropy)
+        true_bin = inst.binning.bin_of(spectrum_entropy(spectrum))
     total = 0.0
     for b in inst.bins:
         if abs(b.index - true_bin) > 1:

@@ -9,11 +9,21 @@ computed by full enumeration.
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 
 from avqsbench.schur_weyl import YoungFrame, young_frames
+
+
+def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
+    """Number of permutations with the given cycle type."""
+    l = sum(cycle_type)
+    z = 1
+    for k in set(cycle_type):
+        m = cycle_type.count(k)
+        z *= k**m * factorial(m)
+    return factorial(l) // z
 
 
 def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:

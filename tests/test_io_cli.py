@@ -228,6 +228,13 @@ class TestCliCommands:
         total = sum(row["probability"] for row in payload["bins"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_schur_demo_long_blocklength(self, bell_state_file, capsys):
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "200", "--eta", "0.1"]
+        assert main(argv + ["--state", bell_state_file, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        total = sum(row["probability"] for row in payload["bins"])
+        assert total == pytest.approx(1.0, abs=1e-9)
+
     def test_distill_capacity(self, bell_set_file, capsys):
         code = main(
             [

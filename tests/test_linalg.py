@@ -194,6 +194,16 @@ class TestFidelity:
             f = fidelity(a, b)
             assert -1e-12 <= f <= 1.0 + 1e-9
 
+    def test_multiplicative_on_tensor_powers(self):
+        # F(rho^(x4), sigma^(x4)) = F(rho, sigma)^4; the word states' smallest
+        # eigenvalues go down to 5e-12, near the eig_clip scale
+        pair_rng = np.random.default_rng(7)
+        for _ in range(5):
+            rho = random_density([2, 2], pair_rng)
+            sigma = random_density([2, 2], pair_rng)
+            powered = fidelity(tensor_power(rho, 4), tensor_power(sigma, 4))
+            assert abs(powered - fidelity(rho, sigma) ** 4) <= 1e-12
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="PSD"):
             fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2)

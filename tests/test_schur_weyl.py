@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from avqsbench.linalg import random_unitary, state
 from avqsbench.schur_weyl import (
     YoungFrame,
     build_entropy_instrument,
-    conjugacy_class_size,
     cycle_types,
     frame_dimension,
     frame_entropy,
@@ -21,7 +21,7 @@ from avqsbench.schur_weyl import (
     young_frames,
 )
 
-from helpers import kron_power, lagrange_projectors
+from helpers import conjugacy_class_size, kron_power, lagrange_projectors
 
 rng = np.random.default_rng(23)
 
@@ -172,6 +172,44 @@ class TestFrameProbability:
         spectrum = rng.dirichlet([1.0, 1.0, 1.0])
         total = sum(frame_probability(f, spectrum) for f in young_frames(4, 3))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_d2_closed_form_at_long_blocklength(self):
+        # exact oracle: dim(lambda) (xy)^b h_{a-b}(x, y) in rational arithmetic;
+        # blocklengths run in increasing order so a failure stops early
+        x, y = Fraction(9, 10), Fraction(1, 10)
+        for l in (30, 200):
+            for f in young_frames(l, 2):
+                a, b = f.parts if f.rows == 2 else (l, 0)
+                h = (x ** (a - b + 1) - y ** (a - b + 1)) / (x - y)
+                expected = float(frame_dimension(f) * (x * y) ** b * h)
+                assert frame_probability(f, np.array([0.9, 0.1])) == pytest.approx(
+                    expected, rel=1e-12, abs=0
+                )
+
+    @pytest.mark.parametrize("d,lmax", [(2, 40), (3, 30), (4, 20)])
+    def test_uniform_spectrum_is_dimension_ratio(self, d, lmax):
+        for l in range(1, lmax + 1):
+            for f in young_frames(l, d):
+                expected = float(Fraction(frame_dimension(f) * weyl_dimension(f, d), d**l))
+                assert frame_probability(f, np.full(d, 1.0 / d)) == pytest.approx(
+                    expected, rel=1e-12, abs=0
+                )
+
+    def test_no_overflow_beyond_float_range_of_the_dimension(self):
+        # at l = 1500 the frame dimensions exceed 1e308 and 2^-l underflows
+        l = 1500
+        for parts in ((1000, 500), (760, 740), (750, 750)):
+            f = YoungFrame(parts)
+            expected = float(Fraction(frame_dimension(f) * weyl_dimension(f, 2), 2**l))
+            assert expected > 0
+            assert frame_probability(f, np.array([0.5, 0.5])) == pytest.approx(
+                expected, rel=1e-12, abs=0
+            )
+
+    def test_pure_spectrum_weights_only_the_one_row_frame(self):
+        for f in young_frames(6, 3):
+            expected = 1.0 if f.rows == 1 else 0.0
+            assert frame_probability(f, np.array([1.0, 0.0, 0.0])) == expected
 
     def test_accepts_matrix_and_state(self):
         f = YoungFrame((3, 1))
