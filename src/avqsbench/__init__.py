@@ -75,8 +75,6 @@ from .robustify import (
     TypeDistribution,
     check_robustification,
     enumerate_types,
-    iid_type_average,
-    permutation_average,
     symmetrize_channel,
     word_type,
 )

@@ -161,6 +161,16 @@ class Instrument:
     def out_dims(self) -> tuple[int, ...]:
         return self.outcomes[0].out_dims
 
+    def kraus_stack(self) -> np.ndarray:
+        """(outcomes, operators, dim_out, dim_in) array of the Kraus
+        operators, zero-padded where an outcome has fewer than the most."""
+        first = self.outcomes[0]
+        width = max(len(m.kraus) for m in self.outcomes)
+        out = np.zeros((self.n_outcomes, width, first.dim_out, first.dim_in), dtype=complex)
+        for j, m in enumerate(self.outcomes):
+            out[j, : len(m.kraus)] = m.kraus
+        return out
+
 
 def identity_instrument(dims: Sequence[int]) -> Instrument:
     return Instrument((identity_channel(dims),))

@@ -11,7 +11,7 @@ from math import isfinite, prod
 import numpy as np
 
 from .config import get_config
-from .linalg import State, partial_trace
+from .linalg import State, partial_trace, permute_factors
 
 ENTROPY = "entropy"
 CONDITIONAL_ENTROPY = "conditional-entropy"
@@ -93,25 +93,82 @@ def coherent_information(s: State, source: str = "A", target: str = "B") -> Rate
     return RateValue(s_t - s_joint, COHERENT_INFO)
 
 
+def instrument_rates(rhos, kraus, d_target: int) -> np.ndarray:
+    """Outcome-weighted coherent information I_c(A > B) of each state in a
+    stack after an instrument acts on A, in bits.
+
+    ``rhos`` is an (n, d, d) stack of states on A x B with the A factors in
+    front and B of dimension ``d_target``; ``kraus`` is an (outcomes,
+    operators, d_out, d_A) stack, zero-padded where outcomes have fewer
+    operators.  Every post-measurement block comes from one ``einsum``; the
+    outcome weights are read off its traces and must sum to each state's
+    trace within ``tp_tol``.  Outcomes of weight at most ``prob_tol`` are
+    dropped.  S(AB) and S(B) of the normalized blocks come from two batched
+    ``eigvalsh`` calls with the ``eig_clip`` rule of :func:`spectrum_entropy`.
+    """
+    cfg = get_config()
+    rhos = np.asarray(rhos)
+    n, dim = rhos.shape[:2]
+    d_src = dim // d_target
+    post = np.einsum(
+        "jkab,sbicy,jkdc->sjaidy",
+        kraus,
+        rhos.reshape(n, d_src, d_target, d_src, d_target),
+        kraus.conj(),
+    )
+    size = kraus.shape[2] * d_target
+    weights = np.trace(post.reshape(n, -1, size, size), axis1=2, axis2=3).real
+    totals, expected = weights.sum(axis=1), np.trace(rhos, axis1=1, axis2=2).real
+    bad = np.flatnonzero(np.abs(totals - expected) > cfg.tp_tol)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"outcome weights sum to {totals[i]:.12f}, expected {expected[i]:.12f}")
+    kept = weights > cfg.prob_tol
+    post = post / np.where(kept, weights, 1.0)[:, :, None, None, None, None]
+    joint = post.reshape(n, -1, size, size)
+    marginal = np.trace(post, axis1=2, axis2=4)
+
+    def entropies(mats):
+        w = np.linalg.eigvalsh(mats)
+        w = np.where(w > cfg.eig_clip, w, 1.0)
+        return -np.sum(w * np.log2(w), axis=-1)
+
+    per_outcome = np.where(kept, weights * (entropies(marginal) - entropies(joint)), 0.0)
+    return per_outcome.sum(axis=1)
+
+
 def instrument_coherent_info(s: State, instrument, source: str = "A", target: str = "B") -> RateValue:
     """Outcome-probability-weighted coherent information after measuring the
     source side with an instrument.
 
     For outcome weights w_j and normalized post-measurement states t_j this
-    is sum_j w_j I_c(source > target, t_j); outcomes with weight below the
-    configured probability threshold are dropped.
+    is sum_j w_j I_c(source > target, t_j); the instrument's outputs stay on
+    the source side, factors of other parties are traced out, and outcomes
+    with weight below the configured probability threshold are dropped.  One
+    call of :func:`instrument_rates` on the (source, target) marginal.
     """
-    from .channels import instrument_statistics  # local import avoids a cycle
-
-    targets = s.factors_of(source)
-    if not targets:
+    sources = s.factors_of(source)
+    if not sources:
         raise ValueError(f"state has no factors for party {source!r}")
-    if prod(s.dims[i] for i in targets) != instrument.dim_in:
+    if prod(s.dims[i] for i in sources) != instrument.dim_in:
         raise ValueError(
             f"instrument input dimension {instrument.dim_in} does not match "
             f"the {source!r} side of the state"
         )
-    total = 0.0
-    for outcome in instrument_statistics(instrument, s, targets):
-        total += outcome.probability * coherent_information(outcome.state, source, target).value
-    return RateValue(total, INSTRUMENT_RATE)
+    rho, d_target = source_first(s, source, target)
+    value = instrument_rates(rho[None], instrument.kraus_stack(), d_target)[0]
+    return RateValue(float(value), INSTRUMENT_RATE)
+
+
+def source_first(s: State, source: str = "A", target: str = "B") -> tuple[np.ndarray, int]:
+    """Matrix of the (source, target) marginal of ``s`` with the source
+    factors in front, and the dimension of the target side."""
+    sources, targets = s.factors_of(source), s.factors_of(target)
+    if not targets:
+        raise ValueError(f"state has no factors for parties {(target,)}")
+    keep = sorted(sources + targets)
+    reduced = s if len(keep) == s.n_factors else partial_trace(s, keep)
+    order = [keep.index(i) for i in sources + targets]
+    if order != list(range(len(order))):
+        reduced = permute_factors(reduced, order)
+    return reduced.matrix, prod(s.dims[i] for i in targets)

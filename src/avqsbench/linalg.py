@@ -276,10 +276,17 @@ def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root with eigenvalues clipped to [0, inf)."""
+    """Hermitian square root with eigenvalues clipped to [0, inf).
+
+    Eigenvalues below d * machine-eps * ||m||, the scale of the
+    diagonalization's own rounding error, are set to 0.  The threshold moves
+    with the matrix, so the small but resolved eigenvalues of a tensor power
+    are kept and its square root stays the product of the factors' roots.
+    """
     mat = _as_complex_matrix(m)
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    w = np.where(w < get_config().eig_clip, 0.0, w)
+    noise = mat.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    w = np.where(w < noise, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -3,6 +3,7 @@ Frank-Wolfe ascent for concave functions and projected descent."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -119,18 +120,29 @@ def minimize_over_simplex(
     return best_p, best_v, {"iterations": used}
 
 
+@lru_cache(maxsize=16)
+def _hermitian_packing(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the diagonal, the strict upper triangle and its mirror
+    in a dim x dim matrix; read-only, shared by every call at this dim."""
+    iu = np.triu_indices(dim, k=1)
+    flat = (np.arange(dim) * (dim + 1), iu[0] * dim + iu[1], iu[1] * dim + iu[0])
+    for idx in flat:
+        idx.setflags(write=False)
+    return flat
+
+
 def hermitian_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
     """Pack a real parameter vector of length dim^2 into a Hermitian matrix."""
     theta = np.asarray(theta, dtype=float)
     if theta.size != dim * dim:
         raise ValueError(f"need {dim * dim} parameters for a {dim}x{dim} Hermitian matrix")
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = theta[:dim]
+    diag, upper, lower = _hermitian_packing(dim)
     off = theta[dim:].reshape(2, -1)
-    iu = np.triu_indices(dim, k=1)
-    h[iu] = off[0] + 1j * off[1]
-    h[(iu[1], iu[0])] = off[0] - 1j * off[1]
-    return h
+    h = np.zeros(dim * dim, dtype=complex)
+    h[diag] = theta[:dim]
+    h[upper] = off[0] + 1j * off[1]
+    h[lower] = off[0] - 1j * off[1]
+    return h.reshape(dim, dim)
 
 
 def unitary_from_hermitian(h: np.ndarray) -> np.ndarray:

@@ -25,8 +25,9 @@ from .channels import (
 from .config import check_dim_cap, check_word_cap, get_config
 from .entropy import (
     conditional_entropy,
-    instrument_coherent_info,
+    instrument_rates,
     mutual_info_env,
+    source_first,
 )
 from .linalg import (
     PureState,
@@ -35,7 +36,6 @@ from .linalg import (
     fidelity,
     permute_pure,
     purify,
-    tensor_power,
     tensor_product,
     tensor_pure,
     trace_distance,
@@ -128,16 +128,20 @@ class RateReport:
         return out
 
 
-def convex_mixture(xs: StateSet, p: Sequence[float]) -> State:
-    """Mixture sum_s p_s rho_s of the set members."""
+def _mixture_matrix(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
+    """sum_s p_s mats[s], with the weights checked to lie on the simplex."""
     w = np.asarray(p, dtype=float)
-    if w.size != xs.n:
-        raise ValueError(f"need {xs.n} weights, got {w.size}")
+    if w.size != len(mats):
+        raise ValueError(f"need {len(mats)} weights, got {w.size}")
     if abs(w.sum() - 1.0) > 1e-9 or w.min() < -1e-9:
         raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
     w = np.clip(w, 0.0, None)
-    mat = sum(float(q) * m.matrix for q, m in zip(w, xs.members))
-    return State(mat, xs.dims, xs.parties)
+    return sum(float(q) * m for q, m in zip(w, mats))
+
+
+def convex_mixture(xs: StateSet, p: Sequence[float]) -> State:
+    """Mixture sum_s p_s rho_s of the set members."""
+    return State(_mixture_matrix([m.matrix for m in xs.members], p), xs.dims, xs.parties)
 
 
 def _distance_to_hull(sigma: State, xs: StateSet, iters: int = 2000, tol: float = 1e-6) -> float:
@@ -248,64 +252,88 @@ def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
 VERTEX_ENUMERATION_MAX_MEMBERS = 3
 
 
-def _block_row_instrument(theta: np.ndarray, dim: int, n_outcomes: int) -> Instrument:
-    """Instrument whose outcome Kraus operators are the block rows of an
-    isometry from the source space into ``n_outcomes`` stacked copies.
+def _block_row_kraus(theta: np.ndarray, dim: int, n_outcomes: int) -> np.ndarray:
+    """Kraus stack (see :func:`entropy.instrument_rates`) whose outcome
+    operators are the block rows of an isometry from the source space into
+    ``n_outcomes`` stacked copies.
 
     The isometry is the first ``dim`` columns of exp(iH) with H Hermitian
     parameterized by ``theta``, so feasibility is exact at every parameter
     value.
     """
-    total = dim * n_outcomes
-    u = unitary_from_hermitian(hermitian_from_params(theta, total))
-    iso = u[:, :dim]
-    outcomes = tuple(
-        CpMap((iso[j * dim : (j + 1) * dim, :],), (dim,), (dim,))
-        for j in range(n_outcomes)
-    )
-    return Instrument(outcomes)
+    u = unitary_from_hermitian(hermitian_from_params(theta, dim * n_outcomes))
+    return u[:, :dim].reshape(n_outcomes, 1, dim, dim)
+
+
+def _block_row_instrument(theta: np.ndarray, dim: int, n_outcomes: int) -> Instrument:
+    """The validated instrument of :func:`_block_row_kraus`."""
+    kraus = _block_row_kraus(theta, dim, n_outcomes)
+    return Instrument(tuple(CpMap((k,), (dim,), (dim,)) for k in kraus[:, 0]))
+
+
+def _hull_rate(xs: StateSet, k: int):
+    """Per-copy instrument rate on the convex hull, on raw arrays.
+
+    Returns ``rate(kraus, p=None)``: for a Kraus stack on the k-copy sending
+    side, the rate of the k-th tensor power of every member, or of the
+    mixture with weights ``p`` (checked as by :func:`convex_mixture`), from
+    one :func:`entropy.instrument_rates` call.  The member matrices with the
+    sending side in front, their dims, the k=2 factor order and the stack of
+    vertex powers are fixed here, once; no ``State`` is built per evaluation.
+    """
+    arranged = [source_first(m) for m in xs.members]
+    mats = [mat for mat, _ in arranged]
+    d_b = arranged[0][1]
+    d_a = mats[0].shape[0] // d_b
+
+    def power(mix):
+        if k == 1:
+            return mix
+        # (A1, B1, A2, B2) -> (A1, A2, B1, B2) on both sides of the matrix
+        split = np.kron(mix, mix).reshape((d_a, d_b) * 4)
+        return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(mix.size, mix.size)
+
+    vertices = np.stack([power(m) for m in mats])
+
+    def rate(kraus, p=None):
+        rhos = vertices if p is None else power(_mixture_matrix(mats, p))[None]
+        return instrument_rates(rhos, kraus, d_b**k) / k
+
+    return rate
 
 
 def _inner_infimum(
-    xs: StateSet,
-    k: int,
-    instrument: Instrument,
+    rate,
+    kraus: np.ndarray,
     iters: int = 500,
     tol: float = 1e-6,
 ) -> tuple[float, np.ndarray, dict]:
-    """Infimum of the per-copy instrument rate over the convex hull.
+    """Infimum of the per-copy instrument rate over the convex hull, with
+    ``rate`` from :func:`_hull_rate`.
 
-    Evaluates every vertex; with ``iters`` > 0 and more than one member it
-    also runs projected descent over mixture weights from the uniform point
-    (the rate need not be convex in the weights, so vertices alone are only
-    an upper bound on the infimum).  The smallest value found is returned
-    with its weights.
+    Evaluates all vertices in one batch; with ``iters`` > 0 and more than one
+    member it also runs projected descent over mixture weights from the
+    uniform point (the rate need not be convex in the weights, so vertices
+    alone are only an upper bound on the infimum).  The smallest value found
+    is returned with its weights.
     """
-
-    def objective(p):
-        mix = convex_mixture(xs, p)
-        powered = tensor_power(mix, k) if k > 1 else mix
-        return instrument_coherent_info(powered, instrument).value / k
-
-    best_v = np.inf
-    best_p = None
-    for i in range(xs.n):
-        p = np.zeros(xs.n)
-        p[i] = 1.0
-        v = objective(p)
-        if v < best_v:
-            best_v, best_p = v, p
+    values = rate(kraus)
+    n = values.size
+    best = int(np.argmin(values))
+    best_v, best_p = float(values[best]), np.eye(n)[best]
     method = "vertex-enumeration"
-    if xs.n > 1 and iters > 0:
-        p_desc, v_desc, _ = minimize_over_simplex(objective, xs.n, iters=iters, tol=tol)
+    if n > 1 and iters > 0:
+        p_desc, v_desc, _ = minimize_over_simplex(
+            lambda p: float(rate(kraus, p)[0]), n, iters=iters, tol=tol
+        )
         method = (
             "vertex-enumeration+projected-descent"
-            if xs.n <= VERTEX_ENUMERATION_MAX_MEMBERS
+            if n <= VERTEX_ENUMERATION_MAX_MEMBERS
             else "projected-descent"
         )
         if v_desc < best_v:
             best_v, best_p = v_desc, p_desc
-    return float(best_v), best_p, {"inner_method": method, "inner_iterations": iters}
+    return best_v, best_p, {"inner_method": method, "inner_iterations": iters}
 
 
 @dataclass
@@ -332,22 +360,29 @@ def distillation_rate_lower_bound(
     inner infimum (vertices plus projected descent) on the best instrument
     found.  The single-outcome identity instrument is always a candidate,
     so the result never falls below that baseline.
+
+    The objective is batched: the member matrices and factor order are
+    prepared once per call, and each search point turns its isometry
+    straight into a Kraus stack and scores all vertices with one
+    :func:`entropy.instrument_rates` call, with no ``State``, ``CpMap`` or
+    ``Instrument`` built.  Only the reported instrument is built and
+    validated.
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
+    rate = _hull_rate(xs, k)
     trivial = identity_instrument((d_x**k,))
-    baseline, base_p, base_meta = _inner_infimum(xs, k, trivial)
+    baseline, base_p, base_meta = _inner_infimum(rate, trivial.kraus_stack())
 
     dim = d_x**k
     n_params = (dim * n_outcomes) ** 2
     rng = np.random.default_rng(seed)
 
     def cheap_objective(theta):
-        inst = _block_row_instrument(theta, dim, n_outcomes)
-        v, _, _ = _inner_infimum(xs, k, inst, iters=0)
+        v, _, _ = _inner_infimum(rate, _block_row_kraus(theta, dim, n_outcomes), iters=0)
         return v
 
     from scipy.optimize import minimize as _minimize
@@ -374,7 +409,7 @@ def distillation_rate_lower_bound(
             best_theta = res.x
 
     best_instrument = _block_row_instrument(best_theta, dim, n_outcomes)
-    value, weights, inner_meta = _inner_infimum(xs, k, best_instrument)
+    value, weights, inner_meta = _inner_infimum(rate, best_instrument.kraus_stack())
     if value < baseline:
         value, weights, inner_meta = baseline, base_p, base_meta
         best_instrument = trivial

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,54 +93,6 @@ def evaluate_on_words(f: Callable[[Word], float], n_symbols: int, l: int) -> np.
     if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
         raise ValueError("word function must take values in [0, 1]")
     return values
-
-
-def iid_type_average(f: Callable[[Word], float], q: TypeDistribution) -> float:
-    """Exact expectation of f over i.i.d. draws from the type's distribution."""
-    words, _, _, _ = _word_table(q.n_symbols, q.length)
-    prob = q.probability()
-    total = 0.0
-    for w in words:
-        total += float(f(w)) * prod(prob[s] for s in w)
-    return total
-
-
-def _distinct_permutations(word: Word):
-    """Distinct rearrangements of a word (multiset permutations)."""
-    counts: dict[int, int] = {}
-    for s in word:
-        counts[s] = counts.get(s, 0) + 1
-    symbols = sorted(counts)
-
-    def rec(prefix, remaining):
-        if len(prefix) == len(word):
-            yield tuple(prefix)
-            return
-        for s in symbols:
-            if remaining[s] > 0:
-                remaining[s] -= 1
-                prefix.append(s)
-                yield from rec(prefix, remaining)
-                prefix.pop()
-                remaining[s] += 1
-
-    yield from rec([], dict(counts))
-
-
-def permutation_average(f: Callable[[Word], float], word: Sequence[int]) -> float:
-    """Average of f over all l! permutations of the word.
-
-    Every distinct rearrangement is hit by the same number of permutations
-    (the stabilizer size), so this equals the plain mean over distinct
-    rearrangements, which is what gets enumerated.
-    """
-    word = tuple(int(s) for s in word)
-    total = 0.0
-    count = 0
-    for w in _distinct_permutations(word):
-        total += float(f(w))
-        count += 1
-    return total / count
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from math import factorial, prod
 
 import numpy as np
 
+from avqsbench.channels import instrument_statistics
+from avqsbench.entropy import coherent_information
 from avqsbench.schur_weyl import YoungFrame, young_frames
 
 
@@ -139,3 +141,56 @@ def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:
         for r_k in sub.locc.b_channels:
             out.append([g @ kb for g in restores for kb in r_k.kraus])
     return out
+
+
+def scalar_instrument_rate(s, instrument, source: str = "A", target: str = "B") -> float:
+    """Instrument-weighted coherent information, one outcome at a time:
+    sum_j w_j I_c(source > target) of the normalized post-measurement
+    states, over the outcomes that ``instrument_statistics`` keeps."""
+    total = 0.0
+    for outcome in instrument_statistics(instrument, s, s.factors_of(source)):
+        total += outcome.probability * coherent_information(outcome.state, source, target).value
+    return total
+
+
+def iid_type_average(f, q) -> float:
+    """Exact expectation of f over i.i.d. draws from the type's distribution,
+    by enumerating every word."""
+    prob = q.probability()
+    return sum(
+        float(f(w)) * prod(prob[s] for s in w)
+        for w in itertools.product(range(q.n_symbols), repeat=q.length)
+    )
+
+
+def distinct_permutations(word):
+    """Distinct rearrangements of a word (multiset permutations)."""
+    counts: dict[int, int] = {}
+    for s in word:
+        counts[s] = counts.get(s, 0) + 1
+    symbols = sorted(counts)
+
+    def rec(prefix, remaining):
+        if len(prefix) == len(word):
+            yield tuple(prefix)
+            return
+        for s in symbols:
+            if remaining[s] > 0:
+                remaining[s] -= 1
+                prefix.append(s)
+                yield from rec(prefix, remaining)
+                prefix.pop()
+                remaining[s] += 1
+
+    yield from rec([], dict(counts))
+
+
+def permutation_average(f, word) -> float:
+    """Average of f over all l! permutations of the word.
+
+    Every distinct rearrangement is hit by the same number of permutations
+    (the stabilizer size), so this equals the plain mean over distinct
+    rearrangements, which is what gets enumerated.
+    """
+    values = [float(f(w)) for w in distinct_permutations(tuple(int(s) for s in word))]
+    return sum(values) / len(values)

@@ -18,8 +18,12 @@ from avqsbench.linalg import (
     random_density,
     random_unitary,
     state,
+    tensor_power,
     tensor_product,
 )
+from avqsbench.rates import _block_row_instrument
+
+from helpers import random_instrument_kraus, random_kraus_channel, scalar_instrument_rate
 
 rng = np.random.default_rng(7)
 
@@ -170,6 +174,55 @@ class TestInstrumentRate:
         rho = random_density([2, 2], rng, parties=("A", "B"))
         with pytest.raises(ValueError, match="does not match"):
             instrument_coherent_info(rho, identity_instrument((3,)))
+
+
+class TestInstrumentRateKernel:
+    """The batched kernel against the outcome-by-outcome oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_block_row_instruments(self, k):
+        # at k=2 the A factors of the tensor power are 0 and 2, not contiguous
+        case_rng = np.random.default_rng(100 + k)
+        dim = 2**k
+        for n_outcomes in (2, 3):
+            theta = case_rng.standard_normal((dim * n_outcomes) ** 2)
+            inst = _block_row_instrument(theta, dim, n_outcomes)
+            rho = tensor_power(random_density([2, 2], case_rng, parties=("A", "B")), k)
+            got = instrument_coherent_info(rho, inst).value
+            assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
+
+    def test_several_kraus_operators_per_outcome(self):
+        # outcomes with 3 and 1 operators, so the Kraus stack is zero-padded
+        kraus = random_kraus_channel(rng, 2, 3, 4)
+        inst = Instrument(
+            (CpMap(tuple(kraus[:3]), (2,), (3,)), CpMap((kraus[3],), (2,), (3,)))
+        )
+        rho = random_density([2, 2], rng, parties=("A", "B"))
+        got = instrument_coherent_info(rho, inst).value
+        assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
+
+    def test_zero_weight_outcome_is_dropped(self):
+        # outcome 1 sees nothing of a state supported on |0> of A, and outcome
+        # 2 is the zero map; both must be dropped without producing NaN
+        ket0 = np.diag([1.0, 0.0])
+        inst = Instrument(
+            (
+                CpMap((ket0,), (2,), (2,)),
+                CpMap((np.diag([0.0, 1.0]),), (2,), (2,)),
+                CpMap((np.zeros((2, 2)),), (2,), (2,)),
+            )
+        )
+        rho = tensor_product(state(ket0), random_density([2], rng, parties=("B",)))
+        got = instrument_coherent_info(rho, inst).value
+        assert np.isfinite(got)
+        assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
+
+    def test_other_parties_are_traced_out(self):
+        kraus = random_instrument_kraus(rng, 2, 2, 2)
+        inst = Instrument(tuple(CpMap((k,), (2,), (2,)) for k in kraus))
+        rho = random_density([2, 3, 2], rng, parties=("B", "E", "A"))
+        got = instrument_coherent_info(rho, inst).value
+        assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
 
 
 class TestLocalUnitaryInvariance:

@@ -204,6 +204,19 @@ class TestFidelity:
             powered = fidelity(tensor_power(rho, 4), tensor_power(sigma, 4))
             assert abs(powered - fidelity(rho, sigma) ** 4) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [1e-3, 5e-4])
+    def test_multiplicative_with_small_member_eigenvalue(self, eps):
+        # members (1 - 4 eps) rho_3 + eps I with rho_3 of rank 3: the four-copy
+        # word states have eigenvalues from eps^4 up, below a fixed 1e-12 clip
+        # but above the rounding noise of a 256 x 256 diagonalization
+        pair_rng = np.random.default_rng(11)
+        for _ in range(3):
+            rank3 = random_density([2, 2], pair_rng, rank=3).matrix
+            rho = state((1 - 4 * eps) * rank3 + eps * np.eye(4), (2, 2))
+            sigma = random_density([2, 2], pair_rng)
+            powered = fidelity(tensor_power(rho, 4), tensor_power(sigma, 4))
+            assert abs(powered - fidelity(rho, sigma) ** 4) <= 1e-12
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="PSD"):
             fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2)

@@ -24,6 +24,7 @@ from avqsbench.entropy import (
     von_neumann_entropy,
 )
 from avqsbench.linalg import (
+    State,
     bell_pair,
     fidelity,
     maximally_entangled,
@@ -31,11 +32,15 @@ from avqsbench.linalg import (
     purify,
     random_density,
     state,
+    tensor_power,
     tensor_product,
     trace_distance,
 )
 from avqsbench.rates import (
     StateSet,
+    _block_row_instrument,
+    _hull_rate,
+    _inner_infimum,
     avqs_distillation_capacity,
     compound_classical_cost,
     compound_merging_cost,
@@ -46,7 +51,7 @@ from avqsbench.rates import (
     worst_case_protocol_fidelity,
 )
 
-from helpers import random_instrument_kraus, random_kraus_channel
+from helpers import random_instrument_kraus, random_kraus_channel, scalar_instrument_rate
 
 rng = np.random.default_rng(41)
 
@@ -310,6 +315,50 @@ class TestDistillation:
     def test_rejects_unsupported_k(self):
         with pytest.raises(ValueError, match="k in"):
             distillation_rate_lower_bound(StateSet((bell_pair().density(),)), k=3)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_inner_infimum_matches_scalar_oracle(self, k):
+        case_rng = np.random.default_rng(200 + k)
+        xs = StateSet(
+            tuple(random_density([2, 2], case_rng, parties=("A", "B")) for _ in range(2))
+        )
+        theta = case_rng.standard_normal((2 * 2**k) ** 2)
+        inst = _block_row_instrument(theta, 2**k, 2)
+        rate = _hull_rate(xs, k)
+
+        def oracle(p):
+            return scalar_instrument_rate(tensor_power(convex_mixture(xs, p), k), inst) / k
+
+        vertex_value, vertex_p, _ = _inner_infimum(rate, inst.kraus_stack(), iters=0)
+        assert vertex_value == pytest.approx(min(oracle(p) for p in np.eye(xs.n)), abs=1e-12)
+        assert vertex_value == pytest.approx(oracle(vertex_p), abs=1e-12)
+        value, p, _ = _inner_infimum(rate, inst.kraus_stack(), iters=30)
+        assert value == pytest.approx(oracle(p), abs=1e-12)
+        assert value <= vertex_value
+
+    def test_search_work_does_not_grow_with_its_length(self, monkeypatch):
+        # the objective runs on raw arrays, so longer searches build no more
+        # validated states or maps
+        counts = {}
+        for cls in (State, CpMap):
+            original = cls.__post_init__
+
+            def counted(self, _original=original, _name=cls.__name__):
+                counts[_name] = counts.get(_name, 0) + 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        xs = StateSet(
+            tuple(random_density([2, 2], rng, parties=("A", "B")) for _ in range(2))
+        )
+        seen, iterations = [], []
+        for maxiter in (20, 200):
+            counts.clear()
+            result = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=maxiter)
+            seen.append(dict(counts))
+            iterations.append(result.report.metadata["outer_iterations"])
+        assert iterations[1] > iterations[0]
+        assert seen[0] == seen[1]
 
 
 class TestWorstCase:

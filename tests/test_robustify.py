@@ -17,13 +17,11 @@ from avqsbench.robustify import (
     TypeDistribution,
     check_robustification,
     enumerate_types,
-    iid_type_average,
-    permutation_average,
     symmetrize_channel,
     word_type,
 )
 
-from helpers import all_words
+from helpers import all_words, iid_type_average, permutation_average
 
 rng = np.random.default_rng(31)
 
