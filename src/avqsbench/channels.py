@@ -104,10 +104,6 @@ class CpMap:
         dev = np.max(np.abs(self.gram - np.eye(self.dim_in)))
         return float(dev) <= get_config().tp_tol
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply to a raw operator on the full input space."""
-        return sum(k @ mat @ k.conj().T for k in self.kraus)
-
 
 def identity_channel(dims: Sequence[int]) -> CpMap:
     d = prod(dims)

@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, choices=(1, 2))
     p.add_argument("--outcomes", type=int, default=2, help="instrument outcomes to search over")
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=None, help="search iterations per restart")
+    p.add_argument("--maxiter", type=int, default=None, help="ascent iterations per restart")
 
     p = sub.add_parser(
         "worst-case", parents=[common], help="minimum merging fidelity over source words"

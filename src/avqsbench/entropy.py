@@ -93,29 +93,33 @@ def coherent_information(s: State, source: str = "A", target: str = "B") -> Rate
     return RateValue(s_t - s_joint, COHERENT_INFO)
 
 
-def instrument_rates(rhos, kraus, d_target: int) -> np.ndarray:
+def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     """Outcome-weighted coherent information I_c(A > B) of each state in a
     stack after an instrument acts on A, in bits.
 
     ``rhos`` is an (n, d, d) stack of states on A x B with the A factors in
     front and B of dimension ``d_target``; ``kraus`` is an (outcomes,
     operators, d_out, d_A) stack, zero-padded where outcomes have fewer
-    operators.  Every post-measurement block comes from one ``einsum``; the
+    operators.  The post-measurement blocks come from two ``einsum`` calls; the
     outcome weights are read off its traces and must sum to each state's
     trace within ``tp_tol``.  Outcomes of weight at most ``prob_tol`` are
     dropped.  S(AB) and S(B) of the normalized blocks come from two batched
     ``eigvalsh`` calls with the ``eig_clip`` rule of :func:`spectrum_entropy`.
+
+    With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
+    stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B).
+    The rate is sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X and X_j
+    the unnormalized block, so the gradient is 2 tr_B[G_j (K_jk x I) rho] with
+    G_j = log2 X_j - I x log2 X_j^B on the support; dropped outcomes get 0.
     """
     cfg = get_config()
     rhos = np.asarray(rhos)
     n, dim = rhos.shape[:2]
     d_src = dim // d_target
-    post = np.einsum(
-        "jkab,sbicy,jkdc->sjaidy",
-        kraus,
-        rhos.reshape(n, d_src, d_target, d_src, d_target),
-        kraus.conj(),
+    scaled = np.einsum(
+        "jkab,sbicy->sjkaicy", kraus, rhos.reshape(n, d_src, d_target, d_src, d_target)
     )
+    post = np.einsum("sjkaicy,jkdc->sjaidy", scaled, kraus.conj())
     size = kraus.shape[2] * d_target
     weights = np.trace(post.reshape(n, -1, size, size), axis1=2, axis2=3).real
     totals, expected = weights.sum(axis=1), np.trace(rhos, axis1=1, axis2=2).real
@@ -125,16 +129,25 @@ def instrument_rates(rhos, kraus, d_target: int) -> np.ndarray:
         raise ValueError(f"outcome weights sum to {totals[i]:.12f}, expected {expected[i]:.12f}")
     kept = weights > cfg.prob_tol
     post = post / np.where(kept, weights, 1.0)[:, :, None, None, None, None]
-    joint = post.reshape(n, -1, size, size)
-    marginal = np.trace(post, axis1=2, axis2=4)
 
     def entropies(mats):
-        w = np.linalg.eigvalsh(mats)
-        w = np.where(w > cfg.eig_clip, w, 1.0)
-        return -np.sum(w * np.log2(w), axis=-1)
+        w, v = np.linalg.eigh(mats) if gradient else (np.linalg.eigvalsh(mats), None)
+        on = w > cfg.eig_clip
+        w = np.where(on, w, 1.0)
+        if v is not None:  # log2 of the unnormalized block on its support
+            log_weights = np.log2(np.where(kept, weights, 1.0))[:, :, None]
+            logs = np.where(on & kept[:, :, None], np.log2(w) + log_weights, 0.0)
+            v = (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return -np.sum(w * np.log2(w), axis=-1), v
 
-    per_outcome = np.where(kept, weights * (entropies(marginal) - entropies(joint)), 0.0)
-    return per_outcome.sum(axis=1)
+    s_joint, log_joint = entropies(post.reshape(n, -1, size, size))
+    s_marginal, log_marginal = entropies(np.trace(post, axis1=2, axis2=4))
+    values = np.where(kept, weights * (s_marginal - s_joint), 0.0).sum(axis=1)
+    if not gradient:
+        return values
+    eye = np.eye(kraus.shape[2])[:, None, :, None]
+    g = log_joint.reshape(post.shape) - eye * log_marginal[:, :, None, :, None]
+    return values, 2 * np.einsum("sjaidz,sjkdzci->sjkac", g, scaled)
 
 
 def instrument_coherent_info(s: State, instrument, source: str = "A", target: str = "B") -> RateValue:

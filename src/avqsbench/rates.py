@@ -41,10 +41,10 @@ from .linalg import (
     trace_distance,
 )
 from .optim import (
-    hermitian_from_params,
     maximize_concave_over_simplex,
+    maximize_over_isometries,
     minimize_over_simplex,
-    unitary_from_hermitian,
+    retract_qr,
 )
 
 
@@ -252,34 +252,23 @@ def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
 VERTEX_ENUMERATION_MAX_MEMBERS = 3
 
 
-def _block_row_kraus(theta: np.ndarray, dim: int, n_outcomes: int) -> np.ndarray:
-    """Kraus stack (see :func:`entropy.instrument_rates`) whose outcome
-    operators are the block rows of an isometry from the source space into
-    ``n_outcomes`` stacked copies.
-
-    The isometry is the first ``dim`` columns of exp(iH) with H Hermitian
-    parameterized by ``theta``, so feasibility is exact at every parameter
-    value.
-    """
-    u = unitary_from_hermitian(hermitian_from_params(theta, dim * n_outcomes))
-    return u[:, :dim].reshape(n_outcomes, 1, dim, dim)
-
-
-def _block_row_instrument(theta: np.ndarray, dim: int, n_outcomes: int) -> Instrument:
-    """The validated instrument of :func:`_block_row_kraus`."""
-    kraus = _block_row_kraus(theta, dim, n_outcomes)
-    return Instrument(tuple(CpMap((k,), (dim,), (dim,)) for k in kraus[:, 0]))
+def _block_row_instrument(v: np.ndarray) -> Instrument:
+    """The validated instrument whose outcome operators are the square block
+    rows of the isometry ``v``."""
+    dim = v.shape[1]
+    return Instrument(tuple(CpMap((k,), (dim,), (dim,)) for k in v.reshape(-1, dim, dim)))
 
 
 def _hull_rate(xs: StateSet, k: int):
     """Per-copy instrument rate on the convex hull, on raw arrays.
 
-    Returns ``rate(kraus, p=None)``: for a Kraus stack on the k-copy sending
-    side, the rate of the k-th tensor power of every member, or of the
-    mixture with weights ``p`` (checked as by :func:`convex_mixture`), from
-    one :func:`entropy.instrument_rates` call.  The member matrices with the
-    sending side in front, their dims, the k=2 factor order and the stack of
-    vertex powers are fixed here, once; no ``State`` is built per evaluation.
+    Returns ``rate(kraus, p=None, gradient=False)``: for a Kraus stack on the
+    k-copy sending side, the rate of the k-th tensor power of every member, or
+    of the mixture with weights ``p`` (checked as by :func:`convex_mixture`),
+    and with ``gradient`` its gradients, from one :func:`entropy.instrument_rates`
+    call.  The member matrices with the sending side in front, their dims, the
+    k=2 factor order and the vertex powers are fixed here, once; no ``State``
+    is built per evaluation.
     """
     arranged = [source_first(m) for m in xs.members]
     mats = [mat for mat, _ in arranged]
@@ -295,9 +284,10 @@ def _hull_rate(xs: StateSet, k: int):
 
     vertices = np.stack([power(m) for m in mats])
 
-    def rate(kraus, p=None):
+    def rate(kraus, p=None, gradient=False):
         rhos = vertices if p is None else power(_mixture_matrix(mats, p))[None]
-        return instrument_rates(rhos, kraus, d_b**k) / k
+        out = instrument_rates(rhos, kraus, d_b**k, gradient)
+        return (out[0] / k, out[1] / k) if gradient else out / k
 
     return rate
 
@@ -354,19 +344,16 @@ def distillation_rate_lower_bound(
 
     Maximizes the per-copy instrument-weighted coherent information over
     block-row instruments on the sending side, with the infimum over the
-    convex hull of the set evaluated inside.  The search is a seeded
-    derivative-free local method with restarts, guided by a fast
-    vertices-only inner evaluation; the reported value re-runs the full
-    inner infimum (vertices plus projected descent) on the best instrument
-    found.  The single-outcome identity instrument is always a candidate,
-    so the result never falls below that baseline.
-
-    The objective is batched: the member matrices and factor order are
-    prepared once per call, and each search point turns its isometry
-    straight into a Kraus stack and scores all vertices with one
-    :func:`entropy.instrument_rates` call, with no ``State``, ``CpMap`` or
-    ``Instrument`` built.  Only the reported instrument is built and
-    validated.
+    convex hull of the set evaluated inside.  Each restart runs
+    :func:`optim.maximize_over_isometries` on the isometry V that stacks the
+    outcome operators, from a seeded Haar-random V (not the identity, whose
+    zero outcome is a stationary point), for at most ``maxiter`` steps
+    (default 500), along the gradient of the smallest vertex rate.  Each
+    point scores all vertices in one :func:`entropy.instrument_rates` call.
+    The reported value re-runs the full inner infimum (vertices plus
+    projected descent) on the best instrument found.  The single-outcome
+    identity instrument is always a candidate, so the result never falls
+    below that baseline.
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
@@ -378,37 +365,23 @@ def distillation_rate_lower_bound(
     baseline, base_p, base_meta = _inner_infimum(rate, trivial.kraus_stack())
 
     dim = d_x**k
-    n_params = (dim * n_outcomes) ** 2
+    shape = (dim * n_outcomes, dim)
     rng = np.random.default_rng(seed)
 
-    def cheap_objective(theta):
-        v, _, _ = _inner_infimum(rate, _block_row_kraus(theta, dim, n_outcomes), iters=0)
-        return v
+    def guide(v):
+        values, grads = rate(v.reshape(n_outcomes, 1, dim, dim), gradient=True)
+        active = int(np.argmin(values))
+        return float(values[active]), grads[active].reshape(v.shape)
 
-    from scipy.optimize import minimize as _minimize
+    best_v, best_guide, runs = None, -np.inf, []
+    for _ in range(max(restarts, 1)):
+        start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        v, value, meta = maximize_over_isometries(guide, start, maxiter or 500)
+        runs.append(meta)
+        if value > best_guide:
+            best_v, best_guide = v, value
 
-    best_theta = np.zeros(n_params)
-    best_cheap = cheap_objective(best_theta)
-    total_iters = 0
-    options = {
-        "xatol": 1e-6,
-        "fatol": 1e-9,
-        "maxiter": maxiter or 60 * n_params,
-        "maxfev": maxiter or 60 * n_params,
-    }
-    inits = [np.zeros(n_params)] + [
-        0.5 * rng.standard_normal(n_params) for _ in range(max(restarts - 1, 0))
-    ]
-    for theta0 in inits:
-        res = _minimize(
-            lambda th: -cheap_objective(th), theta0, method="Nelder-Mead", options=options
-        )
-        total_iters += int(res.nit)
-        if -res.fun > best_cheap:
-            best_cheap = float(-res.fun)
-            best_theta = res.x
-
-    best_instrument = _block_row_instrument(best_theta, dim, n_outcomes)
+    best_instrument = _block_row_instrument(best_v)
     value, weights, inner_meta = _inner_infimum(rate, best_instrument.kraus_stack())
     if value < baseline:
         value, weights, inner_meta = baseline, base_p, base_meta
@@ -420,9 +393,11 @@ def distillation_rate_lower_bound(
         metadata={
             "k": k,
             "n_outcomes": best_instrument.n_outcomes,
-            "restarts": len(inits),
+            "restarts": len(runs),
             "seed": seed,
-            "outer_iterations": total_iters,
+            "outer_iterations": sum(m["iterations"] for m in runs),
+            "outer_evaluations": sum(m["evaluations"] for m in runs),
+            "outer_stop_reasons": [m["stop_reason"] for m in runs],
             "trivial_baseline": float(baseline),
             **inner_meta,
         },
@@ -438,17 +413,11 @@ def avqs_distillation_capacity(xs: StateSet, **kwargs) -> DistillationResult:
     report with the identity used.
     """
     result = distillation_rate_lower_bound(xs, **kwargs)
-    report = RateReport(
-        quantity="avqs-distillation-capacity",
-        value=result.report.value,
-        attained_by=result.report.attained_by,
-        weights=result.report.weights,
-        metadata={
-            **result.report.metadata,
-            "identity": "adversarial source capacity = compound capacity of the convex hull",
-        },
+    result.report.quantity = "avqs-distillation-capacity"
+    result.report.metadata["identity"] = (
+        "adversarial source capacity = compound capacity of the convex hull"
     )
-    return DistillationResult(report, result.instrument)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,14 @@ def random_kraus_channel(rng, d_in: int, d_out: int, n_kraus: int) -> list[np.nd
     return [q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus)]
 
 
+def haar_isometry(rng, rows: int, cols: int) -> np.ndarray:
+    """Haar-random isometry: the Q factor of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into Q."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def random_instrument_kraus(rng, d_in: int, d_out: int, n_outcomes: int) -> list[np.ndarray]:
     """One Kraus operator per outcome, jointly trace preserving."""
     return random_kraus_channel(rng, d_in, d_out, n_outcomes)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import CpMap, Instrument, identity_instrument, projective_instrument
+from avqsbench.config import local_config
 from avqsbench.entropy import (
     coherent_information,
     conditional_entropy,
     instrument_coherent_info,
+    instrument_rates,
     mutual_info_env,
+    source_first,
     von_neumann_entropy,
 )
 from avqsbench.linalg import (
@@ -23,7 +26,12 @@ from avqsbench.linalg import (
 )
 from avqsbench.rates import _block_row_instrument
 
-from helpers import random_instrument_kraus, random_kraus_channel, scalar_instrument_rate
+from helpers import (
+    haar_isometry,
+    random_instrument_kraus,
+    random_kraus_channel,
+    scalar_instrument_rate,
+)
 
 rng = np.random.default_rng(7)
 
@@ -185,8 +193,7 @@ class TestInstrumentRateKernel:
         case_rng = np.random.default_rng(100 + k)
         dim = 2**k
         for n_outcomes in (2, 3):
-            theta = case_rng.standard_normal((dim * n_outcomes) ** 2)
-            inst = _block_row_instrument(theta, dim, n_outcomes)
+            inst = _block_row_instrument(haar_isometry(case_rng, dim * n_outcomes, dim))
             rho = tensor_power(random_density([2, 2], case_rng, parties=("A", "B")), k)
             got = instrument_coherent_info(rho, inst).value
             assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
@@ -223,6 +230,55 @@ class TestInstrumentRateKernel:
         rho = random_density([2, 3, 2], rng, parties=("B", "E", "A"))
         got = instrument_coherent_info(rho, inst).value
         assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)
+
+
+class TestInstrumentRateGradients:
+    """The gradient kernel against central differences of the rate kernel."""
+
+    @staticmethod
+    def _case(k, n_outcomes, pure, seed):
+        case_rng = np.random.default_rng(seed)
+        if pure:
+            member = bell_pair().density()
+        else:
+            member = random_density([2, 2], case_rng, parties=("A", "B"))
+        # at k=2 the A factors of the tensor power are 0 and 2, not contiguous
+        rho, d_b = source_first(tensor_power(member, k))
+        dim = 2**k
+        kraus = haar_isometry(case_rng, dim * n_outcomes, dim).reshape(n_outcomes, 1, dim, dim)
+        return case_rng, rho[None], kraus, d_b
+
+    @pytest.mark.parametrize("pure", [False, True])
+    @pytest.mark.parametrize("n_outcomes", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gradient_matches_central_differences(self, k, n_outcomes, pure):
+        # a pure member keeps every block rank deficient: the logs live on the support
+        case_rng, rhos, kraus, d_b = self._case(k, n_outcomes, pure, 300 + 10 * k + n_outcomes)
+        values, grads = instrument_rates(rhos, kraus, d_b, gradient=True)
+        assert grads.shape == (1,) + kraus.shape
+        assert values == pytest.approx(instrument_rates(rhos, kraus, d_b), abs=1e-12)
+        h = 1e-6
+        for _ in range(3):
+            direction = case_rng.standard_normal(kraus.shape) + 1j * case_rng.standard_normal(
+                kraus.shape
+            )
+            # the perturbed stacks leave trace preservation by O(h)
+            with local_config(tp_tol=1e-3):
+                up = instrument_rates(rhos, kraus + h * direction, d_b)[0]
+                down = instrument_rates(rhos, kraus - h * direction, d_b)[0]
+            numeric = (up - down) / (2 * h)
+            analytic = float(np.vdot(grads[0], direction).real)
+            assert analytic == pytest.approx(numeric, rel=1e-6)
+
+    def test_values_match_on_a_stack_with_a_dropped_outcome(self):
+        # the zero outcome of the identity instrument has zero weight and zero gradient
+        members = [random_density([2, 2], rng, parties=("A", "B")) for _ in range(3)]
+        rhos = np.stack([source_first(m)[0] for m in members])
+        kraus = np.stack([np.eye(2), np.zeros((2, 2))])[:, None]
+        values, grads = instrument_rates(rhos, kraus, 2, gradient=True)
+        assert values == pytest.approx(instrument_rates(rhos, kraus, 2), abs=1e-12)
+        assert np.all(np.isfinite(grads))
+        assert np.all(grads[:, 1] == 0)
 
 
 class TestLocalUnitaryInvariance:

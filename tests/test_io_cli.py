@@ -387,8 +387,7 @@ class TestCliDeterminism:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the distill-capacity instrument search needs scipy.optimize; every
-    # other subcommand should not pay for importing it
+    # loading the CLI must not pay for importing scipy.optimize
     src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     probe = "import sys, avqsbench.cli; print('scipy.optimize' in sys.modules)"
@@ -396,3 +395,33 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+SCIPY_BLOCKED_DISTILL = """
+import importlib.abc, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from avqsbench.cli import main
+code = main(["distill-capacity", "--set", sys.argv[1], "--restarts", "2", "--seed", "5"])
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_distill_capacity_runs_with_scipy_blocked(two_state_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_DISTILL, two_state_file],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)["report"]
+    assert report["metadata"]["trivial_baseline"] - 1e-9 <= report["value"] <= 1.0 + 1e-9
+    assert len(report["metadata"]["outer_stop_reasons"]) == 2

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from avqsbench.optim import (
-    hermitian_from_params,
     maximize_concave_over_simplex,
+    maximize_over_isometries,
     minimize_over_simplex,
     project_to_simplex,
-    unitary_from_hermitian,
+    retract_qr,
 )
+
+from helpers import haar_isometry
 
 rng = np.random.default_rng(71)
 
@@ -67,22 +69,34 @@ class TestSimplexOptimizers:
         assert meta == {"iterations": 0, "duality_gap": 0.0, "stop_reason": "gap"}
 
 
-class TestHermitianParameterization:
-    def test_roundtrip_produces_hermitian(self):
-        theta = rng.standard_normal(16)
-        h = hermitian_from_params(theta, 4)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-14
-        assert np.allclose(np.diag(h).real, theta[:4])
+class TestIsometryAscent:
+    def test_qr_retraction_stays_isometric_over_many_steps(self):
+        v = haar_isometry(rng, 8, 4)
+        for _ in range(100):
+            step = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            vhs = v.conj().T @ step
+            v = retract_qr(v + 0.3 * (step - v @ (0.5 * (vhs + vhs.conj().T))))
+            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-12
 
-    def test_wrong_parameter_count(self):
-        with pytest.raises(ValueError, match="parameters"):
-            hermitian_from_params(np.zeros(5), 2)
+    def test_retraction_fixes_an_isometry_with_positive_r_diagonal(self):
+        v = haar_isometry(rng, 6, 3)
+        assert np.allclose(retract_qr(v), v, atol=1e-12)
 
-    def test_exponential_is_unitary(self):
-        h = hermitian_from_params(rng.standard_normal(9), 3)
-        u = unitary_from_hermitian(h)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
+    def test_maximizes_a_trace_over_the_stiefel_manifold(self):
+        # max Re tr(A^dagger V) over isometries is the nuclear norm of A, at the
+        # polar factor of A
+        a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        fn = lambda v: (float(np.vdot(a, v).real), a)
+        v, value, meta = maximize_over_isometries(fn, haar_isometry(rng, 6, 3), maxiter=200)
+        assert value == pytest.approx(np.linalg.svd(a, compute_uv=False).sum(), abs=1e-8)
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+        assert np.allclose(v, u @ vh, atol=1e-4)
+        assert meta["stop_reason"] in ("gradient", "stalled")
+        assert meta["evaluations"] >= meta["iterations"] + 1
 
-    def test_zero_parameters_give_identity(self):
-        u = unitary_from_hermitian(hermitian_from_params(np.zeros(4), 2))
-        assert np.allclose(u, np.eye(2))
+    def test_maxiter_caps_the_steps(self):
+        a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        fn = lambda v: (float(np.vdot(a, v).real), a)
+        _, _, meta = maximize_over_isometries(fn, haar_isometry(rng, 4, 2), maxiter=1)
+        assert meta["iterations"] == 1
+        assert meta["stop_reason"] == "maxiter"

@@ -51,7 +51,12 @@ from avqsbench.rates import (
     worst_case_protocol_fidelity,
 )
 
-from helpers import random_instrument_kraus, random_kraus_channel, scalar_instrument_rate
+from helpers import (
+    haar_isometry,
+    random_instrument_kraus,
+    random_kraus_channel,
+    scalar_instrument_rate,
+)
 
 rng = np.random.default_rng(41)
 
@@ -312,6 +317,32 @@ class TestDistillation:
         b = distillation_rate_lower_bound(double, k=1, restarts=1, maxiter=10, seed=0)
         assert a.report.value == pytest.approx(b.report.value, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_search_measures_the_flag(self, seed):
+        # A = flag x qubit: q|0><0| x Phi+ + (1-q)|1><1| x Phi-.  The hull
+        # reaches q = 1/2, where the identity's coherent information is 0;
+        # measuring the flag leaves a Bell pair, 1 bit on the whole hull.
+        phi_plus = maximally_entangled(2).density().matrix
+        z = np.diag([1.0, 1.0, -1.0, -1.0])  # Z on A maps Phi+ to Phi-
+        flags = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        members = tuple(
+            state(
+                q * np.kron(flags[0], phi_plus) + (1 - q) * np.kron(flags[1], z @ phi_plus @ z),
+                (2, 2, 2),
+                ("A", "A", "B"),
+            )
+            for q in (0.3, 0.6)
+        )
+        result = distillation_rate_lower_bound(
+            StateSet(members), k=1, n_outcomes=2, restarts=2, seed=seed
+        )
+        meta = result.report.metadata
+        assert meta["trivial_baseline"] == pytest.approx(0.0, abs=1e-9)
+        assert result.report.value >= 1 - 1e-6
+        assert len(meta["outer_stop_reasons"]) == 2
+        assert set(meta["outer_stop_reasons"]) <= {"gradient", "stalled", "maxiter"}
+        assert meta["outer_evaluations"] >= meta["outer_iterations"] + 2
+
     def test_rejects_unsupported_k(self):
         with pytest.raises(ValueError, match="k in"):
             distillation_rate_lower_bound(StateSet((bell_pair().density(),)), k=3)
@@ -322,8 +353,7 @@ class TestDistillation:
         xs = StateSet(
             tuple(random_density([2, 2], case_rng, parties=("A", "B")) for _ in range(2))
         )
-        theta = case_rng.standard_normal((2 * 2**k) ** 2)
-        inst = _block_row_instrument(theta, 2**k, 2)
+        inst = _block_row_instrument(haar_isometry(case_rng, 2 * 2**k, 2**k))
         rate = _hull_rate(xs, k)
 
         def oracle(p):
@@ -352,7 +382,7 @@ class TestDistillation:
             tuple(random_density([2, 2], rng, parties=("A", "B")) for _ in range(2))
         )
         seen, iterations = [], []
-        for maxiter in (20, 200):
+        for maxiter in (3, 200):
             counts.clear()
             result = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=maxiter)
             seen.append(dict(counts))
