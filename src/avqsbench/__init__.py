@@ -75,7 +75,6 @@ from .robustify import (
     TypeDistribution,
     check_robustification,
     enumerate_types,
-    symmetrize_channel,
     word_type,
 )
 from .rates import (

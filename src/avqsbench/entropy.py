@@ -100,11 +100,12 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     ``rhos`` is an (n, d, d) stack of states on A x B with the A factors in
     front and B of dimension ``d_target``; ``kraus`` is an (outcomes,
     operators, d_out, d_A) stack, zero-padded where outcomes have fewer
-    operators.  The post-measurement blocks come from two ``einsum`` calls; the
-    outcome weights are read off its traces and must sum to each state's
-    trace within ``tp_tol``.  Outcomes of weight at most ``prob_tol`` are
-    dropped.  S(AB) and S(B) of the normalized blocks come from two batched
-    ``eigvalsh`` calls with the ``eig_clip`` rule of :func:`spectrum_entropy`.
+    operators.  The post-measurement blocks come from
+    :func:`post_measurement_blocks`; the outcome weights are read off their
+    traces and must sum to each state's trace within ``tp_tol``.  Outcomes of
+    weight at most ``prob_tol`` are dropped.  S(AB) and S(B) of the normalized
+    blocks come from two batched ``eigvalsh`` calls with the ``eig_clip`` rule
+    of :func:`spectrum_entropy`.
 
     With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
     stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B).
@@ -114,12 +115,8 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     """
     cfg = get_config()
     rhos = np.asarray(rhos)
-    n, dim = rhos.shape[:2]
-    d_src = dim // d_target
-    scaled = np.einsum(
-        "jkab,sbicy->sjkaicy", kraus, rhos.reshape(n, d_src, d_target, d_src, d_target)
-    )
-    post = np.einsum("sjkaicy,jkdc->sjaidy", scaled, kraus.conj())
+    n = rhos.shape[0]
+    scaled, post = post_measurement_blocks(rhos, kraus, d_target)
     size = kraus.shape[2] * d_target
     weights = np.trace(post.reshape(n, -1, size, size), axis1=2, axis2=3).real
     totals, expected = weights.sum(axis=1), np.trace(rhos, axis1=1, axis2=2).real
@@ -148,6 +145,22 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     eye = np.eye(kraus.shape[2])[:, None, :, None]
     g = log_joint.reshape(post.shape) - eye * log_marginal[:, :, None, :, None]
     return values, 2 * np.einsum("sjaidz,sjkdzci->sjkac", g, scaled)
+
+
+def post_measurement_blocks(rhos, kraus, d_target: int):
+    """Unnormalized post-measurement blocks of a stack of states, in two ``einsum`` steps.
+
+    With ``rhos`` and ``kraus`` as in :func:`instrument_rates`, returns the
+    half-applied (K_jk x I) rho_s, indexed (s, j, k, a, i, c, y), and the blocks
+    X_{j,s} = sum_k (K_jk x I) rho_s (K_jk x I)^dagger, indexed (s, j, a, i, d, y)
+    with (a, i) the row and (d, y) the column factors (source out, target).
+    """
+    n, dim = rhos.shape[:2]
+    d_src = dim // d_target
+    scaled = np.einsum(
+        "jkab,sbicy->sjkaicy", kraus, rhos.reshape(n, d_src, d_target, d_src, d_target)
+    )
+    return scaled, np.einsum("sjkaicy,jkdc->sjaidy", scaled, kraus.conj())
 
 
 def instrument_coherent_info(s: State, instrument, source: str = "A", target: str = "B") -> RateValue:

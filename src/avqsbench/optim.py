@@ -1,5 +1,10 @@
-"""Deterministic optimization: certified Frank-Wolfe ascent of concave functions
-and projected descent over the simplex, Riemannian gradient ascent over isometries."""
+"""Deterministic optimization over the simplex and over isometries.
+
+Concave functions of mixture weights, the hull costs and the negated k=1
+distillation rate, are maximized by one certified pairwise Frank-Wolfe ascent.
+The nonsmooth trace-norm distance to a hull is minimized by projected
+subgradient descent, without a certificate.  The distillation instrument is
+found by Riemannian gradient ascent over isometries."""
 
 from __future__ import annotations
 
@@ -52,67 +57,74 @@ def maximize_concave_over_simplex(
 
 
 def _line_search(value_and_grad, p, direction, end):
-    """Exact line search: bisection on the derivative of the concave t -> f(p + t d) on
-    [0, end].  A derivative still positive within a relative 1e-12 of the end gives ``end``
-    exactly, emptying the away vertex; a leftover 1e-12 would stall the loop on tiny steps."""
-    lo, hi = 0.0, end
-    while hi - lo > 1e-12 * end:
-        mid = 0.5 * (lo + hi)
-        if direction @ value_and_grad(p + mid * direction)[1] > 0:
-            lo = mid
+    """Exact line search on the derivative of the concave t -> f(p + t d), which
+    decreases on [0, end], until its bracket is at most 1e-12 * end wide.  The
+    slope at ``end`` itself is never taken: the away vertex is empty there, and a
+    log clipped to the support misses the infinite slope of a vertex whose support
+    leaves the rest's.  So trials bisect until the bracket has left ``end``, then
+    follow Illinois false position, landing no nearer than half the tolerance to a
+    bracket end, so the bracket closes on the root instead of creeping toward it.
+    If no trial has a negative slope, ``end`` is returned exactly, emptying the
+    away vertex; a leftover 1e-12 would stall the loop on tiny steps."""
+    tol = 1e-12 * end
+    lo, hi, f_lo, f_hi = 0.0, end, direction @ value_and_grad(p)[1], np.nan
+    side = 0  # which end the last trial replaced
+    while hi - lo > tol:
+        if np.isfinite(f_lo - f_hi):
+            t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + tol / 2), hi - tol / 2)
+        else:  # the bracket still ends at ``end``, or a slope is infinite
+            t = (lo + hi) / 2
+        f_t = direction @ value_and_grad(p + t * direction)[1]
+        if f_t == 0:
+            return t
+        if f_t > 0:
+            lo, f_lo = t, f_t
+            if side > 0:
+                f_hi /= 2
+            side = 1
         else:
-            hi = mid
+            hi, f_hi = t, f_t
+            if side < 0:
+                f_lo /= 2
+            side = -1
     return end if hi == end else lo
 
 
 def minimize_over_simplex(
-    fn: Callable[[np.ndarray], float],
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
-    grad: Callable[[np.ndarray], np.ndarray] | None = None,
-    init: np.ndarray | None = None,
     iters: int = 500,
     tol: float = 1e-6,
-    step0: float | None = None,
 ) -> tuple[np.ndarray, float, dict]:
-    """Projected (sub)gradient descent of fn over the n-simplex.
+    """Projected subgradient descent of a convex, possibly nonsmooth f over the n-simplex.
 
-    With no gradient callback, a forward-difference estimate along the
-    coordinate axes is used (projection keeps iterates feasible).  The best
-    iterate seen is returned; stops early once the best value stalls below
-    ``tol`` improvement for a stretch of iterations.
+    ``value_and_grad(p)`` returns f(p) and a subgradient.  From the uniform point,
+    step t moves a length max(|f(uniform)|, 0.1)/sqrt(t+1) against the normalized
+    subgradient and projects back.  The best iterate seen is returned, so the value
+    is an upper estimate of the minimum; it stops after 50 steps in a row that
+    improve the best value by at most ``tol``, or after ``iters`` steps.
     """
+    p = np.full(n, 1.0 / n)
+    value, g = value_and_grad(p)
+    best_p, best_v = p, value
     if n == 1:
-        p = np.ones(1)
-        return p, float(fn(p)), {"iterations": 0}
-    p = project_to_simplex(np.full(n, 1.0 / n) if init is None else np.asarray(init, dtype=float))
-    best_p, best_v = p.copy(), float(fn(p))
-    if step0 is None:
-        step0 = max(abs(best_v), 0.1)
+        return best_p, best_v, {"iterations": 0}
+    step0 = max(abs(value), 0.1)
     stall = 0
     used = 0
-    h = 1e-6
     for t in range(iters):
         used = t + 1
-        if grad is not None:
-            g = np.asarray(grad(p), dtype=float)
-        else:
-            base = fn(p)
-            g = np.empty(n)
-            for i in range(n):
-                q = p.copy()
-                q[i] += h
-                g[i] = (fn(project_to_simplex(q)) - base) / h
         norm = np.linalg.norm(g)
         if norm < 1e-14:
             break
         p = project_to_simplex(p - (step0 / np.sqrt(t + 1.0)) * g / norm)
-        v = float(fn(p))
+        v, g = value_and_grad(p)
         if v < best_v - tol:
-            best_v, best_p = v, p.copy()
+            best_v, best_p = v, p
             stall = 0
         else:
             if v < best_v:
-                best_v, best_p = v, p.copy()
+                best_v, best_p = v, p
             stall += 1
             if stall >= 50:
                 break

@@ -1,7 +1,7 @@
 """Source models over finite state sets: convex-hull geometry, Hausdorff
 distance, compound merging costs, and the instrument-maximized distillation
-rate for both compound and adversarially varying sources; hull costs carry a
-Frank-Wolfe duality gap."""
+rate for both compound and adversarially varying sources; hull costs and the
+k=1 distillation inner infimum carry a Frank-Wolfe duality gap."""
 
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .entropy import (
     conditional_entropy,
     instrument_rates,
     mutual_info_env,
+    post_measurement_blocks,
     source_first,
 )
 from .linalg import (
@@ -144,26 +145,20 @@ def convex_mixture(xs: StateSet, p: Sequence[float]) -> State:
     return State(_mixture_matrix([m.matrix for m in xs.members], p), xs.dims, xs.parties)
 
 
-def _distance_to_hull(sigma: State, xs: StateSet, iters: int = 2000, tol: float = 1e-6) -> float:
+def _distance_to_hull(sigma: State, xs: StateSet) -> float:
     """min_p || sigma - sum_s p_s rho_s ||_1 by projected subgradient descent.
 
-    The subgradient comes from the sign decomposition of the difference:
-    with D(p) = sigma - mix(p) = V diag(w) V*, d/dp_s ||D||_1 = -tr(sign(D) rho_s).
+    One ``eigh`` of the difference D(p) = sigma - mix(p) = V diag(w) V* gives
+    both the value sum |w| and the subgradient d/dp_s ||D||_1 = -tr(sign(D) rho_s).
     """
-    if xs.n == 1:
-        return trace_distance(sigma, xs.members[0])
+    mats = np.stack([m.matrix for m in xs.members])
 
-    def value(p):
-        return trace_distance(sigma, convex_mixture(xs, p))
-
-    def grad(p):
-        diff = sigma.matrix - convex_mixture(xs, p).matrix
-        w, v = np.linalg.eigh(diff)
+    def value_and_grad(p):
+        w, v = np.linalg.eigh(sigma.matrix - np.tensordot(p, mats, axes=1))
         sign = (v * np.sign(w)) @ v.conj().T
-        return np.array([-float(np.trace(sign @ m.matrix).real) for m in xs.members])
+        return float(np.abs(w).sum()), -np.einsum("ij,sji->s", sign, mats).real
 
-    _, best, _ = minimize_over_simplex(value, xs.n, grad=grad, iters=iters, tol=tol)
-    return best
+    return minimize_over_simplex(value_and_grad, xs.n, iters=2000)[1]
 
 
 def hausdorff_distance(xs: StateSet, ys: StateSet, mode: str = "pointset") -> float:
@@ -190,22 +185,26 @@ def hausdorff_distance(xs: StateSet, ys: StateSet, mode: str = "pointset") -> fl
 # ---------------------------------------------------------------------------
 # compound merging costs
 
-def _entropy_sum(xs: StateSet, terms):
-    """p -> (sum_T sign_T S(rho_T(p)), its gradient), one eigh per term.
+def _entropy_sum(blocks):
+    """p -> (sum_b sign_b S~(X_b(p)), its gradient), one eigh per block.
 
-    d/dp_s S(rho_T(p)) = -tr[rho_{s,T} log2 rho_T(p)] - 1/ln 2; the constant
-    cancels on simplex directions.  The log on eigenvalues above ``eig_clip``
-    only is exact for members inside the mixture's support: those of positive
-    weight, and those dropped to 0, as the line search never empties a member
-    whose support leaves the rest's (the derivative in its weight is +inf
-    there).  Exception: if S(B) loses support at the same rate, the divergences
-    cancel and the outside part's own S(A|B), <= 0 if it is pure, is left out.
+    Each block is a sign and a stack of matrices M_s, one per simplex vertex,
+    with X_b(p) = sum_s p_s M_s and S~(X) = -tr X log2 X, the entropy of a
+    density matrix and its extension to unnormalized blocks.  d/dp_s S~(X_b(p))
+    = -tr[M_s log2 X_b(p)] - tr(M_s)/ln 2; the second terms are left out, as
+    the signed traces sum to the same number for every s (the marginals of
+    states, or a block against its own marginal).  The log on eigenvalues above
+    ``eig_clip`` only is exact for vertices inside the mixture's support: those
+    of positive weight, and those dropped to 0, as the line search never
+    empties a vertex whose support leaves the rest's (the derivative in its
+    weight is +inf there).  Exception: if a block's marginal loses support at
+    the same rate, the divergences cancel and the outside part's own
+    conditional entropy, <= 0 if it is pure, is left out.
     """
     clip = get_config().eig_clip
-    blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
 
     def value_and_grad(p):
-        value, grad = 0.0, np.zeros(xs.n)
+        value, grad = 0.0, np.zeros(len(p))
         for sign, mats in blocks:
             w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
             w, v = w[w > clip], v[:, w > clip]
@@ -217,6 +216,18 @@ def _entropy_sum(xs: StateSet, terms):
     return value_and_grad
 
 
+def _vertex_entropy_sums(blocks):
+    """sum_b sign_b S~(M_{b,s}) at every vertex s of :func:`_entropy_sum`'s
+    blocks, from one batched ``eigvalsh`` per block."""
+    clip = get_config().eig_clip
+    total = 0.0
+    for sign, mats in blocks:
+        w = np.linalg.eigvalsh(mats)
+        w = np.where(w > clip, w, 1.0)  # a dropped eigenvalue adds 1 log 1 = 0
+        total = total - sign * np.sum(w * np.log2(w), axis=-1)
+    return total
+
+
 def _compound_cost(xs: StateSet, hull: bool, quantity: str, functional, terms) -> RateReport:
     if not hull:
         values = [functional(m).value for m in xs.members]
@@ -224,7 +235,8 @@ def _compound_cost(xs: StateSet, hull: bool, quantity: str, functional, terms) -
         return RateReport(
             quantity, float(values[idx]), attained_by=xs.labels[idx], metadata={"over": "members"}
         )
-    p, _, meta = maximize_concave_over_simplex(_entropy_sum(xs, terms), xs.n)
+    blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
+    p, _, meta = maximize_concave_over_simplex(_entropy_sum(blocks), xs.n)
     value = functional(convex_mixture(xs, p)).value
     return RateReport(quantity, value, weights=tuple(p), metadata={"over": "hull", **meta})
 
@@ -249,9 +261,6 @@ def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
 # ---------------------------------------------------------------------------
 # distillation rate functional
 
-VERTEX_ENUMERATION_MAX_MEMBERS = 3
-
-
 def _block_row_instrument(v: np.ndarray) -> Instrument:
     """The validated instrument whose outcome operators are the square block
     rows of the isometry ``v``."""
@@ -260,70 +269,91 @@ def _block_row_instrument(v: np.ndarray) -> Instrument:
 
 
 def _hull_rate(xs: StateSet, k: int):
-    """Per-copy instrument rate on the convex hull, on raw arrays.
+    """Per-copy instrument rate on the convex hull, and its infimum there, on
+    raw arrays.
 
-    Returns ``rate(kraus, p=None, gradient=False)``: for a Kraus stack on the
-    k-copy sending side, the rate of the k-th tensor power of every member, or
-    of the mixture with weights ``p`` (checked as by :func:`convex_mixture`),
-    and with ``gradient`` its gradients, from one :func:`entropy.instrument_rates`
-    call.  The member matrices with the sending side in front, their dims, the
-    k=2 factor order and the vertex powers are fixed here, once; no ``State``
-    is built per evaluation.
+    Returns ``(rate, inner_infimum)``.  ``rate(kraus, gradient=False)``: for a
+    Kraus stack on the k-copy sending side, the rate of the k-th tensor power
+    of every member, and with ``gradient`` its gradients, from one
+    :func:`entropy.instrument_rates` call.  ``inner_infimum(kraus)``: the
+    infimum of that rate over the hull, ``(value, weights, meta)``.  The member
+    matrices with the sending side in front, their dims, the k=2 factor order
+    and the n^k products of members, the vertex powers among them, are fixed
+    here, once; no ``State`` is built per evaluation.  The products are the
+    k-letter words of the source, so their number is held to the word cap.
     """
     arranged = [source_first(m) for m in xs.members]
     mats = [mat for mat, _ in arranged]
     d_b = arranged[0][1]
     d_a = mats[0].shape[0] // d_b
+    n = len(mats)
+    check_word_cap(n**k, "the distillation inner infimum")
 
-    def power(mix):
-        if k == 1:
-            return mix
+    def product(a, b):
         # (A1, B1, A2, B2) -> (A1, A2, B1, B2) on both sides of the matrix
-        split = np.kron(mix, mix).reshape((d_a, d_b) * 4)
-        return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(mix.size, mix.size)
+        split = np.kron(a, b).reshape((d_a, d_b) * 4)
+        return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(a.size, a.size)
 
-    vertices = np.stack([power(m) for m in mats])
+    if k == 1:
+        products, diagonal = np.stack(mats), np.arange(n)
+    else:
+        products = np.stack([product(a, b) for a in mats for b in mats])
+        diagonal = np.arange(n) * (n + 1)
+    vertices = products[diagonal]
 
-    def rate(kraus, p=None, gradient=False):
-        rhos = vertices if p is None else power(_mixture_matrix(mats, p))[None]
-        out = instrument_rates(rhos, kraus, d_b**k, gradient)
+    def rate(kraus, gradient=False):
+        out = instrument_rates(vertices, kraus, d_b**k, gradient)
         return (out[0] / k, out[1] / k) if gradient else out / k
 
-    return rate
+    def inner_infimum(kraus):
+        """Infimum of the per-copy rate of ``kraus`` over the convex hull.
 
+        The post-measurement blocks X_{j,u} of the n^k products rho_u of
+        members are formed once.  The k-copy rate of the mixture with product
+        weights q (q = p at k=1, p x p at k=2) is sum_j [S~(X_j^B(q)) -
+        S~(X_j(q))] with X_j(q) = sum_u q_u X_{j,u}, so its negation is a sum
+        of conditional entropies, concave in q: :func:`_entropy_sum` on the
+        blocks, ascended by :func:`optim.maximize_concave_over_simplex` in p,
+        with the chain rule grad_p = (G + G^T) p at k=2.  The value is the rate
+        at the weights found, or the smallest vertex rate, all scored in one
+        batch from the same blocks, if that is lower.  At k=1 the objective is
+        concave in p, so the infimum lies in [value - inner_duality_gap,
+        value].  At k=2 it need not be: the ascent stops at a point where the
+        Frank-Wolfe gap is small ("stationary"), ``inner_duality_gap`` is None,
+        ``inner_certified`` is false and the value is only an upper estimate of
+        the infimum.
+        """
+        _, post = post_measurement_blocks(products, kraus, d_b**k)
+        size = post.shape[2] * post.shape[3]
+        outcomes = range(post.shape[1])
+        blocks = [(1.0, post[:, j].reshape(-1, size, size)) for j in outcomes] + [
+            (-1.0, np.trace(post[:, j], axis1=1, axis2=3)) for j in outcomes
+        ]
+        negated = _entropy_sum(blocks)
 
-def _inner_infimum(
-    rate,
-    kraus: np.ndarray,
-    iters: int = 500,
-    tol: float = 1e-6,
-) -> tuple[float, np.ndarray, dict]:
-    """Infimum of the per-copy instrument rate over the convex hull, with
-    ``rate`` from :func:`_hull_rate`.
+        def objective(p):
+            if k == 1:
+                return negated(p)
+            value, g = negated(np.outer(p, p).ravel())
+            g = g.reshape(n, n)
+            return value, (g + g.T) @ p
 
-    Evaluates all vertices in one batch; with ``iters`` > 0 and more than one
-    member it also runs projected descent over mixture weights from the
-    uniform point (the rate need not be convex in the weights, so vertices
-    alone are only an upper bound on the infimum).  The smallest value found
-    is returned with its weights.
-    """
-    values = rate(kraus)
-    n = values.size
-    best = int(np.argmin(values))
-    best_v, best_p = float(values[best]), np.eye(n)[best]
-    method = "vertex-enumeration"
-    if n > 1 and iters > 0:
-        p_desc, v_desc, _ = minimize_over_simplex(
-            lambda p: float(rate(kraus, p)[0]), n, iters=iters, tol=tol
-        )
-        method = (
-            "vertex-enumeration+projected-descent"
-            if n <= VERTEX_ENUMERATION_MAX_MEMBERS
-            else "projected-descent"
-        )
-        if v_desc < best_v:
-            best_v, best_p = v_desc, p_desc
-    return best_v, best_p, {"inner_method": method, "inner_iterations": iters}
+        p, top, meta = maximize_concave_over_simplex(objective, n)
+        value = -top / k
+        values = -_vertex_entropy_sums([(sign, m[diagonal]) for sign, m in blocks]) / k
+        best = int(np.argmin(values))
+        if values[best] < value:
+            value, p = float(values[best]), np.eye(n)[best]
+        certified = k == 1
+        stop = meta["stop_reason"]
+        return value, p, {
+            "inner_iterations": meta["iterations"],
+            "inner_duality_gap": meta["duality_gap"] if certified else None,
+            "inner_stop_reason": stop if certified or stop != "gap" else "stationary",
+            "inner_certified": certified,
+        }
+
+    return rate, inner_infimum
 
 
 @dataclass
@@ -340,7 +370,8 @@ def distillation_rate_lower_bound(
     seed: int = 0,
     maxiter: int | None = None,
 ) -> DistillationResult:
-    """Certified-feasible lower bound on the k-letter distillation rate.
+    """Instrument-search lower bound on the k-letter distillation rate of the
+    convex hull, certified at k=1.
 
     Maximizes the per-copy instrument-weighted coherent information over
     block-row instruments on the sending side, with the infimum over the
@@ -350,19 +381,24 @@ def distillation_rate_lower_bound(
     zero outcome is a stationary point), for at most ``maxiter`` steps
     (default 500), along the gradient of the smallest vertex rate.  Each
     point scores all vertices in one :func:`entropy.instrument_rates` call.
-    The reported value re-runs the full inner infimum (vertices plus
-    projected descent) on the best instrument found.  The single-outcome
+    The reported value is the inner infimum over the hull (``inner_infimum``
+    of :func:`_hull_rate`) of the best instrument found.  The single-outcome
     identity instrument is always a candidate, so the result never falls
-    below that baseline.
+    below that baseline.  The instrument is feasible by construction, so its
+    rate on the hull is a lower bound on the k-letter rate.  At k=1 that rate
+    lies in [value - inner_duality_gap, value] (``inner_certified``), so
+    ``value - inner_duality_gap`` is a certified lower bound; at k=2 the inner
+    infimum is not certified, and the value is only an upper estimate of the
+    instrument's rate on the hull.
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
-    rate = _hull_rate(xs, k)
+    rate, inner_infimum = _hull_rate(xs, k)
     trivial = identity_instrument((d_x**k,))
-    baseline, base_p, base_meta = _inner_infimum(rate, trivial.kraus_stack())
+    baseline, base_p, base_meta = inner_infimum(trivial.kraus_stack())
 
     dim = d_x**k
     shape = (dim * n_outcomes, dim)
@@ -382,7 +418,7 @@ def distillation_rate_lower_bound(
             best_v, best_guide = v, value
 
     best_instrument = _block_row_instrument(best_v)
-    value, weights, inner_meta = _inner_infimum(rate, best_instrument.kraus_stack())
+    value, weights, inner_meta = inner_infimum(best_instrument.kraus_stack())
     if value < baseline:
         value, weights, inner_meta = baseline, base_p, base_meta
         best_instrument = trivial

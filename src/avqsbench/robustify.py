@@ -1,7 +1,6 @@
 """Method of types over words and the robustification check: a function on
 words whose i.i.d. average is at least 1 - gamma under every type must have
-permutation average at least 1 - (l+1)^{|S|} gamma at every single word.
-Also the permutation-symmetrized version of a one-way LOCC channel."""
+permutation average at least 1 - (l+1)^{|S|} gamma at every single word."""
 
 from __future__ import annotations
 
@@ -12,11 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import CpMap, Instrument, OneWayLoccChannel, permutation_channel
-
 Word = tuple[int, ...]
-
-EXACT_SYMMETRIZE_MAX_BLOCKLENGTH = 6
 
 
 @dataclass(frozen=True)
@@ -192,70 +187,3 @@ def check_robustification(
         worst_value=float(perm_avgs[type_of_word[worst_idx]]),
         passed=passed,
     )
-
-
-def symmetrize_channel(
-    channel: OneWayLoccChannel,
-    l: int,
-    cell_dim_a: int,
-    cell_dim_b: int,
-    mode: str = "exact",
-    n_samples: int | None = None,
-    seed: int = 0,
-) -> OneWayLoccChannel:
-    """Average a one-way LOCC channel over tensor-cell permutations.
-
-    The sending side applies a uniformly chosen permutation of the l cells
-    before measuring and announces it along with the original message, so
-    the outcome list is (permutation, message) pairs and the message count
-    multiplies by the number of permutations used.  Exact mode enumerates
-    all l! permutations (capped); sampled mode draws ``n_samples``
-    permutations with the given seed and is an approximation.
-    """
-    ins = channel.a_instrument
-    if ins.dim_in != cell_dim_a**l:
-        raise ValueError(
-            f"instrument input dimension {ins.dim_in} is not {cell_dim_a}^{l}"
-        )
-    if channel.b_channels[0].dim_in != cell_dim_b**l:
-        raise ValueError(
-            f"receiving input dimension {channel.b_channels[0].dim_in} is not {cell_dim_b}^{l}"
-        )
-    if mode == "exact":
-        if l > EXACT_SYMMETRIZE_MAX_BLOCKLENGTH:
-            raise ValueError(
-                f"exact symmetrization is limited to blocklength {EXACT_SYMMETRIZE_MAX_BLOCKLENGTH}"
-            )
-        perms = [tuple(p) for p in itertools.permutations(range(l))]
-    elif mode == "sampled":
-        if not n_samples or n_samples < 1:
-            raise ValueError("sampled mode needs n_samples >= 1")
-        rng = np.random.default_rng(seed)
-        perms = [tuple(int(x) for x in rng.permutation(l)) for _ in range(n_samples)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    weight = 1.0 / len(perms)
-    scale = np.sqrt(weight)
-    outcomes = []
-    b_channels = []
-    for sigma in perms:
-        ua = permutation_channel(sigma, cell_dim_a).kraus[0]
-        ub = permutation_channel(sigma, cell_dim_b).kraus[0]
-        for t_k, r_k in zip(ins.outcomes, channel.b_channels):
-            outcomes.append(
-                CpMap(
-                    tuple(scale * k @ ua for k in t_k.kraus),
-                    t_k.in_dims,
-                    t_k.out_dims,
-                    t_k.out_parties,
-                )
-            )
-            b_channels.append(
-                CpMap(
-                    tuple(k @ ub for k in r_k.kraus),
-                    r_k.in_dims,
-                    r_k.out_dims,
-                    r_k.out_parties,
-                )
-            )
-    return OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))

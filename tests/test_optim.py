@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avqsbench.optim import (
+    _line_search,
     maximize_concave_over_simplex,
     maximize_over_isometries,
     minimize_over_simplex,
@@ -58,8 +59,8 @@ class TestSimplexOptimizers:
 
     def test_minimize_linear_hits_a_vertex(self):
         cost = np.array([0.3, 0.8, 0.1])
-        fn = lambda p: float(cost @ p)
-        p, value, _ = minimize_over_simplex(fn, 3, grad=lambda p: cost, iters=400)
+        fn = lambda p: (float(cost @ p), cost)
+        p, value, _ = minimize_over_simplex(fn, 3, iters=400)
         assert value == pytest.approx(0.1, abs=1e-3)
 
     def test_single_point_simplex(self):
@@ -67,6 +68,55 @@ class TestSimplexOptimizers:
         assert p.tolist() == [1.0]
         assert value == 5.0
         assert meta == {"iterations": 0, "duality_gap": 0.0, "stop_reason": "gap"}
+
+
+def _entropy_plus_first(p):
+    # the log is clipped to the support, as in rates._entropy_sum: the slope along
+    # (1, -1) tends to -inf at the end, where p_1 = 0, but reads +1 there
+    log = np.log2(np.where(p > 0, p, 1.0))
+    return float(-(p * log).sum() + p[0]), -log + [1.0, 0.0]
+
+
+class TestLineSearch:
+    # from p = (1/2, 1/2) along d = (1, -1), up to end = 1/2
+    start, direction, end = np.array([0.5, 0.5]), np.array([1.0, -1.0]), 0.5
+
+    @pytest.mark.parametrize(
+        "fn, best",
+        [
+            # -|p - (0.8, 0.2)|^2 peaks at t = 0.3
+            (lambda p: (-np.sum((p - [0.8, 0.2]) ** 2), -2 * (p - [0.8, 0.2])), 0.3),
+            # entropy plus p_0 peaks at p = (2/3, 1/3), t = 1/6
+            (_entropy_plus_first, 1 / 6),
+        ],
+        ids=["quadratic", "entropy"],
+    )
+    def test_lands_on_the_maximizer_in_few_evaluations(self, fn, best):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return fn(p)
+
+        t = _line_search(counted, self.start, self.direction, self.end)
+        assert abs(t - best) <= 1e-12 * self.end
+        assert len(calls) <= 12
+
+    def test_positive_derivative_returns_the_end_exactly(self):
+        target = np.array([1.5, -0.5])
+        t = _line_search(
+            lambda p: (-np.sum((p - target) ** 2), -2 * (p - target)),
+            self.start,
+            self.direction,
+            self.end,
+        )
+        assert t == self.end
+        assert (self.start + t * self.direction)[1] == 0.0
+
+    def test_slope_read_at_the_emptied_vertex_is_not_trusted(self):
+        # the entropy's maximizer is interior although its slope reads +1 at the end
+        t = _line_search(_entropy_plus_first, self.start, self.direction, self.end)
+        assert t < self.end
 
 
 class TestIsometryAscent:

@@ -20,6 +20,7 @@ from avqsbench.entropy import (
     coherent_information,
     conditional_entropy,
     instrument_coherent_info,
+    instrument_rates,
     mutual_info_env,
     von_neumann_entropy,
 )
@@ -40,7 +41,6 @@ from avqsbench.rates import (
     StateSet,
     _block_row_instrument,
     _hull_rate,
-    _inner_infimum,
     avqs_distillation_capacity,
     compound_classical_cost,
     compound_merging_cost,
@@ -94,12 +94,17 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     return -np.sum(w * np.log2(w), axis=-1)
 
 
-def _grid_maximum(xs: StateSet, classical: bool, steps: int = 100) -> float:
-    """Largest S(A|B) (or I(A;E)) of a three-member qubit-pair set over the
-    1/steps grid of the 2-simplex, by batched eigenvalues of the mixtures."""
+def _grid_mixtures(xs: StateSet, steps: int = 100) -> np.ndarray:
+    """Mixtures of a three-member set at the 1/steps grid of the 2-simplex."""
     grid = [(i, j, steps - i - j) for i in range(steps + 1) for j in range(steps + 1 - i)]
     members = np.stack([m.matrix for m in xs.members])
-    mixes = np.tensordot(np.array(grid) / steps, members, axes=1).reshape(-1, 2, 2, 2, 2)
+    return np.tensordot(np.array(grid) / steps, members, axes=1)
+
+
+def _grid_maximum(xs: StateSet, classical: bool) -> float:
+    """Largest S(A|B) (or I(A;E)) of a three-member qubit-pair set over the
+    1/100 grid of the 2-simplex, by batched eigenvalues of the mixtures."""
+    mixes = _grid_mixtures(xs).reshape(-1, 2, 2, 2, 2)
     s_ab = _entropies(mixes.reshape(-1, 4, 4))
     s_a = _entropies(np.einsum("nabcb->nac", mixes))
     s_b = _entropies(np.einsum("nabad->nbd", mixes))
@@ -258,6 +263,17 @@ class TestCompoundCosts:
         if seed == "face":
             assert report.weights[2] == 0.0
 
+    def test_hull_keeps_a_member_whose_support_leaves_the_rest(self):
+        # the derivative in the weight of |00><00| is -inf where it is emptied,
+        # but a log clipped to the support reads it finite there; the maximum
+        # S(A|B) = 1 is at I/4, weights (1/4, 3/4)
+        corner = np.diag([1.0, 0, 0, 0])
+        mats = [corner, (np.eye(4) - corner) / 3]
+        xs = StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in mats))
+        report = compound_merging_cost(xs, hull=True)
+        assert report.value >= 1 - 1e-9
+        assert report.weights[0] > 0
+
 
 class TestDistillation:
     def test_trivial_instrument_equals_coherent_information(self):
@@ -342,6 +358,8 @@ class TestDistillation:
         assert len(meta["outer_stop_reasons"]) == 2
         assert set(meta["outer_stop_reasons"]) <= {"gradient", "stalled", "maxiter"}
         assert meta["outer_evaluations"] >= meta["outer_iterations"] + 2
+        assert meta["inner_stop_reason"] == "gap" and meta["inner_certified"]
+        assert meta["inner_duality_gap"] <= 1e-9
 
     def test_rejects_unsupported_k(self):
         with pytest.raises(ValueError, match="k in"):
@@ -354,17 +372,34 @@ class TestDistillation:
             tuple(random_density([2, 2], case_rng, parties=("A", "B")) for _ in range(2))
         )
         inst = _block_row_instrument(haar_isometry(case_rng, 2 * 2**k, 2**k))
-        rate = _hull_rate(xs, k)
+        rate, inner_infimum = _hull_rate(xs, k)
 
         def oracle(p):
             return scalar_instrument_rate(tensor_power(convex_mixture(xs, p), k), inst) / k
 
-        vertex_value, vertex_p, _ = _inner_infimum(rate, inst.kraus_stack(), iters=0)
+        vertex_values = rate(inst.kraus_stack())
+        vertex_value, vertex_p = vertex_values.min(), np.eye(xs.n)[np.argmin(vertex_values)]
         assert vertex_value == pytest.approx(min(oracle(p) for p in np.eye(xs.n)), abs=1e-12)
         assert vertex_value == pytest.approx(oracle(vertex_p), abs=1e-12)
-        value, p, _ = _inner_infimum(rate, inst.kraus_stack(), iters=30)
+        value, p, meta = inner_infimum(inst.kraus_stack())
         assert value == pytest.approx(oracle(p), abs=1e-12)
         assert value <= vertex_value
+        assert meta["inner_certified"] == (k == 1)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_inner_certificate_brackets_grid_minimum(self, seed):
+        seeded = np.random.default_rng(seed)
+        xs = StateSet(
+            tuple(random_density([2, 2], seeded, parties=("A", "B")) for _ in range(3))
+        )
+        kraus = _block_row_instrument(haar_isometry(seeded, 4, 2)).kraus_stack()
+        _, inner_infimum = _hull_rate(xs, 1)
+        value, _, meta = inner_infimum(kraus)
+        grid_min = instrument_rates(_grid_mixtures(xs), kraus, 2).min()
+        assert meta["inner_stop_reason"] == "gap" and meta["inner_certified"]
+        # the infimum lies in [value - gap, value] and the grid in the hull
+        assert value - meta["inner_duality_gap"] <= grid_min
+        assert value <= grid_min + 1e-12
 
     def test_search_work_does_not_grow_with_its_length(self, monkeypatch):
         # the objective runs on raw arrays, so longer searches build no more

@@ -1,23 +1,15 @@
 import itertools
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 import pytest
 
-from avqsbench.channels import (
-    Instrument,
-    OneWayLoccChannel,
-    apply_one_way_locc,
-    identity_channel,
-    projective_instrument,
-)
-from avqsbench.linalg import random_density, random_pure, state, tensor_product, trace_distance
+from avqsbench.linalg import state, tensor_product
 from avqsbench.rates import StateSet
 from avqsbench.robustify import (
     TypeDistribution,
     check_robustification,
     enumerate_types,
-    symmetrize_channel,
     word_type,
 )
 
@@ -134,92 +126,3 @@ class TestCheckRobustification:
         table = {w: (1.0 if w == (0, 0) else 0.0) for w in words}
         report = check_robustification(table.__getitem__, 2, 2, gamma=0.01)
         assert not report.passed
-
-
-class TestSymmetrizeChannel:
-    def _measure_first_cell(self):
-        projectors = [np.kron(np.diag([1.0, 0.0]), np.eye(2)), np.kron(np.diag([0.0, 1.0]), np.eye(2))]
-        inst = projective_instrument(projectors, dims=(2, 2))
-        return OneWayLoccChannel(inst, (identity_channel((1, 1)),) * 2)
-
-    def test_covariant_channel_untouched_on_invariant_states(self):
-        locc = OneWayLoccChannel(identity_instrument_cells(), (identity_channel((1, 1)),))
-        symmetrized = symmetrize_channel(locc, 2, 2, 1)
-        rho = random_density([2], rng)
-        src = tensor_product(tensor_product(rho, rho.relabel({})), _dummy_b())
-        out_a = apply_one_way_locc(locc, src)
-        out_b = apply_one_way_locc(symmetrized, src)
-        assert trace_distance(out_a, out_b) < 1e-10
-
-    def test_swap_sensitive_channel_averages_two_orderings(self):
-        locc = self._measure_first_cell()
-        symmetrized = symmetrize_channel(locc, 2, 2, 1)
-        assert symmetrized.message_count == 2 * factorial(2)
-        a = random_density([2], rng)
-        b = random_density([2], rng)
-        fwd = tensor_product(tensor_product(a, b.relabel({})), _dummy_b())
-        rev = tensor_product(tensor_product(b, a.relabel({})), _dummy_b())
-        direct_avg = 0.5 * (
-            apply_one_way_locc(locc, fwd).matrix + apply_one_way_locc(locc, rev).matrix
-        )
-        out = apply_one_way_locc(symmetrized, fwd)
-        assert np.max(np.abs(out.matrix - direct_avg)) < 1e-10
-
-    def test_sampled_mode_is_seeded(self):
-        locc = self._measure_first_cell()
-        s1 = symmetrize_channel(locc, 2, 2, 1, mode="sampled", n_samples=3, seed=5)
-        s2 = symmetrize_channel(locc, 2, 2, 1, mode="sampled", n_samples=3, seed=5)
-        for m1, m2 in zip(s1.a_instrument.outcomes, s2.a_instrument.outcomes):
-            assert all(np.array_equal(k1, k2) for k1, k2 in zip(m1.kraus, m2.kraus))
-
-    def test_exact_mode_blocklength_cap(self):
-        # dimensions fit 2^7 sending and 1^7 receiving cells, so only the
-        # blocklength cap can reject it
-        locc = OneWayLoccChannel(
-            Instrument((identity_channel((2,) * 7),)), (identity_channel((1,) * 7),)
-        )
-        with pytest.raises(ValueError, match="limited to blocklength"):
-            symmetrize_channel(locc, 7, 2, 1)
-
-    def test_symmetrized_worst_case_obeys_lemma_arithmetic(self):
-        # fidelity to a fixed pure target is linear in the state, so the
-        # symmetrized channel's word value equals the permutation average of
-        # the plain channel's word values, and the robustification bound
-        # applies verbatim
-        locc = self._measure_first_cell()
-        l = 2
-        a = random_density([2], rng)
-        b = random_density([2], rng)
-        members = StateSet((a, b.relabel({})))
-        target = random_pure([4], rng)
-
-        def plain_value(word):
-            src = tensor_product(members.word_state(word), _dummy_b())
-            out = apply_one_way_locc(locc, src)
-            reduced = out.matrix.reshape(4, 1, 4, 1)[:, 0, :, 0]
-            return float(np.real(target.vector.conj() @ reduced @ target.vector))
-
-        symmetrized = symmetrize_channel(locc, l, 2, 1)
-
-        def symmetrized_value(word):
-            src = tensor_product(members.word_state(word), _dummy_b())
-            out = apply_one_way_locc(symmetrized, src)
-            reduced = out.matrix.reshape(4, 1, 4, 1)[:, 0, :, 0]
-            return float(np.real(target.vector.conj() @ reduced @ target.vector))
-
-        words = all_words(2, l)
-        for word in words:
-            assert symmetrized_value(word) == pytest.approx(
-                permutation_average(plain_value, word), abs=1e-10
-            )
-        report = check_robustification(plain_value, 2, l)
-        worst = min(symmetrized_value(w) for w in words)
-        assert worst >= report.bound - 1e-10
-
-
-def identity_instrument_cells():
-    return Instrument((identity_channel((2, 2)),))
-
-
-def _dummy_b():
-    return state(np.ones((1, 1)), (1, 1), ("B", "B"))
