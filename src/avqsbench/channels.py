@@ -13,6 +13,7 @@ Factor conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -289,7 +290,7 @@ class OneWayLoccChannel:
                 f"{self.a_instrument.n_outcomes} instrument outcomes but {len(b)} receiving channels"
             )
         first = b[0]
-        for ch in b:
+        for ch in dict.fromkeys(b):  # a channel shared between messages is checked once
             if not ch.is_trace_preserving:
                 raise ValueError("every receiving channel must be trace preserving")
             if ch.in_dims != first.in_dims or ch.out_dims != first.out_dims:
@@ -351,12 +352,19 @@ class MergingProtocol:
     The instrument acts on (K0_A, A_1..A_l) and outputs K1_A; each receiving
     channel maps (K0_B, B_1..B_l) to (K1_B, B'_1, B_1, ..., B'_l, B_l) with
     the mirror factors B' of the same dimension as A.
+
+    ``mirrors`` optionally holds, per message, one channel per copy that
+    follows the receiving channel on its mirror factor B'_i; the receiving
+    channels then output mirror factors of the maps' input dimension.  Maps
+    shared between messages are checked once.  Without mirror maps the
+    mirror factors are output as they are.
     """
 
     locc: OneWayLoccChannel
     phi_in: PureState
     phi_out: PureState
     blocklength: int
+    mirrors: tuple[tuple[CpMap, ...], ...] = ()
 
     def __post_init__(self):
         if self.blocklength < 1:
@@ -378,7 +386,18 @@ class MergingProtocol:
         d_b = recv.in_dims[1]
         if ins.in_dims[1:] != (d_a,) * l or recv.in_dims[1:] != (d_b,) * l:
             raise ValueError("copy factors must all share one dimension per side")
-        expected_out = (self.phi_out.dims[1],) + (d_a, d_b) * l
+        mirrors = tuple(tuple(maps) for maps in self.mirrors)
+        if mirrors and (
+            len(mirrors) != self.message_count or any(len(maps) != l for maps in mirrors)
+        ):
+            raise ValueError("mirror maps must give one channel per copy for every message")
+        distinct = list(dict.fromkeys(x for maps in mirrors for x in maps))
+        d_mirror = distinct[0].dim_in if distinct else d_a
+        for x in distinct:
+            if (x.dim_in, x.dim_out) != (d_mirror, d_a) or not x.is_trace_preserving:
+                raise ValueError(f"mirror maps must be channels from dimension {d_mirror} to {d_a}")
+        object.__setattr__(self, "mirrors", mirrors)
+        expected_out = (self.phi_out.dims[1],) + (d_mirror, d_b) * l
         if recv.out_dims != expected_out:
             raise ValueError(
                 f"receiving channels must output {expected_out}, got {recv.out_dims}"
@@ -447,7 +466,11 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     overlap <t| output |t>; the output never has to be materialized as a
     matrix.  Sending-side branches of weight ||K_a psi||^2 <= prob_tol are
     skipped: every receiving channel is trace preserving, so a branch adds
-    at most its weight.
+    at most its weight.  Mirror maps are pulled onto the target,
+    <t|(R x I)x> = <(R^dagger x I)t|x>, by applying R^dagger to the A
+    factors of ``psi``, so every vector keeps the size of the receiving
+    channels' output; a message without mirror maps has one choice, the
+    identity.
     """
     l = p.blocklength
     d_a, d_b = p.copy_dims
@@ -472,23 +495,36 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     )
     # receiving-side factors directly follow the K1_A output after the sender acts
     b_now = list(range(1, l + 2))
-
-    target = np.kron(p.phi_out.vector, psi.vector)
-    target_dims = p.phi_out.dims + psi.dims
     # output factor order: (K1_B, B'_1, B_1, ..., B'_l, B_l), K1_A, env
     order = [1] + list(range(2, 2 * l + 2)) + [0] + list(range(2 * l + 2, 2 * l + 2 + n_env))
-    t_perm = target.reshape(target_dims).transpose(order).reshape(-1)
 
+    def pulled_targets(maps):
+        """phi_out x (R_1^dagger x ... x R_l^dagger) psi in output factor
+        order, one per choice of mirror Kraus operators."""
+        targets = []
+        for ops in itertools.product(*(x.kraus for x in maps)):
+            v = psi.vector.reshape(psi.dims)
+            for i, op in enumerate(ops):
+                v = np.moveaxis(np.tensordot(op.conj().T, v, axes=(1, 2 * i)), 0, 2 * i)
+            target = np.kron(p.phi_out.vector, v.reshape(-1))
+            targets.append(target.reshape(p.phi_out.dims + v.shape).transpose(order).reshape(-1))
+        return targets
+
+    cache: dict[tuple[CpMap, ...], list[np.ndarray]] = {}
     total = 0.0
-    for t_k, r_k in zip(p.locc.a_instrument.outcomes, p.locc.b_channels):
+    for k, (t_k, r_k) in enumerate(zip(p.locc.a_instrument.outcomes, p.locc.b_channels)):
+        maps = p.mirrors[k] if p.mirrors else ()
         for ka in t_k.kraus:
             mid = (ka @ arranged).reshape(-1)
             if np.vdot(mid, mid).real <= prob_tol:
                 continue
             mid_dims = t_k.out_dims + rest_dims
-            for kb in r_k.kraus:
-                out, _ = apply_kraus_to_vector(mid, mid_dims, kb, b_now)
-                total += abs(np.vdot(t_perm, out)) ** 2
+            outs = [apply_kraus_to_vector(mid, mid_dims, kb, b_now)[0] for kb in r_k.kraus]
+            if maps not in cache:
+                cache[maps] = pulled_targets(maps)
+            for t in cache[maps]:
+                for out in outs:
+                    total += abs(np.vdot(t, out)) ** 2
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -527,6 +563,8 @@ def compose_instrument_with_protocols(
     if len(subs) != e.n_outcomes:
         raise ValueError(f"need one subprotocol per outcome ({e.n_outcomes}), got {len(subs)}")
     first = subs[0]
+    if any(sub.mirrors for sub in subs):
+        raise ValueError("subprotocols with mirror maps cannot be composed")
     for sub in subs[1:]:
         if sub.blocklength != first.blocklength or sub.copy_dims != first.copy_dims:
             raise ValueError("subprotocols must share blocklength and copy dimensions")

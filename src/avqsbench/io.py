@@ -249,6 +249,8 @@ def protocol_from_dict(doc: dict, field: str = "protocol") -> MergingProtocol:
 
 
 def protocol_to_dict(p: MergingProtocol) -> dict:
+    if p.mirrors:
+        raise ValueError("a protocol with mirror maps has no JSON form (no field for them)")
     return {
         "blocklength": p.blocklength,
         "phi_in": pure_state_to_dict(p.phi_in),

@@ -26,7 +26,7 @@ from .channels import (
     apply_cp_map,
     trivial_resource,
 )
-from .config import check_dim_cap, check_word_cap, get_config
+from .config import DimensionCapError, check_dim_cap, check_word_cap, get_config
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -47,16 +47,17 @@ class OrthogonalFamily:
     sending-side supports.
 
     ``embed`` is the isometry from the base sending space onto the first
-    support block of the enlarged space; ``unitaries`` hold the block shifts
-    (the first is the identity) and ``block_projectors`` the corresponding
-    support blocks.
+    support block of the enlarged space.  ``shifts`` hold the block shifts
+    as index permutations, U_s|i> = |shifts[s][i]> (the first is the
+    identity), and ``blocks`` the indices of the support blocks that the
+    discriminating instrument projects on.
     """
 
     base: State
     n: int
     embed: np.ndarray
-    unitaries: tuple[np.ndarray, ...]
-    block_projectors: tuple[np.ndarray, ...]
+    shifts: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
     members: StateSet
 
     @property
@@ -73,8 +74,10 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
 
     Requires strictly negative conditional entropy of the base state.  The
     enlarged sending space has dimension n * rank of the sending marginal;
-    member s is the base state shifted into block s.  All orthogonality and
-    marginal invariants are verified numerically before returning.
+    member s is the base state shifted into block s, built by permuting the
+    indices of the embedded base.  A family whose members together hold
+    more than dim_cap^2 entries is refused before anything is built.  The
+    family's structure is verified before returning.
     """
     if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
         raise ValueError("base state must have exactly two factors with parties (A, B)")
@@ -90,75 +93,98 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     w, v = eigensystem(rho_a.matrix)
     rank = max(int(np.sum(w > get_config().rank_tol)), 1)
     m = n * rank
-    check_dim_cap(m * d_b, "build_orthogonal_family")
+    entries, cap = n * (m * d_b) ** 2, get_config().dim_cap
+    if entries > cap**2:  # also refuses members of dimension over the cap
+        raise DimensionCapError(
+            f"{n} members of dimension {m * d_b} hold {entries} entries, "
+            f"over dim_cap^2 = {cap**2} in build_orthogonal_family"
+        )
 
     embed = np.zeros((m, d_a), dtype=complex)
     embed[:rank, :] = v[:, :rank].conj().T
-    shift = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        shift[(i + rank) % m, i] = 1.0
-    unitaries = tuple(np.linalg.matrix_power(shift, s) for s in range(n))
-    block = np.zeros((m, m), dtype=complex)
-    block[:rank, :rank] = np.eye(rank)
-    projectors = tuple(u @ block @ u.conj().T for u in unitaries)
-
+    shifts = tuple((np.arange(m) + s * rank) % m for s in range(n))
     lifted = np.kron(embed, np.eye(d_b))
     base_emb = lifted @ rho1.matrix @ lifted.conj().T
-    members = []
-    for s in range(n):
-        u_full = np.kron(unitaries[s], np.eye(d_b))
-        members.append(State(u_full @ base_emb @ u_full.conj().T, (m, d_b), ("A", "B")))
+    members = tuple(State(_shifted(base_emb, p, d_b), (m, d_b), ("A", "B")) for p in shifts)
     family = OrthogonalFamily(
         base=rho1,
         n=n,
         embed=embed,
-        unitaries=unitaries,
-        block_projectors=projectors,
-        members=StateSet(tuple(members), tuple(str(s + 1) for s in range(n))),
+        shifts=shifts,
+        blocks=tuple(p[:rank] for p in shifts),
+        members=StateSet(members, tuple(str(s + 1) for s in range(n))),
     )
     _verify_family(family)
     return family
 
 
+def _shifted(mat: np.ndarray, perm: np.ndarray, d_b: int) -> np.ndarray:
+    """(U x I) mat (U x I)^dagger for U|i> = |perm[i]>, by index permutation."""
+    idx = (perm[:, None] * d_b + np.arange(d_b)).reshape(-1)
+    out = np.zeros_like(mat)
+    out[np.ix_(idx, idx)] = mat
+    return out
+
+
 def _verify_family(fam: OrthogonalFamily) -> None:
+    """Check the family by its structure, in n member-sized steps: the base's
+    sending support lies in block 0, the shifts are the powers of one cyclic
+    permutation that moves block 0 onto n disjoint blocks, each member is
+    the shifted base, and all receiving marginals agree.  Messages number
+    members and blocks from 1."""
     members = fam.members.members
-    b_ref = partial_trace(members[0], [1])
-    for i, rho in enumerate(members):
-        if trace_norm(partial_trace(rho, [1]).matrix - b_ref.matrix) > 1e-9:
-            raise ValueError(f"receiving-side marginal of member {i + 1} deviates")
-    for i in range(fam.n):
-        a_i = partial_trace(members[i], [0]).matrix
-        for j in range(i + 1, fam.n):
-            a_j = partial_trace(members[j], [0]).matrix
-            if trace_norm(a_i @ a_j) > 1e-10:
-                raise ValueError(f"sending-side supports of members {i + 1},{j + 1} overlap")
-            if trace_norm(members[i].matrix @ members[j].matrix) > 1e-10:
-                raise ValueError(f"joint supports of members {i + 1},{j + 1} overlap")
+    m, d_b, n = fam.enlarged_dim, fam.base.dims[1], fam.n
+    diag = np.diagonal(partial_trace(members[0], [0]).matrix).real
+    if diag.sum() - diag[fam.blocks[0]].sum() > 1e-10:
+        raise ValueError("sending-side support of member 1 leaves block 1")
+    shifts, step = fam.shifts, fam.shifts[1 % n]
+    if len(shifts) != n or not np.array_equal(shifts[0], np.arange(m)) or any(
+        not np.array_equal(shifts[(s + 1) % n], step[shifts[s]]) for s in range(n)
+    ):
+        raise ValueError("block shifts are not the powers of one cyclic permutation")
+    if np.bincount(np.concatenate([p[fam.blocks[0]] for p in shifts]), minlength=m).max() > 1:
+        raise ValueError("shifted copies of block 1 overlap")
+    for s, rho in enumerate(members):
+        if np.max(np.abs(rho.matrix - _shifted(members[0].matrix, shifts[s], d_b))) > 1e-12:
+            raise ValueError(f"member {s + 1} is not the shifted base")
+    b_ref = partial_trace(members[0], [1]).matrix
+    for s, rho in enumerate(members):
+        if trace_norm(partial_trace(rho, [1]).matrix - b_ref) > 1e-9:
+            raise ValueError(f"receiving-side marginal of member {s + 1} deviates")
 
 
 def discriminating_instrument(fam: OrthogonalFamily) -> Instrument:
     """Instrument identifying the member block and rotating it back.
 
-    Outcome s has the single Kraus operator (embed)^dagger U_s^dagger P_s,
-    mapping the enlarged sending space to the base one; on member s it
-    reproduces the base state with certainty, on any other member it has
-    zero weight.  Both facts are verified numerically on construction.
+    Outcome s has the single Kraus operator K_s = (embed)^dagger U_s^dagger
+    P_s, mapping the enlarged sending space to the base one.  Construction
+    checks K_s = K_0 U_s^dagger for every s, and that outcome 0 recovers the
+    base from member 0 with certainty and has zero weight on every other
+    member.  As K_s U_t = K_0 U_{t-s}, outcome s acts on member t as
+    outcome 0 on member t - s, so these n checks cover all n^2 pairs.
     """
-    kraus = tuple(
-        fam.embed.conj().T @ fam.unitaries[s].conj().T @ fam.block_projectors[s]
-        for s in range(fam.n)
-    )
     d_a = fam.base.dims[0]
     m = fam.enlarged_dim
+    kraus = []
+    for p, block in zip(fam.shifts, fam.blocks):
+        rotated = np.zeros((m, d_a), dtype=complex)
+        rotated[p] = fam.embed  # U_s embed
+        k = np.zeros((d_a, m), dtype=complex)
+        k[:, block] = rotated[block].conj().T
+        kraus.append(k)
+    for s, (p, k) in enumerate(zip(fam.shifts, kraus)):
+        expected = np.zeros_like(k)
+        expected[:, p] = kraus[0]  # K_0 U_s^dagger
+        if np.max(np.abs(k - expected)) > 1e-12:
+            raise ValueError(f"outcome {s + 1} is not outcome 1 shifted by U_{s + 1}")
     inst = Instrument(tuple(CpMap((k,), (m,), (d_a,)) for k in kraus))
-    for s, rho in enumerate(fam.members.members):
-        for t, outcome in enumerate(inst.outcomes):
-            out, weight = apply_cp_map(outcome, rho, [0])
-            if s == t:
-                if abs(weight - 1.0) > 1e-9 or trace_norm(out.matrix - fam.base.matrix) > 1e-9:
-                    raise ValueError(f"outcome {t + 1} fails to recover the base state")
-            elif weight > 1e-10:
-                raise ValueError(f"outcome {t + 1} fires on member {s + 1}")
+    for t, rho in enumerate(fam.members.members):
+        out, weight = apply_cp_map(inst.outcomes[0], rho, [0])
+        if t == 0:
+            if abs(weight - 1.0) > 1e-9 or trace_norm(out.matrix - fam.base.matrix) > 1e-9:
+                raise ValueError("outcome 1 fails to recover the base state")
+        elif weight > 1e-10:
+            raise ValueError(f"outcome 1 fires on member {t + 1}")
     return inst
 
 
@@ -231,64 +257,49 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
 
     For every word of member indices the sending side projects onto the
     word's support blocks and rotates back to the base space (the
-    discriminating instrument, copy by copy), runs the subprotocol, and the
-    receiving side rotates its mirror factors into the word's blocks again.
-    The message count multiplies by (family size)^l; the fidelity on any
-    word state equals the subprotocol's fidelity on the base copies.
+    discriminating instrument, copy by copy), then runs the subprotocol.
+    The receiving side runs the subprotocol's receiving channel, shared and
+    not copied, followed on each mirror factor B'_i by the restore channel
+    of letter i (base space -> enlarged space): K_s^dagger on the base's
+    support, the complement sent to one fixed vector.  There is one restore
+    channel per member, shared by all words, so no receiving operator of
+    enlarged word size is ever formed.  The message count multiplies by
+    (family size)^l; the fidelity on any word state equals the
+    subprotocol's fidelity on the base copies.
     """
     if sub.blocklength != l:
         raise ValueError(f"subprotocol has blocklength {sub.blocklength}, expected {l}")
     d_a, d_b = fam.base.dims
     if sub.copy_dims != (d_a, d_b):
         raise ValueError("subprotocol must act on the base state's spaces")
+    if sub.mirrors:
+        raise ValueError("subprotocol must not carry mirror maps")
     check_word_cap(fam.n**l, "the family protocol")
     m = fam.enlarged_dim
-    # the receiving side outputs a word state per Kraus operator; refuse
-    # before building when word states could not be evaluated anyway
+    # refuse before building when word states could not be evaluated anyway
     check_dim_cap((m * d_b) ** l, "the family protocol's word states")
     disc = discriminating_instrument(fam)
     k0a = sub.phi_in.dims[0]
-    k1b = sub.phi_out.dims[1]
     eye_k0a = np.eye(k0a, dtype=complex)
 
-    # per-member restore maps on a mirror factor: base space -> enlarged block
-    complement = _orthonormal_complement(fam.embed.conj().T)  # in the base space
     first_enlarged = basis_ket(m, 0).reshape(-1, 1)
-    restore: list[list[np.ndarray]] = []
-    for s in range(fam.n):
-        ops = [fam.unitaries[s] @ fam.embed]
-        for col in complement.T:
-            ops.append(first_enlarged @ col.conj().reshape(1, -1))
-        restore.append(ops)
+    complement = tuple(
+        first_enlarged @ col.conj().reshape(1, -1)
+        for col in _orthonormal_complement(fam.embed.conj().T).T
+    )
+    restore = [CpMap((o.kraus[0].conj().T,) + complement, (d_a,), (m,)) for o in disc.outcomes]
 
-    outcomes = []
-    b_channels = []
+    outcomes, b_channels, mirrors = [], [], []
     for word in itertools.product(range(fam.n), repeat=l):
-        sort = reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word])
-        lifted_sort = np.kron(eye_k0a, sort)
-        choices = list(itertools.product(*[restore[s] for s in word]))
+        sort = np.kron(eye_k0a, reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word]))
+        maps = tuple(restore[s] for s in word)
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
-            kraus = tuple(kt @ lifted_sort for kt in t_k.kraus)
+            kraus = tuple(kt @ sort for kt in t_k.kraus)
             outcomes.append(CpMap(kraus, (k0a,) + (m,) * l, t_k.out_dims))
-            b_kraus = tuple(
-                _restore_mirrors(kb, ops, k1b, (d_a, d_b)) for ops in choices for kb in r_k.kraus
-            )
-            b_channels.append(
-                CpMap(b_kraus, r_k.in_dims, (k1b,) + (m, d_b) * l)
-            )
+            b_channels.append(r_k)
+            mirrors.append(maps)
     locc = OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))
-    return MergingProtocol(locc, sub.phi_in, sub.phi_out, l)
-
-
-def _restore_mirrors(kb: np.ndarray, ops, k1b: int, copy_dims: tuple[int, int]) -> np.ndarray:
-    """Apply ``ops[i]`` to mirror factor B'_i of a receiving Kraus operator
-    with output factors (K1_B, B'_1, B_1, ..., B'_l, B_l), one factor at a
-    time; the identity elsewhere is never formed."""
-    cols = kb.shape[1]
-    t = kb.reshape((k1b,) + tuple(copy_dims) * len(ops) + (cols,))
-    for i, op in enumerate(ops):
-        t = np.moveaxis(np.tensordot(op, t, axes=(1, 1 + 2 * i)), 0, 1 + 2 * i)
-    return t.reshape(-1, cols)
+    return MergingProtocol(locc, sub.phi_in, sub.phi_out, l, tuple(mirrors))
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .linalg import (
     tensor_product,
     tensor_pure,
     trace_distance,
+    trace_norm,
 )
 from .optim import (
     maximize_concave_over_simplex,
@@ -70,7 +71,10 @@ class StateSet:
         close = get_config().close_tol
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if trace_distance(members[i], members[j]) <= close:
+                diff = members[i].matrix - members[j].matrix
+                # the trace norm is at least the Frobenius norm: skip the SVD
+                # of pairs that are already too far apart by the latter
+                if np.linalg.norm(diff) <= close and trace_norm(diff) <= close:
                     warnings.warn(
                         f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
                         stacklevel=2,

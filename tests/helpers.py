@@ -133,10 +133,11 @@ def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:
     w, v = np.linalg.eigh(proj)
     first = np.zeros((m, 1))
     first[0, 0] = 1.0
-    restore = [
-        [fam.unitaries[s] @ fam.embed] + [first @ col.conj().reshape(1, -1) for col in v[:, w > 0.5].T]
-        for s in range(fam.n)
-    ]
+    restore = []
+    for p in fam.shifts:
+        u = np.zeros((m, m))
+        u[p, np.arange(m)] = 1.0  # U_s|i> = |p[i]>
+        restore.append([u @ fam.embed] + [first @ col.conj().reshape(1, -1) for col in v[:, w > 0.5].T])
     eye_k1b = np.eye(sub.phi_out.dims[1])
     out = []
     for word in itertools.product(range(fam.n), repeat=l):

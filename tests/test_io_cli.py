@@ -28,7 +28,11 @@ from avqsbench.io import (
 )
 from avqsbench.linalg import bell_pair, random_density, state, trace_distance
 from avqsbench.rates import StateSet
-from avqsbench.rate_gap import known_pure_state_merging
+from avqsbench.rate_gap import (
+    build_orthogonal_family,
+    family_merging_protocol,
+    known_pure_state_merging,
+)
 
 rng = np.random.default_rng(61)
 
@@ -93,6 +97,14 @@ class TestRoundTrips:
         inst = protocol.locc.a_instrument
         inst_back = instrument_from_dict(instrument_to_dict(inst))
         assert inst_back.n_outcomes == inst.n_outcomes
+
+    def test_protocol_with_mirror_maps_is_refused(self):
+        base = bell_pair().density()
+        fam = build_orthogonal_family(base, 2)
+        protocol = family_merging_protocol(fam, known_pure_state_merging(base, 1), 1)
+        assert protocol.mirrors
+        with pytest.raises(ValueError, match="mirror maps"):
+            protocol_to_dict(protocol)
 
     def test_cp_map(self):
         from avqsbench.channels import CpMap
@@ -395,6 +407,22 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_example_gap_leaves_numpy_ma_unloaded():
+    # numpy.ma (pulled in by np.unique) costs tens of milliseconds per process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, contextlib, io; from avqsbench.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['example-gap', '--N', '2', '--blocklength', '3'])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
 
 
 SCIPY_BLOCKED_DISTILL = """

@@ -1,8 +1,18 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from avqsbench.channels import apply_cp_map, merging_fidelity
-from avqsbench.config import DimensionCapError
+from avqsbench.channels import (
+    CpMap,
+    MergingProtocol,
+    OneWayLoccChannel,
+    apply_cp_map,
+    merging_fidelity,
+)
+from avqsbench.cli import main
+from avqsbench.config import DimensionCapError, local_config
 from avqsbench.entropy import conditional_entropy, von_neumann_entropy
 from avqsbench.linalg import (
     bell_pair,
@@ -18,9 +28,11 @@ from avqsbench.rates import (
     compound_classical_cost,
     compound_merging_cost,
     convex_mixture,
+    word_fidelities,
     worst_case_protocol_fidelity,
 )
 from avqsbench.rate_gap import (
+    _verify_family,
     build_orthogonal_family,
     discriminating_instrument,
     family_merging_protocol,
@@ -41,6 +53,14 @@ def _rank2_negative_base():
     return state(np.outer(vec, vec.conj()), (4, 2), ("A", "B"))
 
 
+def _complex_support_base():
+    """Pure state on (4, 2) whose sending marginal has a complex support,
+    spanned by (|0> + i|2>)/sqrt(2) and |1>, with S(A|B) < 0."""
+    u = np.array([1, 0, 1j, 0]) / np.sqrt(2)
+    vec = (np.kron(u, [1, 0]) + np.kron([0, 1, 0, 0], [0, 1])) / np.sqrt(2)
+    return state(np.outer(vec, vec.conj()), (4, 2), ("A", "B"))
+
+
 class TestBuildFamily:
     def test_bell_base_two_members(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
@@ -53,7 +73,7 @@ class TestBuildFamily:
     def test_single_member_family_is_the_base(self):
         fam = build_orthogonal_family(bell_pair().density(), 1)
         assert fam.n == 1
-        assert np.allclose(fam.unitaries[0], np.eye(2))
+        assert np.array_equal(fam.shifts[0], np.arange(2))
         assert trace_distance(fam.members.members[0], bell_pair().density()) < 1e-10
 
     def test_three_members_rank_two_marginal(self):
@@ -75,6 +95,62 @@ class TestBuildFamily:
         product = tensor_product(maximally_mixed(2, "A"), maximally_mixed(2, "B"))
         with pytest.raises(ValueError, match="negative conditional entropy"):
             build_orthogonal_family(product, 2)
+
+
+class TestFamilyPreflight:
+    def test_members_over_the_entry_cap_are_refused(self):
+        # Bell base: N members of dimension 4N hold 16 N^3 entries, over
+        # 4096^2 from N = 102 on
+        with pytest.raises(DimensionCapError, match="entries"):
+            build_orthogonal_family(bell_pair().density(), 102)
+        with local_config(dim_cap=64):
+            with pytest.raises(DimensionCapError, match="entries"):
+                build_orthogonal_family(bell_pair().density(), 7)
+            assert build_orthogonal_family(bell_pair().density(), 6).n == 6
+
+    def test_cli_exits_with_the_cap_code(self, capsys):
+        assert main(["example-gap", "--N", "1024", "--blocklength", "1"]) == 3
+        assert "entries" in capsys.readouterr().err
+
+
+class TestTamperedFamily:
+    """Families altered after construction must fail the structure checks."""
+
+    def test_overlapping_shift_is_rejected(self):
+        fam = build_orthogonal_family(bell_pair().density(), 2)
+        # an involution, so the shifts still form a group of order 2, that
+        # moves block {0, 1} onto {2, 1}
+        tampered = dataclasses.replace(fam, shifts=(fam.shifts[0], np.array([2, 1, 0, 3])))
+        with pytest.raises(ValueError, match="overlap"):
+            _verify_family(tampered)
+
+    def test_non_cyclic_shifts_are_rejected(self):
+        fam = build_orthogonal_family(bell_pair().density(), 3)
+        tampered = dataclasses.replace(fam, shifts=(fam.shifts[0], fam.shifts[1], fam.shifts[1]))
+        with pytest.raises(ValueError, match="cyclic"):
+            _verify_family(tampered)
+
+    def test_member_that_is_not_the_shifted_base_is_rejected(self):
+        fam = build_orthogonal_family(bell_pair().density(), 2)
+        phi_minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
+        other = build_orthogonal_family(state(np.outer(phi_minus, phi_minus), (2, 2), ("A", "B")), 2)
+        swapped = other.members.members[1]
+        # orthogonal supports and equal receiving marginals, as before
+        a0 = partial_trace(fam.members.members[0], [0]).matrix
+        assert trace_norm(a0 @ partial_trace(swapped, [0]).matrix) <= 1e-12
+        assert trace_distance(partial_trace(swapped, [1]), partial_trace(fam.members.members[1], [1])) <= 1e-12
+        tampered = dataclasses.replace(
+            fam, members=dataclasses.replace(fam.members, members=(fam.members.members[0], swapped))
+        )
+        with pytest.raises(ValueError, match="member 2 is not the shifted base"):
+            _verify_family(tampered)
+
+    def test_outcome_that_is_not_the_shifted_first_is_rejected(self):
+        fam = build_orthogonal_family(bell_pair().density(), 2)
+        tampered = dataclasses.replace(fam, blocks=(fam.blocks[0], fam.blocks[0]))
+        _verify_family(tampered)  # the family checks read only the first block
+        with pytest.raises(ValueError, match="outcome 2 is not outcome 1 shifted"):
+            discriminating_instrument(tampered)
 
 
 class TestDiscriminatingInstrument:
@@ -166,8 +242,6 @@ class TestFamilyProtocol:
         sub = known_pure_state_merging(bell_pair().density(), 2)
         protocol = family_merging_protocol(fam, sub, 2)
         reference = merging_fidelity(sub, tensor_power(bell_pair().density(), 2))
-        import itertools
-
         for word in itertools.product(range(2), repeat=2):
             rho = fam.members.word_state(word)
             assert merging_fidelity(protocol, rho) == pytest.approx(reference, abs=1e-9)
@@ -180,8 +254,9 @@ class TestFamilyProtocol:
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_word_dimension_cap_raises_before_building(self):
-        # N=8 l=3 word states have dimension (16 * 2)^3 = 32768; the
-        # receiving Kraus operators alone would take 16 GiB
+        # N=8 l=3 word states have dimension (16 * 2)^3 = 32768, over the
+        # default cap of 4096; the protocol is refused before any of its 512
+        # sending outcomes is built
         fam = build_orthogonal_family(bell_pair().density(), 8)
         sub = known_pure_state_merging(bell_pair().density(), 3)
         with pytest.raises(DimensionCapError, match="word states"):
@@ -195,12 +270,63 @@ class TestFamilyProtocol:
         sub = known_pure_state_merging(base, l)
         protocol = family_merging_protocol(fam, sub, l)
         dense = dense_family_receiving_kraus(fam, sub, l)
-        assert len(dense) == len(protocol.locc.b_channels)
-        for channel, expected in zip(protocol.locc.b_channels, dense):
-            assert len(channel.kraus) == len(expected)
-            for k, ref in zip(channel.kraus, expected):
+        assert len(dense) == len(protocol.locc.b_channels) == len(protocol.mirrors)
+        eye_k1b = np.eye(sub.phi_out.dims[1])
+        eye_b = np.eye(base.dims[1])
+        for channel, maps, expected in zip(protocol.locc.b_channels, protocol.mirrors, dense):
+            # the receiving channel followed by the mirror maps, expanded densely
+            expanded = []
+            for ops in itertools.product(*(x.kraus for x in maps)):
+                g = eye_k1b
+                for op in ops:
+                    g = np.kron(g, np.kron(op, eye_b))
+                expanded.extend(g @ kb for kb in channel.kraus)
+            assert len(expanded) == len(expected)
+            for k, ref in zip(expanded, expected):
                 assert k.shape == ref.shape
                 assert np.max(np.abs(k - ref)) <= 1e-12
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize(
+        "base",
+        [bell_pair().density(), _rank2_negative_base(), _complex_support_base()],
+        ids=["bell", "rank2", "complex"],
+    )
+    def test_fidelities_match_the_dense_protocol(self, base, n, l):
+        # the same protocol with the mirror maps multiplied into dense
+        # receiving operators and no mirror maps left
+        fam = build_orthogonal_family(base, n)
+        sub = known_pure_state_merging(base, l)
+        protocol = family_merging_protocol(fam, sub, l)
+        out_dims = protocol.locc.b_channels[0].out_dims[:1] + (fam.enlarged_dim, base.dims[1]) * l
+        dense = MergingProtocol(
+            OneWayLoccChannel(
+                protocol.locc.a_instrument,
+                tuple(
+                    CpMap(tuple(ks), channel.in_dims, out_dims)
+                    for channel, ks in zip(protocol.locc.b_channels, dense_family_receiving_kraus(fam, sub, l))
+                ),
+            ),
+            protocol.phi_in,
+            protocol.phi_out,
+            l,
+        )
+        words = list(itertools.product(range(n), repeat=l))
+        got = word_fidelities(protocol, fam.members, words)
+        expected = word_fidelities(dense, fam.members, words)
+        assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-12
+        assert min(got) >= 1 - 1e-9
+
+    def test_mirror_maps_must_be_channels(self):
+        fam = build_orthogonal_family(_rank2_negative_base(), 2)
+        protocol = family_merging_protocol(fam, known_pure_state_merging(_rank2_negative_base(), 1), 1)
+        leaky = CpMap(protocol.mirrors[0][0].kraus[:1], (4,), (fam.enlarged_dim,))
+        with pytest.raises(ValueError, match="mirror maps must be channels"):
+            dataclasses.replace(protocol, mirrors=((leaky,),) + protocol.mirrors[1:])
+        with pytest.raises(ValueError, match="one channel per copy"):
+            dataclasses.replace(protocol, mirrors=protocol.mirrors[1:])
 
 
 class TestOrthogonalSupportEntropyIdentity:

@@ -15,7 +15,7 @@ from avqsbench.channels import (
     merging_fidelity,
     trivial_resource,
 )
-from avqsbench.config import DimensionCapError, local_config
+from avqsbench.config import DimensionCapError, get_config, local_config
 from avqsbench.entropy import (
     coherent_information,
     conditional_entropy,
@@ -123,6 +123,19 @@ class TestStateSet:
         a = random_density([2], rng)
         with pytest.warns(UserWarning, match="coincide"):
             StateSet((a, a))
+
+    @pytest.mark.parametrize("scale, warns", [(0.5, True), (2.0, False)])
+    def test_coincidence_warning_follows_the_trace_distance(self, scale, warns):
+        # the difference has trace norm scale * close_tol and Frobenius norm
+        # a quarter of that, so at scale 2 the Frobenius screen passes the
+        # pair on to the trace norm, which decides
+        t = scale * get_config().close_tol
+        a = state(np.eye(16) / 16, (4, 4), ("A", "B"))
+        b = state(np.eye(16) / 16 + t / 16 * np.diag([1.0] * 8 + [-1.0] * 8), (4, 4), ("A", "B"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            StateSet((a, b))
+        assert any("coincide" in str(w.message) for w in caught) == warns
 
     def test_default_labels(self):
         xs = _random_set(3)
