@@ -48,106 +48,55 @@ EXIT_CAP = 3
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(Config)}
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="report format"
-    )
-    common.add_argument(
+def _add_common_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
+    p.add_argument("--format", choices=("json", "csv"), default=None, help="report format")
+    p.add_argument(
         "--csv",
         action="store_const",
         const="csv",
         dest="format",
         help="shorthand for --format csv",
     )
-    common.add_argument("--dim-cap", type=int, default=None, help="override the dimension cap")
-    common.add_argument(
+    p.add_argument("--dim-cap", type=int, default=None, help="override the dimension cap")
+    p.add_argument(
         "--tol",
         action="append",
         default=[],
         metavar="NAME=VALUE",
         help="override a tolerance, e.g. --tol close_tol=1e-7 (repeatable)",
     )
-    return common
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand, or with ``command``'s
+    alone; the top-level usage lists every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="avqsbench",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", parents=[common], help="merging/classical costs of a state set")
-    p.add_argument("--set", required=True, dest="set_path", help="state-set JSON file")
-    p.add_argument("--hull", action="store_true", help="maximize over the convex hull")
-
-    p = sub.add_parser(
-        "distill-capacity", parents=[common], help="distillation rate of a (hull of a) state set"
-    )
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--k", type=int, default=1, choices=(1, 2))
-    p.add_argument("--outcomes", type=int, default=2, help="instrument outcomes to search over")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=None, help="ascent iterations per restart")
-
-    p = sub.add_parser(
-        "worst-case", parents=[common], help="minimum merging fidelity over source words"
-    )
-    p.add_argument("--protocol", required=True, dest="protocol_path", help="protocol JSON file")
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--blocklength", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None, help="sample this many words instead")
-
-    p = sub.add_parser(
-        "merge-fidelity", parents=[common], help="merging fidelity of a protocol on one state"
-    )
-    p.add_argument("--protocol", required=True, dest="protocol_path")
-    p.add_argument("--state", required=True, dest="state_path", help="source state JSON file")
-
-    p = sub.add_parser(
-        "schur-demo", parents=[common], help="entropy-bin probabilities of a tensor power"
-    )
-    p.add_argument("--dim", type=int, required=True, help="local dimension of the sending side")
-    p.add_argument("--blocklength", type=int, required=True)
-    p.add_argument("--eta", type=float, required=True, help="entropy bin width in bits")
-    p.add_argument("--state", required=True, dest="state_path")
-
-    p = sub.add_parser(
-        "robustify-check",
-        parents=[common],
-        help="verify the permutation-average bound on a word-fidelity function",
-    )
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--blocklength", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="check the set-derived fidelity function over every word (default)",
-    )
-    mode.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="additionally stress seeded random word functions, this many tables",
-    )
-
-    p = sub.add_parser(
-        "example-gap", parents=[common], help="hull costs vs protocol rates of a block family"
-    )
-    p.add_argument("--N", type=int, required=True, dest="n", help="family size")
-    p.add_argument(
-        "--base",
-        default="builtin:bell",
-        help="base state: 'builtin:bell' or a state JSON file",
-    )
-    p.add_argument("--blocklength", type=int, default=1)
-
+    # argparse's usage lists the subparsers built unless given a metavar, and
+    # its error messages name the action by its metavar, so the full parser has none
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_common_arguments(p)
+        add_arguments(p)
     return parser
 
 
@@ -165,6 +114,8 @@ def _apply_overrides(args) -> None:
             overrides[name] = float(value)
         except ValueError:
             raise ParseError(f"--tol {name}: {value!r} is not a number") from None
+        if not 0.0 <= overrides[name] < float("inf"):
+            raise ParseError(f"--tol {name}: {value!r} is not finite and >= 0")
     if overrides:
         update_config(**overrides)
 
@@ -199,21 +150,33 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, exit_code, default_format)
+# subcommand handlers: each returns (payload, exit_code, default_format);
+# main adds the command name and the seed to the payload
+
+def _rates_args(p):
+    p.add_argument("--set", required=True, dest="set_path", help="state-set JSON file")
+    p.add_argument("--hull", action="store_true", help="maximize over the convex hull")
+
 
 def _cmd_rates(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
     merging = compound_merging_cost(xs, hull=args.hull)
     classical = compound_classical_cost(xs, hull=args.hull)
     payload = {
-        "command": "rates",
-        "seed": args.seed,
         "set": args.set_path,
         "hull": bool(args.hull),
         "merging_cost": merging.to_dict(),
         "classical_cost": classical.to_dict(),
     }
     return payload, EXIT_OK, "json"
+
+
+def _distill_args(p):
+    p.add_argument("--set", required=True, dest="set_path")
+    p.add_argument("--k", type=int, default=1, choices=(1, 2))
+    p.add_argument("--outcomes", type=int, default=2, help="instrument outcomes to search over")
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--maxiter", type=int, default=None, help="ascent iterations per restart")
 
 
 def _cmd_distill(args):
@@ -227,13 +190,18 @@ def _cmd_distill(args):
         maxiter=args.maxiter,
     )
     payload = {
-        "command": "distill-capacity",
-        "seed": args.seed,
         "set": args.set_path,
         "report": result.report.to_dict(),
         "instrument": instrument_to_dict(result.instrument),
     }
     return payload, EXIT_OK, "json"
+
+
+def _worst_case_args(p):
+    p.add_argument("--protocol", required=True, dest="protocol_path", help="protocol JSON file")
+    p.add_argument("--set", required=True, dest="set_path")
+    p.add_argument("--blocklength", type=int, required=True)
+    p.add_argument("--sample", type=int, default=None, help="sample this many words instead")
 
 
 def _cmd_worst_case(args):
@@ -243,8 +211,6 @@ def _cmd_worst_case(args):
         protocol, xs, args.blocklength, sample=args.sample, seed=args.seed
     )
     payload = {
-        "command": "worst-case",
-        "seed": args.seed,
         "set": args.set_path,
         "protocol": args.protocol_path,
         "blocklength": args.blocklength,
@@ -255,17 +221,27 @@ def _cmd_worst_case(args):
     return payload, EXIT_OK, "json"
 
 
+def _merge_fidelity_args(p):
+    p.add_argument("--protocol", required=True, dest="protocol_path")
+    p.add_argument("--state", required=True, dest="state_path", help="source state JSON file")
+
+
 def _cmd_merge_fidelity(args):
     protocol = protocol_from_dict(load_json(args.protocol_path), args.protocol_path)
     source = state_from_dict(load_json(args.state_path), args.state_path)
     payload = {
-        "command": "merge-fidelity",
-        "seed": args.seed,
         "protocol": args.protocol_path,
         "state": args.state_path,
         "fidelity": merging_fidelity(protocol, source),
     }
     return payload, EXIT_OK, "json"
+
+
+def _schur_demo_args(p):
+    p.add_argument("--dim", type=int, required=True, help="local dimension of the sending side")
+    p.add_argument("--blocklength", type=int, required=True)
+    p.add_argument("--eta", type=float, required=True, help="entropy bin width in bits")
+    p.add_argument("--state", required=True, dest="state_path")
 
 
 def _cmd_schur_demo(args):
@@ -278,8 +254,6 @@ def _cmd_schur_demo(args):
     instrument = build_entropy_instrument(args.blocklength, args.dim, args.eta)
     rows = instrument.probabilities(marginal)
     payload = {
-        "command": "schur-demo",
-        "seed": args.seed,
         "dim": args.dim,
         "blocklength": args.blocklength,
         "eta": args.eta,
@@ -309,14 +283,29 @@ def _word_fidelity_function(xs: StateSet):
     return f
 
 
+def _robustify_args(p):
+    p.add_argument("--set", required=True, dest="set_path")
+    p.add_argument("--blocklength", type=int, required=True)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="check the set-derived fidelity function over every word (default)",
+    )
+    mode.add_argument(
+        "--trials",
+        type=_count,
+        default=None,
+        help="additionally stress seeded random word functions, this many tables",
+    )
+
+
 def _cmd_robustify(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
     l = args.blocklength
     check_word_cap(xs.n**l, "robustify-check")
     report = check_robustification(_word_fidelity_function(xs), xs.n, l)
     payload = {
-        "command": "robustify-check",
-        "seed": args.seed,
         "set": args.set_path,
         "blocklength": l,
         "report": report.to_dict(),
@@ -338,6 +327,14 @@ def _cmd_robustify(args):
     return payload, EXIT_OK if passed else EXIT_VERIFICATION, "json"
 
 
+def _example_gap_args(p):
+    p.add_argument("--N", type=int, required=True, dest="n", help="family size")
+    p.add_argument(
+        "--base", default="builtin:bell", help="base state: 'builtin:bell' or a state JSON file"
+    )
+    p.add_argument("--blocklength", type=int, default=1)
+
+
 def _cmd_example_gap(args):
     if args.base == "builtin:bell":
         base = bell_pair().density()
@@ -346,27 +343,39 @@ def _cmd_example_gap(args):
     family = build_orthogonal_family(base, args.n)
     report = rate_gap_report(family, l=args.blocklength)
     payload = {
-        "command": "example-gap",
-        "seed": args.seed,
         "base": args.base,
         "report": report.to_dict(),
     }
     return payload, EXIT_OK if report.passed else EXIT_VERIFICATION, "json"
 
 
-_HANDLERS = {
-    "rates": _cmd_rates,
-    "distill-capacity": _cmd_distill,
-    "worst-case": _cmd_worst_case,
-    "merge-fidelity": _cmd_merge_fidelity,
-    "schur-demo": _cmd_schur_demo,
-    "robustify-check": _cmd_robustify,
-    "example-gap": _cmd_example_gap,
+# name -> (help, function adding the command's arguments, handler)
+_COMMANDS = {
+    "rates": ("merging/classical costs of a state set", _rates_args, _cmd_rates),
+    "distill-capacity": (
+        "distillation rate of a (hull of a) state set", _distill_args, _cmd_distill
+    ),
+    "worst-case": ("minimum merging fidelity over source words", _worst_case_args, _cmd_worst_case),
+    "merge-fidelity": (
+        "merging fidelity of a protocol on one state", _merge_fidelity_args, _cmd_merge_fidelity
+    ),
+    "schur-demo": (
+        "entropy-bin probabilities of a tensor power", _schur_demo_args, _cmd_schur_demo
+    ),
+    "robustify-check": (
+        "verify the permutation-average bound on a word-fidelity function",
+        _robustify_args,
+        _cmd_robustify,
+    ),
+    "example-gap": (
+        "hull costs vs protocol rates of a block family", _example_gap_args, _cmd_example_gap
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -374,16 +383,13 @@ def main(argv=None) -> int:
     previous = get_config()
     try:
         _apply_overrides(args)
-        payload, code, default_fmt = _HANDLERS[args.command](args)
-        _emit(payload, args.format or default_fmt)
+        payload, code, default_fmt = _COMMANDS[args.command][2](args)
+        _emit({"command": args.command, "seed": args.seed, **payload}, args.format or default_fmt)
         return code
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except DimensionCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_CAP
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     finally:

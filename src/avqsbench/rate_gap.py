@@ -210,6 +210,8 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     no exact protocol of this shape (local operations cannot flatten Schmidt
     coefficients); supply a dedicated subprotocol for those.
     """
+    if l < 1:
+        raise ValueError(f"blocklength must be >= 1, got {l}")
     if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
         raise ValueError("base state must have exactly two factors with parties (A, B)")
     w, v = eigensystem(rho1.matrix)
@@ -371,6 +373,8 @@ def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
     identity).  The protocol rates come from the wrapped base-state
     protocol at the given blocklength; both gaps are expected to be log2 n.
     """
+    if l < 1:
+        raise ValueError(f"blocklength must be >= 1, got {l}")
     members = fam.members
     base_cond = conditional_entropy(fam.base).value
     base_env = mutual_info_env(fam.base).value

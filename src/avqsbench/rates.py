@@ -397,6 +397,8 @@ def distillation_rate_lower_bound(
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
+    if restarts < 1 or (maxiter is not None and maxiter < 1):
+        raise ValueError(f"restarts and maxiter must be >= 1, got {restarts} and {maxiter}")
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
@@ -414,7 +416,7 @@ def distillation_rate_lower_bound(
         return float(values[active]), grads[active].reshape(v.shape)
 
     best_v, best_guide, runs = None, -np.inf, []
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         v, value, meta = maximize_over_isometries(guide, start, maxiter or 500)
         runs.append(meta)
@@ -478,14 +480,14 @@ def worst_case_protocol_fidelity(
     explicitly.
     """
     if sample is not None:
+        if sample < 1:
+            raise ValueError(f"sample must be >= 1 word, got {sample}")
         rng = np.random.default_rng(seed)
         words = [tuple(int(s) for s in rng.integers(0, xs.n, size=l)) for _ in range(sample)]
     else:
         check_word_cap(xs.n**l, "worst-case; pass sample=<count> for a seeded sampled search")
         words = list(itertools.product(range(xs.n), repeat=l))
     values = word_fidelities(protocol, xs, words, target)
-    if not values:
-        return float(np.inf), None
     best = int(np.argmin(values))
     return float(values[best]), words[best]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import avqsbench
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, trivial_resource
-from avqsbench.cli import main
+from avqsbench.cli import build_parser, main
 from avqsbench.io import (
     ParseError,
     cp_map_from_dict,
@@ -279,6 +280,7 @@ class TestCliExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+        assert "argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_cap_violation_exit_code(self, bell_set_file, capsys):
         code = main(["rates", "--set", bell_set_file, "--dim-cap", "2"])
@@ -320,6 +322,93 @@ class TestCliExitCodes:
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
         assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example-gap", "--N", "2", "--blocklength", "0"],
+            ["example-gap", "--N", "2", "--blocklength", "-1"],
+            ["worst-case", "--protocol", "{protocol}", "--set", "{set}", "--blocklength", "1",
+             "--sample", "0"],
+            ["rates", "--set", "{herm}", "--tol", "herm_tol=nan"],
+            ["rates", "--set", "{set}", "--tol", "close_tol=inf"],
+            ["rates", "--set", "{set}", "--tol", "close_tol=-1e-9"],
+            ["distill-capacity", "--set", "{set}", "--restarts", "0"],
+            ["distill-capacity", "--set", "{set}", "--maxiter", "0"],
+            ["robustify-check", "--set", "{set}", "--blocklength", "2", "--trials", "-1"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_out_of_range_values_are_usage_errors(
+        self, argv, tmp_path, two_state_file, bell_protocol_file, capsys
+    ):
+        # a Hermiticity defect of 0.3 that only a NaN tolerance would let through
+        defect = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+        defect[0, 1] = 0.3
+        herm = tmp_path / "defect.json"
+        herm.write_text(json.dumps({
+            "dims": [2, 2],
+            "parties": ["A", "B"],
+            "members": {"x": [[z.real, z.imag] for z in defect.reshape(-1)]},
+        }))
+        files = {"set": two_state_file, "protocol": bell_protocol_file, "herm": str(herm)}
+        assert main([a.format(**files) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+# one argv per subcommand, touching each of its options
+REPRESENTATIVE_ARGV = {
+    "rates": ["--set", "s.json", "--hull", "--csv", "--tol", "close_tol=1e-7",
+              "--tol", "psd_tol=0"],
+    "distill-capacity": ["--set", "s.json", "--k", "2", "--outcomes", "3", "--restarts", "2",
+                         "--maxiter", "9", "--seed", "4"],
+    "worst-case": ["--protocol", "p.json", "--set", "s.json", "--blocklength", "2",
+                   "--sample", "5", "--format", "json"],
+    "merge-fidelity": ["--protocol", "p.json", "--state", "r.json", "--dim-cap", "64"],
+    "schur-demo": ["--dim", "2", "--blocklength", "6", "--eta", "0.25", "--state", "r.json"],
+    "robustify-check": ["--set", "s.json", "--blocklength", "3", "--trials", "2"],
+    "example-gap": ["--N", "3", "--base", "r.json", "--blocklength", "2", "--format", "csv"],
+}
+
+
+class TestCliParser:
+    def test_a_subcommand_run_builds_only_its_own_parser(
+        self, monkeypatch, bell_state_file, capsys
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", "0.25",
+                "--state", bell_state_file]
+        assert main(argv) == 0
+        assert len(built) <= 2, built
+
+    @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
+    def test_one_command_parser_agrees_with_the_full_one(self, command, capsys):
+        argv = [command, *REPRESENTATIVE_ARGV[command]]
+        alone, full = build_parser(command), build_parser()
+        assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
+        assert alone.format_usage() == full.format_usage()
+        helps = []
+        for parser in (alone, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert f"usage: avqsbench {command} [-h]" in helps[0]
+
+    def test_top_level_help_and_version(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in REPRESENTATIVE_ARGV:
+            assert f"\n    {command} " in out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == avqsbench.__version__
 
 
 class TestCliDeterminism:
@@ -423,6 +512,29 @@ def test_example_gap_leaves_numpy_ma_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 False"
+
+
+def test_unseeded_commands_leave_numpy_random_unloaded(two_state_file, bell_state_file):
+    # numpy.random loads lazily in numpy 2 and costs about 17 ms per process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    argvs = [
+        ["schur-demo", "--dim", "2", "--blocklength", "6", "--eta", "0.25",
+         "--state", bell_state_file],
+        ["robustify-check", "--set", two_state_file, "--blocklength", "3"],
+        ["example-gap", "--N", "3", "--blocklength", "2"],
+    ]
+    probe = (
+        "import sys, json, contextlib, io; from avqsbench.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[0, 0, 0] False"
 
 
 SCIPY_BLOCKED_DISTILL = """
