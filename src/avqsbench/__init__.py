@@ -19,7 +19,6 @@ from .linalg import (
     random_pure,
     random_unitary,
     schmidt_decomposition,
-    schmidt_rank,
     state,
     tensor_power,
     tensor_product,

@@ -550,22 +550,28 @@ def permutation_channel(sigma: Sequence[int], cell_dim: int) -> CpMap:
 
 
 def compose_instrument_with_protocols(
-    e: Instrument, subprotocols: Sequence[MergingProtocol]
+    e: Instrument, subprotocols: Sequence[MergingProtocol], mirrors: Sequence[Sequence[CpMap]] = ()
 ) -> MergingProtocol:
     """Precede per-outcome merging protocols by a sorting instrument on the
     source copies of the sending side.
 
     The instrument's outcome i routes the input to subprotocol i; messages
     add up, so the composed protocol sends sum_i D_i distinct messages.  All
-    subprotocols must share resources, blocklength and copy dimensions.
+    subprotocols must share resources, blocklength and copy dimensions; each
+    distinct one is compared once.  The instrument maps its l input factors,
+    which become the composed protocol's sending copies, onto the
+    subprotocols' sending copies.  ``mirrors[i]``, if given, holds the
+    per-copy mirror maps that follow every message of subprotocol i.
     """
     subs = list(subprotocols)
     if len(subs) != e.n_outcomes:
         raise ValueError(f"need one subprotocol per outcome ({e.n_outcomes}), got {len(subs)}")
+    if mirrors and len(mirrors) != e.n_outcomes:
+        raise ValueError(f"need mirror maps for every outcome ({e.n_outcomes}), got {len(mirrors)}")
     first = subs[0]
-    if any(sub.mirrors for sub in subs):
-        raise ValueError("subprotocols with mirror maps cannot be composed")
-    for sub in subs[1:]:
+    for sub in dict.fromkeys(subs):  # a subprotocol shared between outcomes is compared once
+        if sub.mirrors:
+            raise ValueError("subprotocols with mirror maps cannot be composed")
         if sub.blocklength != first.blocklength or sub.copy_dims != first.copy_dims:
             raise ValueError("subprotocols must share blocklength and copy dimensions")
         if not np.allclose(sub.phi_in.vector, first.phi_in.vector) or not np.allclose(
@@ -574,17 +580,18 @@ def compose_instrument_with_protocols(
             raise ValueError("subprotocols must share resource states")
     l = first.blocklength
     d_a = first.copy_dims[0]
-    if e.dim_in != d_a**l or prod(e.out_dims) != d_a**l:
-        raise ValueError(f"instrument must act on the {d_a}^{l}-dimensional sending copies")
+    if len(e.in_dims) != l or prod(e.out_dims) != d_a**l:
+        raise ValueError(f"instrument must map {l} sending copies onto {d_a}^{l} dimensions")
     k0a = first.phi_in.dims[0]
     eye = np.eye(k0a, dtype=complex)
-    outcomes = []
-    b_channels = []
-    for p_i, sub in zip(e.outcomes, subs):
+    outcomes, b_channels, routed = [], [], []
+    for i, (p_i, sub) in enumerate(zip(e.outcomes, subs)):
         lifted = [np.kron(eye, kp) for kp in p_i.kraus]
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
             kraus = tuple(kt @ kp for kt in t_k.kraus for kp in lifted)
-            outcomes.append(CpMap(kraus, t_k.in_dims, t_k.out_dims, t_k.out_parties))
+            outcomes.append(CpMap(kraus, (k0a,) + e.in_dims, t_k.out_dims, t_k.out_parties))
             b_channels.append(r_k)
+            if mirrors:
+                routed.append(mirrors[i])
     locc = OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))
-    return MergingProtocol(locc, first.phi_in, first.phi_out, l)
+    return MergingProtocol(locc, first.phi_in, first.phi_out, l, tuple(routed))

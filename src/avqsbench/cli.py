@@ -176,7 +176,7 @@ def _distill_args(p):
     p.add_argument("--k", type=int, default=1, choices=(1, 2))
     p.add_argument("--outcomes", type=int, default=2, help="instrument outcomes to search over")
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=None, help="ascent iterations per restart")
+    p.add_argument("--maxiter", type=int, default=500, help="ascent iterations per restart")
 
 
 def _cmd_distill(args):

@@ -11,6 +11,9 @@ class DimensionCapError(Exception):
 
 
 WORD_CAP = 4096  # largest number of source words enumerated one by one
+# matrix-form isotypic projectors sum over all l! permutations; beyond this
+# blocklength the trace-form evaluation is the only supported path
+MATRIX_FORM_MAX_BLOCKLENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -72,3 +75,11 @@ def check_dim_cap(dim: int, context: str = "") -> None:
 def check_word_cap(n_words: int, context: str) -> None:
     if n_words > WORD_CAP:
         raise DimensionCapError(f"{n_words} words exceed the enumeration cap of {WORD_CAP} in {context}")
+
+
+def check_matrix_form_blocklength(l: int) -> None:
+    if l > MATRIX_FORM_MAX_BLOCKLENGTH:
+        raise DimensionCapError(
+            f"matrix-form projector limited to blocklength {MATRIX_FORM_MAX_BLOCKLENGTH}; "
+            "use frame_probability for traces at larger blocklength"
+        )

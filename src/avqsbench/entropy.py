@@ -31,9 +31,6 @@ class RateValue:
         if not isfinite(self.value):
             raise ValueError(f"rate value must be finite, got {self.value}")
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def spectrum_entropy(weights) -> float:
     """Shannon entropy (base 2) of a nonnegative weight vector.

@@ -1,8 +1,9 @@
 """JSON file formats for states, state sets, instruments and protocols.
 
 Complex entries are stored as [re, im] pairs; matrices are flat row-major
-lists.  Parsing is strict: wrong lengths, non-square matrices, or dims that
-do not multiply up are rejected with the offending field named.
+lists.  Parsing is strict: wrong lengths, non-finite numbers, non-square
+matrices, or dims that do not multiply up are rejected with the offending
+field named.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ def _complex_list(raw: Any, field: str) -> np.ndarray:
             out[i] = complex(float(pair[0]), float(pair[1]))
         except (TypeError, ValueError):
             raise ParseError(f"{field}[{i}]: entries must be numbers") from None
+    if not np.isfinite(out).all():
+        # JSON readers accept NaN and Infinity, which pass every tolerance check
+        i = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise ParseError(f"{field}[{i}]: entries must be finite")
     return out
 
 

@@ -399,10 +399,6 @@ def schmidt_decomposition(p: PureState, left_factors: Iterable[int]) -> SchmidtD
     )
 
 
-def schmidt_rank(p: PureState, left_factors: Iterable[int]) -> int:
-    return schmidt_decomposition(p, left_factors).rank
-
-
 # ---------------------------------------------------------------------------
 # random instances (seeded; used by tests and optimizer restarts)
 

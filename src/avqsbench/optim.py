@@ -27,20 +27,20 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 def maximize_concave_over_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
-    tol: float = 1e-9,
-    maxiter: int = 1000,
 ) -> tuple[np.ndarray, float, dict]:
     """Pairwise Frank-Wolfe ascent of a concave f over the n-simplex.
 
     ``value_and_grad(p)`` returns f(p) and its gradient up to a constant vector.
     From the uniform point, each step moves weight from the away vertex (smallest
     partial derivative on the support) to the Frank-Wolfe vertex (largest) by an
-    exact line search, until the duality gap max_s g_s - <g, p> is at most ``tol``:
+    exact line search, until the duality gap max_s g_s - <g, p> is at most 1e-9:
     by concavity the maximum lies in [value, value + gap].  ``meta`` holds
-    ``iterations``, ``duality_gap`` and ``stop_reason`` ("gap" or "maxiter").
+    ``iterations``, ``duality_gap`` and ``stop_reason`` ("gap", or "maxiter"
+    after 1000 steps).
     """
     if n < 1:
         raise ValueError("simplex dimension must be >= 1")
+    tol, maxiter = 1e-9, 1000
     p = np.full(n, 1.0 / n)
     value, grad = value_and_grad(p)
     for iterations in range(maxiter + 1):
@@ -93,8 +93,6 @@ def _line_search(value_and_grad, p, direction, end):
 def minimize_over_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
-    iters: int = 500,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, float, dict]:
     """Projected subgradient descent of a convex, possibly nonsmooth f over the n-simplex.
 
@@ -102,7 +100,7 @@ def minimize_over_simplex(
     step t moves a length max(|f(uniform)|, 0.1)/sqrt(t+1) against the normalized
     subgradient and projects back.  The best iterate seen is returned, so the value
     is an upper estimate of the minimum; it stops after 50 steps in a row that
-    improve the best value by at most ``tol``, or after ``iters`` steps.
+    improve the best value by at most 1e-6, or after 2000 steps.
     """
     p = np.full(n, 1.0 / n)
     value, g = value_and_grad(p)
@@ -112,14 +110,14 @@ def minimize_over_simplex(
     step0 = max(abs(value), 0.1)
     stall = 0
     used = 0
-    for t in range(iters):
+    for t in range(2000):
         used = t + 1
         norm = np.linalg.norm(g)
         if norm < 1e-14:
             break
         p = project_to_simplex(p - (step0 / np.sqrt(t + 1.0)) * g / norm)
         v, g = value_and_grad(p)
-        if v < best_v - tol:
+        if v < best_v - 1e-6:
             best_v, best_p = v, p
             stall = 0
         else:

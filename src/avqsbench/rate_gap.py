@@ -24,6 +24,7 @@ from .channels import (
     MergingProtocol,
     OneWayLoccChannel,
     apply_cp_map,
+    compose_instrument_with_protocols,
     trivial_resource,
 )
 from .config import DimensionCapError, check_dim_cap, check_word_cap, get_config
@@ -254,35 +255,31 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     return MergingProtocol(locc, trivial_resource(), maximally_entangled(r**l), l)
 
 
-def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int) -> MergingProtocol:
-    """Wrap a base-state protocol into one for the whole family.
+def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> MergingProtocol:
+    """Wrap a base-state protocol into one for the whole family, at the
+    subprotocol's blocklength l.
 
-    For every word of member indices the sending side projects onto the
-    word's support blocks and rotates back to the base space (the
-    discriminating instrument, copy by copy), then runs the subprotocol.
-    The receiving side runs the subprotocol's receiving channel, shared and
-    not copied, followed on each mirror factor B'_i by the restore channel
-    of letter i (base space -> enlarged space): K_s^dagger on the base's
-    support, the complement sent to one fixed vector.  There is one restore
-    channel per member, shared by all words, so no receiving operator of
-    enlarged word size is ever formed.  The message count multiplies by
-    (family size)^l; the fidelity on any word state equals the
-    subprotocol's fidelity on the base copies.
+    The sorting instrument has one outcome per word of member indices: the
+    discriminating instrument copy by copy, which projects onto the word's
+    support blocks and rotates back to the base space.  Each outcome routes
+    to the subprotocol (:func:`channels.compose_instrument_with_protocols`),
+    whose receiving channel is shared and not copied, followed on each
+    mirror factor B'_i by the restore channel of letter i (base space ->
+    enlarged space): K_s^dagger on the base's support, the complement sent
+    to one fixed vector.  There is one restore channel per member, shared by
+    all words, so no receiving operator of enlarged word size is ever
+    formed.  The message count multiplies by (family size)^l; the fidelity
+    on any word state equals the subprotocol's fidelity on the base copies.
     """
-    if sub.blocklength != l:
-        raise ValueError(f"subprotocol has blocklength {sub.blocklength}, expected {l}")
+    l = sub.blocklength
     d_a, d_b = fam.base.dims
     if sub.copy_dims != (d_a, d_b):
         raise ValueError("subprotocol must act on the base state's spaces")
-    if sub.mirrors:
-        raise ValueError("subprotocol must not carry mirror maps")
     check_word_cap(fam.n**l, "the family protocol")
     m = fam.enlarged_dim
     # refuse before building when word states could not be evaluated anyway
     check_dim_cap((m * d_b) ** l, "the family protocol's word states")
     disc = discriminating_instrument(fam)
-    k0a = sub.phi_in.dims[0]
-    eye_k0a = np.eye(k0a, dtype=complex)
 
     first_enlarged = basis_ket(m, 0).reshape(-1, 1)
     complement = tuple(
@@ -291,17 +288,11 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol, l: int)
     )
     restore = [CpMap((o.kraus[0].conj().T,) + complement, (d_a,), (m,)) for o in disc.outcomes]
 
-    outcomes, b_channels, mirrors = [], [], []
-    for word in itertools.product(range(fam.n), repeat=l):
-        sort = np.kron(eye_k0a, reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word]))
-        maps = tuple(restore[s] for s in word)
-        for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
-            kraus = tuple(kt @ sort for kt in t_k.kraus)
-            outcomes.append(CpMap(kraus, (k0a,) + (m,) * l, t_k.out_dims))
-            b_channels.append(r_k)
-            mirrors.append(maps)
-    locc = OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))
-    return MergingProtocol(locc, sub.phi_in, sub.phi_out, l, tuple(mirrors))
+    words = list(itertools.product(range(fam.n), repeat=l))
+    sort = [reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
+    sorting = Instrument(tuple(CpMap((k,), (m,) * l, (d_a,) * l) for k in sort))
+    mirrors = [tuple(restore[s] for s in word) for word in words]
+    return compose_instrument_with_protocols(sorting, [sub] * len(words), mirrors)
 
 
 @dataclass
@@ -386,7 +377,7 @@ def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
     classical_closed = base_env + 2 * log_n
 
     sub = known_pure_state_merging(fam.base, l)
-    protocol = family_merging_protocol(fam, sub, l)
+    protocol = family_merging_protocol(fam, sub)
     worst_f, worst_word = worst_case_protocol_fidelity(protocol, members, l)
 
     ent_rate = protocol.entanglement_rate

@@ -17,8 +17,6 @@ from .channels import (
     CpMap,
     Instrument,
     MergingProtocol,
-    OneWayLoccChannel,
-    apply_one_way_locc,
     identity_instrument,
     purified_merging_fidelity,
 )
@@ -34,7 +32,6 @@ from .linalg import (
     PureState,
     State,
     check_purification,
-    fidelity,
     permute_pure,
     purify,
     tensor_product,
@@ -162,7 +159,7 @@ def _distance_to_hull(sigma: State, xs: StateSet) -> float:
         sign = (v * np.sign(w)) @ v.conj().T
         return float(np.abs(w).sum()), -np.einsum("ij,sji->s", sign, mats).real
 
-    return minimize_over_simplex(value_and_grad, xs.n, iters=2000)[1]
+    return minimize_over_simplex(value_and_grad, xs.n)[1]
 
 
 def hausdorff_distance(xs: StateSet, ys: StateSet, mode: str = "pointset") -> float:
@@ -372,7 +369,7 @@ def distillation_rate_lower_bound(
     n_outcomes: int = 2,
     restarts: int = 8,
     seed: int = 0,
-    maxiter: int | None = None,
+    maxiter: int = 500,
 ) -> DistillationResult:
     """Instrument-search lower bound on the k-letter distillation rate of the
     convex hull, certified at k=1.
@@ -382,9 +379,9 @@ def distillation_rate_lower_bound(
     convex hull of the set evaluated inside.  Each restart runs
     :func:`optim.maximize_over_isometries` on the isometry V that stacks the
     outcome operators, from a seeded Haar-random V (not the identity, whose
-    zero outcome is a stationary point), for at most ``maxiter`` steps
-    (default 500), along the gradient of the smallest vertex rate.  Each
-    point scores all vertices in one :func:`entropy.instrument_rates` call.
+    zero outcome is a stationary point), for at most ``maxiter`` steps, along
+    the gradient of the smallest vertex rate.  Each point scores all
+    vertices in one :func:`entropy.instrument_rates` call.
     The reported value is the inner infimum over the hull (``inner_infimum``
     of :func:`_hull_rate`) of the best instrument found.  The single-outcome
     identity instrument is always a candidate, so the result never falls
@@ -397,7 +394,7 @@ def distillation_rate_lower_bound(
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
-    if restarts < 1 or (maxiter is not None and maxiter < 1):
+    if restarts < 1 or maxiter < 1:
         raise ValueError(f"restarts and maxiter must be >= 1, got {restarts} and {maxiter}")
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
@@ -418,7 +415,7 @@ def distillation_rate_lower_bound(
     best_v, best_guide, runs = None, -np.inf, []
     for _ in range(restarts):
         start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        v, value, meta = maximize_over_isometries(guide, start, maxiter or 500)
+        v, value, meta = maximize_over_isometries(guide, start, maxiter)
         runs.append(meta)
         if value > best_guide:
             best_v, best_guide = v, value
@@ -466,10 +463,9 @@ def avqs_distillation_capacity(xs: StateSet, **kwargs) -> DistillationResult:
 # worst-case protocol performance over words
 
 def worst_case_protocol_fidelity(
-    protocol: MergingProtocol | OneWayLoccChannel,
+    protocol: MergingProtocol,
     xs: StateSet,
     l: int,
-    target: PureState | None = None,
     sample: int | None = None,
     seed: int = 0,
 ) -> tuple[float, tuple[int, ...]]:
@@ -487,42 +483,30 @@ def worst_case_protocol_fidelity(
     else:
         check_word_cap(xs.n**l, "worst-case; pass sample=<count> for a seeded sampled search")
         words = list(itertools.product(range(xs.n), repeat=l))
-    values = word_fidelities(protocol, xs, words, target)
+    values = word_fidelities(protocol, xs, words)
     best = int(np.argmin(values))
     return float(values[best]), words[best]
 
 
 def word_fidelities(
-    protocol: MergingProtocol | OneWayLoccChannel,
-    xs: StateSet,
-    words: Sequence[Sequence[int]],
-    target: PureState | None = None,
+    protocol: MergingProtocol, xs: StateSet, words: Sequence[Sequence[int]]
 ) -> list[float]:
-    """Protocol fidelity on the word state of each word of member indices.
+    """Merging fidelity of the protocol on the word state of each word of
+    member indices.
 
-    Merging protocols are scored by merging fidelity.  Word states are
-    products, so each member is purified and checked once, and a word's
-    purification is the tensor product of its members' with the environment
-    factors moved last; no word state is ever formed.  Bare one-way LOCC
-    channels need a ``target`` resource state and are scored by output
-    fidelity to it.  Word states over the dimension cap raise
-    ``DimensionCapError`` before any member or word is evaluated.
+    Word states are products, so each member is purified and checked once,
+    and a word's purification is the tensor product of its members' with
+    the environment factors moved last; no word state is ever formed.  Word
+    states over the dimension cap raise ``DimensionCapError`` before any
+    member or word is evaluated.
     """
     longest = max((len(w) for w in words), default=1)
     check_dim_cap(prod(xs.dims) ** longest, "word states")
-    if isinstance(protocol, MergingProtocol):
-        purifications = [purify(m) for m in xs.members]
-        for psi, m in zip(purifications, xs.members):
-            check_purification(psi, m)
-        return [
-            purified_merging_fidelity(protocol, _word_purification(purifications, w))
-            for w in words
-        ]
-    if target is None:
-        raise ValueError("a bare one-way LOCC channel needs a target state")
-    target_matrix = target.density().matrix
+    purifications = [purify(m) for m in xs.members]
+    for psi, m in zip(purifications, xs.members):
+        check_purification(psi, m)
     return [
-        fidelity(apply_one_way_locc(protocol, xs.word_state(w)).matrix, target_matrix)
+        purified_merging_fidelity(protocol, _word_purification(purifications, w))
         for w in words
     ]
 

@@ -18,13 +18,9 @@ from math import ceil, exp, factorial, log, log2, prod
 
 import numpy as np
 
-from .config import check_dim_cap
+from .config import check_dim_cap, check_matrix_form_blocklength
 from .entropy import spectrum_entropy
 from .linalg import State
-
-# matrix-form projectors sum over all l! permutations; beyond this the
-# trace-form evaluation is the only supported path
-MATRIX_FORM_MAX_BLOCKLENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -171,11 +167,7 @@ def isotypic_projector(f: YoungFrame, d: int) -> np.ndarray:
     which costs l! permutations and is therefore capped at small l.
     """
     l = f.size
-    if l > MATRIX_FORM_MAX_BLOCKLENGTH:
-        raise ValueError(
-            f"matrix-form projector limited to blocklength {MATRIX_FORM_MAX_BLOCKLENGTH}; "
-            "use frame_probability for traces at larger blocklength"
-        )
+    check_matrix_form_blocklength(l)
     dim = d**l
     check_dim_cap(dim, "isotypic_projector")
     shape = (d,) * l
@@ -278,8 +270,8 @@ class EntropyBinning:
 
 
 def make_binning(l: int, d: int, eta: float) -> EntropyBinning:
-    if eta <= 0:
-        raise ValueError("bin width must be positive")
+    if not eta > 0:  # also refuses NaN
+        raise ValueError(f"bin width must be positive, got {eta}")
     top = log2(d)
     if eta >= top:
         return EntropyBinning(l, d, eta, (0.0, top))

@@ -33,6 +33,7 @@ from avqsbench.linalg import (
     trace_distance,
 )
 from avqsbench.rate_gap import known_pure_state_merging
+from avqsbench.rates import StateSet, word_fidelities
 from avqsbench.schur_weyl import build_entropy_instrument
 
 from helpers import embed_operator, random_instrument_kraus, random_kraus_channel
@@ -440,6 +441,40 @@ class TestComposeInstrumentWithProtocols:
         value = merging_fidelity(composed, rho)
         assert misbin == pytest.approx(0.0, abs=1e-12)
         assert value >= 1.0 - misbin - (1.0 - merging_fidelity(good, rho)) - 1e-9
+
+
+class TestComposeWithMirrors:
+    """A sorting instrument that changes the dimension: outcome s projects a
+    ququart sending side onto block s = span{|2s>, |2s+1>} and maps it onto
+    a qubit; the mirror maps K_s^dagger put the qubit back into block s."""
+
+    blocks = [np.eye(4)[2 * s : 2 * s + 2] for s in range(2)]
+
+    def _sorting(self):
+        return Instrument(tuple(CpMap((k,), (4,), (2,)) for k in self.blocks))
+
+    def _restore(self):
+        return [(CpMap((k.T,), (2,), (4,)),) for k in self.blocks]
+
+    def test_mirror_count_must_match_the_outcomes(self):
+        sub = known_pure_state_merging(bell_pair().density(), 1)
+        with pytest.raises(ValueError, match="mirror maps for every outcome"):
+            compose_instrument_with_protocols(self._sorting(), [sub, sub], self._restore()[:1])
+
+    def test_dimension_change_needs_mirror_maps(self):
+        sub = known_pure_state_merging(bell_pair().density(), 1)
+        with pytest.raises(ValueError, match="receiving channels must output"):
+            compose_instrument_with_protocols(self._sorting(), [sub, sub])
+
+    def test_sorted_members_merge_perfectly(self):
+        bell = bell_pair().density()
+        sub = known_pure_state_merging(bell, 1)
+        composed = compose_instrument_with_protocols(self._sorting(), [sub, sub], self._restore())
+        assert composed.copy_dims == (4, 2)
+        assert composed.message_count == 2 * sub.message_count
+        lifts = [np.kron(k.T, np.eye(2)) for k in self.blocks]
+        xs = StateSet(tuple(state(g @ bell.matrix @ g.T, (4, 2), ("A", "B")) for g in lifts))
+        assert word_fidelities(composed, xs, [(0,), (1,)]) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def _junk_protocol(l: int, rank: int) -> MergingProtocol:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -102,7 +103,7 @@ class TestRoundTrips:
     def test_protocol_with_mirror_maps_is_refused(self):
         base = bell_pair().density()
         fam = build_orthogonal_family(base, 2)
-        protocol = family_merging_protocol(fam, known_pure_state_merging(base, 1), 1)
+        protocol = family_merging_protocol(fam, known_pure_state_merging(base, 1))
         assert protocol.mirrors
         with pytest.raises(ValueError, match="mirror maps"):
             protocol_to_dict(protocol)
@@ -150,6 +151,31 @@ class TestStrictParsing:
     def test_missing_members(self):
         with pytest.raises(ParseError, match="members"):
             state_set_from_dict({"dims": [2], "parties": ["A"], "members": {}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        bell = bell_pair()
+        docs = {
+            "state.matrix": (state_from_dict, state_to_dict(bell.density()), ["matrix"]),
+            "state_set.members.bell": (
+                state_set_from_dict,
+                state_set_to_dict(StateSet((bell.density(),), ("bell",))),
+                ["members", "bell"],
+            ),
+            "cp_map.kraus[0].entries": (
+                cp_map_from_dict,
+                cp_map_to_dict(CpMap((np.eye(2),), (2,), (2,))),
+                ["kraus", 0, "entries"],
+            ),
+            "pure_state.amplitudes": (pure_state_from_dict, pure_state_to_dict(bell), ["amplitudes"]),
+        }
+        for field, (parse, doc, path) in docs.items():
+            entries = doc
+            for key in path:
+                entries = entries[key]
+            entries[1] = [0.0, bad]
+            with pytest.raises(ParseError, match=rf"{re.escape(field)}\[1\]: entries must be finite"):
+                parse(doc)
 
 
 class TestCliCommands:
@@ -319,6 +345,22 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli_module, "rate_gap_report", lambda *a, **k: FailingReport())
         code = main(["example-gap", "--N", "2", "--base", "builtin:bell"])
         assert code == 1
+
+    def test_non_finite_inputs_are_usage_errors(self, tmp_path, bell_state_file, capsys):
+        # Python's json module reads NaN, which passes every tolerance check
+        doc = state_to_dict(bell_pair().density())
+        doc["matrix"][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan_state.json"
+        path.write_text(json.dumps(doc))
+        schur = ["schur-demo", "--dim", "2", "--blocklength", "4"]
+        assert main(schur + ["--eta", "0.25", "--state", str(path)]) == 2
+        assert "matrix[1]: entries must be finite" in capsys.readouterr().err
+        nan_set = tmp_path / "nan_set.json"
+        nan_set.write_text(json.dumps({**doc, "members": {"x": doc.pop("matrix")}}))
+        assert main(["rates", "--set", str(nan_set)]) == 2
+        assert "members.x[1]: entries must be finite" in capsys.readouterr().err
+        assert main(schur + ["--eta", "nan", "--state", bell_state_file]) == 2
+        assert "bin width must be positive, got nan" in capsys.readouterr().err
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
         assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2

@@ -220,7 +220,7 @@ class TestFamilyProtocol:
     def test_two_members_single_copy(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
         sub = known_pure_state_merging(bell_pair().density(), 1)
-        protocol = family_merging_protocol(fam, sub, 1)
+        protocol = family_merging_protocol(fam, sub)
         assert protocol.message_count == 2
         for member in fam.members.members:
             assert merging_fidelity(protocol, member) == pytest.approx(1.0, abs=1e-9)
@@ -228,19 +228,19 @@ class TestFamilyProtocol:
     def test_single_member_family_keeps_message_count(self):
         fam = build_orthogonal_family(bell_pair().density(), 1)
         sub = known_pure_state_merging(bell_pair().density(), 1)
-        protocol = family_merging_protocol(fam, sub, 1)
+        protocol = family_merging_protocol(fam, sub)
         assert protocol.message_count == sub.message_count
 
     def test_message_count_is_family_size_power(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
         sub = known_pure_state_merging(bell_pair().density(), 2)
-        protocol = family_merging_protocol(fam, sub, 2)
+        protocol = family_merging_protocol(fam, sub)
         assert protocol.message_count == 2**2 * sub.message_count
 
     def test_every_word_matches_subprotocol_fidelity(self):
         fam = build_orthogonal_family(bell_pair().density(), 2)
         sub = known_pure_state_merging(bell_pair().density(), 2)
-        protocol = family_merging_protocol(fam, sub, 2)
+        protocol = family_merging_protocol(fam, sub)
         reference = merging_fidelity(sub, tensor_power(bell_pair().density(), 2))
         for word in itertools.product(range(2), repeat=2):
             rho = fam.members.word_state(word)
@@ -249,7 +249,7 @@ class TestFamilyProtocol:
     def test_rank_deficient_base_keeps_channels_trace_preserving(self):
         fam = build_orthogonal_family(_rank2_negative_base(), 2)
         sub = known_pure_state_merging(_rank2_negative_base(), 1)
-        protocol = family_merging_protocol(fam, sub, 1)
+        protocol = family_merging_protocol(fam, sub)
         value, _ = worst_case_protocol_fidelity(protocol, fam.members, 1)
         assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -260,7 +260,7 @@ class TestFamilyProtocol:
         fam = build_orthogonal_family(bell_pair().density(), 8)
         sub = known_pure_state_merging(bell_pair().density(), 3)
         with pytest.raises(DimensionCapError, match="word states"):
-            family_merging_protocol(fam, sub, 3)
+            family_merging_protocol(fam, sub)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("l", [1, 2])
@@ -268,7 +268,7 @@ class TestFamilyProtocol:
     def test_receiving_kraus_match_dense_restore(self, base, n, l):
         fam = build_orthogonal_family(base, n)
         sub = known_pure_state_merging(base, l)
-        protocol = family_merging_protocol(fam, sub, l)
+        protocol = family_merging_protocol(fam, sub)
         dense = dense_family_receiving_kraus(fam, sub, l)
         assert len(dense) == len(protocol.locc.b_channels) == len(protocol.mirrors)
         eye_k1b = np.eye(sub.phi_out.dims[1])
@@ -299,7 +299,7 @@ class TestFamilyProtocol:
         # receiving operators and no mirror maps left
         fam = build_orthogonal_family(base, n)
         sub = known_pure_state_merging(base, l)
-        protocol = family_merging_protocol(fam, sub, l)
+        protocol = family_merging_protocol(fam, sub)
         out_dims = protocol.locc.b_channels[0].out_dims[:1] + (fam.enlarged_dim, base.dims[1]) * l
         dense = MergingProtocol(
             OneWayLoccChannel(
@@ -321,7 +321,7 @@ class TestFamilyProtocol:
 
     def test_mirror_maps_must_be_channels(self):
         fam = build_orthogonal_family(_rank2_negative_base(), 2)
-        protocol = family_merging_protocol(fam, known_pure_state_merging(_rank2_negative_base(), 1), 1)
+        protocol = family_merging_protocol(fam, known_pure_state_merging(_rank2_negative_base(), 1))
         leaky = CpMap(protocol.mirrors[0][0].kraus[:1], (4,), (fam.enlarged_dim,))
         with pytest.raises(ValueError, match="mirror maps must be channels"):
             dataclasses.replace(protocol, mirrors=((leaky,),) + protocol.mirrors[1:])

@@ -449,24 +449,6 @@ class TestWorstCase:
         assert word == (0,)
         assert value == pytest.approx(1.0, abs=1e-9)
 
-    def test_channel_mode_needs_target(self):
-        from avqsbench.channels import OneWayLoccChannel, identity_channel
-
-        locc = OneWayLoccChannel(identity_instrument((2,)), (identity_channel((2,)),))
-        xs = StateSet((bell_pair().density(),))
-        with pytest.raises(ValueError, match="target"):
-            worst_case_protocol_fidelity(locc, xs, 1)
-
-    def test_channel_mode_scores_against_target(self):
-        from avqsbench.channels import OneWayLoccChannel, identity_channel
-
-        locc = OneWayLoccChannel(identity_instrument((2,)), (identity_channel((2,)),))
-        noisy = state(0.9 * bell_pair().density().matrix + 0.1 * np.eye(4) / 4, (2, 2), ("A", "B"))
-        xs = StateSet((bell_pair().density(), noisy))
-        value, word = worst_case_protocol_fidelity(locc, xs, 1, target=bell_pair())
-        assert word == (1,)
-        assert value < 1.0
-
     @pytest.mark.parametrize("l", [1, 2])
     def test_word_values_match_dense_word_states(self, l):
         xs = StateSet(

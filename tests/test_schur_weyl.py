@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import permutation_channel
+from avqsbench.config import DimensionCapError
 from avqsbench.linalg import random_unitary, state
 from avqsbench.schur_weyl import (
     YoungFrame,
@@ -134,7 +135,7 @@ class TestIsotypicProjector:
             assert np.max(np.abs(p @ lifted - lifted @ p)) < 1e-9
 
     def test_blocklength_cap(self):
-        with pytest.raises(ValueError, match="blocklength"):
+        with pytest.raises(DimensionCapError, match="blocklength"):
             isotypic_projector(YoungFrame((9, 1)), 2)
 
 
@@ -235,6 +236,11 @@ class TestBinning:
         assert binning.bin_of(0.25) == 1
         assert binning.bin_of(0.26) == 2
         assert binning.bin_of(1.0) == 4
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan")])
+    def test_rejects_non_positive_width(self, eta):
+        with pytest.raises(ValueError, match="bin width must be positive"):
+            make_binning(3, 2, eta)
 
     def test_ragged_last_bin(self):
         binning = make_binning(2, 3, 0.6)
