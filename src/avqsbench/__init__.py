@@ -80,7 +80,6 @@ from .rates import (
     DistillationResult,
     RateReport,
     StateSet,
-    avqs_distillation_capacity,
     compound_classical_cost,
     compound_merging_cost,
     convex_mixture,

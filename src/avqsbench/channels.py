@@ -45,14 +45,13 @@ class CpMap:
     """Completely positive trace-nonincreasing map in Kraus form.
 
     ``in_dims`` / ``out_dims`` record the tensor-factor splitting of the
-    input and output spaces; ``out_parties`` optionally assigns party labels
-    to the output factors (otherwise they inherit from the application site).
+    input and output spaces; output factors take their party labels from the
+    application site.
     """
 
     kraus: tuple[np.ndarray, ...]
     in_dims: tuple[int, ...] = ()
     out_dims: tuple[int, ...] = ()
-    out_parties: tuple[Party, ...] | None = None
 
     def __post_init__(self):
         kraus = tuple(_as_operator(k) for k in self.kraus)
@@ -67,8 +66,6 @@ class CpMap:
             raise ValueError(f"in_dims {in_dims} do not match Kraus columns {cols}")
         if prod(out_dims) != rows:
             raise ValueError(f"out_dims {out_dims} do not match Kraus rows {rows}")
-        if self.out_parties is not None and len(self.out_parties) != len(out_dims):
-            raise ValueError("out_parties must label every output factor")
         # sum K^dagger K = S^dagger S for the stacked S; S S^dagger has the
         # same nonzero spectrum and is the smaller one for wide operators
         stacked = np.concatenate(kraus)
@@ -111,12 +108,12 @@ def identity_channel(dims: Sequence[int]) -> CpMap:
     return CpMap((np.eye(d, dtype=complex),), tuple(dims), tuple(dims))
 
 
-def unitary_channel(u, in_dims: Sequence[int] | None = None, out_parties=None) -> CpMap:
+def unitary_channel(u, in_dims: Sequence[int] | None = None) -> CpMap:
     mat = _as_operator(u)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary channel needs a square matrix")
     dims = tuple(in_dims) if in_dims is not None else (mat.shape[0],)
-    return CpMap((mat,), dims, dims, out_parties)
+    return CpMap((mat,), dims, dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +211,7 @@ def apply_cp_map(m: CpMap, s: State, targets) -> tuple[State, float]:
     """Apply a CP map to a subset of factors of a state.
 
     Returns the (possibly subnormalized) output state and its trace.  Output
-    factors take the map's ``out_parties`` when present, otherwise the party
-    of the first target factor.
+    factors take the party of the first target factor.
     """
     tgt = _sorted_targets(s.n_factors, targets)
     if prod(s.dims[i] for i in tgt) != m.dim_in:
@@ -238,8 +234,7 @@ def apply_cp_map(m: CpMap, s: State, targets) -> tuple[State, float]:
     for k in m.kraus:
         out += np.einsum("ab,bicj,dc->aidj", k, tensor, k.conj())
     out_dims = m.out_dims + tuple(s.dims[i] for i in rest)
-    parties = m.out_parties if m.out_parties is not None else (s.parties[tgt[0]],) * len(m.out_dims)
-    out_parties = tuple(parties) + tuple(s.parties[i] for i in rest)
+    out_parties = (s.parties[tgt[0]],) * len(m.out_dims) + tuple(s.parties[i] for i in rest)
     full = m.dim_out * d_r
     result = State(out.reshape(full, full), out_dims, out_parties)
     return result, result.trace()
@@ -589,7 +584,7 @@ def compose_instrument_with_protocols(
         lifted = [np.kron(eye, kp) for kp in p_i.kraus]
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
             kraus = tuple(kt @ kp for kt in t_k.kraus for kp in lifted)
-            outcomes.append(CpMap(kraus, (k0a,) + e.in_dims, t_k.out_dims, t_k.out_parties))
+            outcomes.append(CpMap(kraus, (k0a,) + e.in_dims, t_k.out_dims))
             b_channels.append(r_k)
             if mirrors:
                 routed.append(mirrors[i])

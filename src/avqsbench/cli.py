@@ -30,10 +30,10 @@ from .io import (
 from .linalg import bell_pair, fidelity
 from .rates import (
     StateSet,
-    avqs_distillation_capacity,
     compound_classical_cost,
     compound_merging_cost,
     convex_mixture,
+    distillation_rate_lower_bound,
     worst_case_protocol_fidelity,
 )
 from .rate_gap import build_orthogonal_family, rate_gap_report
@@ -181,7 +181,7 @@ def _distill_args(p):
 
 def _cmd_distill(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
-    result = avqs_distillation_capacity(
+    result = distillation_rate_lower_bound(
         xs,
         k=args.k,
         n_outcomes=args.outcomes,

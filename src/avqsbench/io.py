@@ -1,9 +1,10 @@
 """JSON file formats for states, state sets, instruments and protocols.
 
 Complex entries are stored as [re, im] pairs; matrices are flat row-major
-lists.  Parsing is strict: wrong lengths, non-finite numbers, non-square
-matrices, or dims that do not multiply up are rejected with the offending
-field named.
+lists.  Parsing is strict: wrong lengths, entries that are not JSON numbers
+(strings, booleans) or not finite floats, non-square matrices, or dims that
+are not positive integers or do not multiply up are rejected with the
+offending field named.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+# bool is a subclass of int, but true and false are not JSON numbers
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_positive_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _positive_ints(raw: Any, field: str) -> tuple[int, ...]:
+    _require(
+        isinstance(raw, list) and all(_is_positive_int(d) for d in raw),
+        f"{field}: expected a list of positive integers",
+    )
+    return tuple(raw)
+
+
 def _complex_list(raw: Any, field: str) -> np.ndarray:
     _require(isinstance(raw, list), f"{field}: expected a list of [re, im] pairs")
     out = np.empty(len(raw), dtype=complex)
@@ -36,10 +54,11 @@ def _complex_list(raw: Any, field: str) -> np.ndarray:
             isinstance(pair, (list, tuple)) and len(pair) == 2,
             f"{field}[{i}]: expected a [re, im] pair",
         )
+        _require(_is_number(pair[0]) and _is_number(pair[1]), f"{field}[{i}]: entries must be numbers")
         try:
             out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ParseError(f"{field}[{i}]: entries must be numbers") from None
+        except OverflowError:  # an integer entry too large for a float
+            raise ParseError(f"{field}[{i}]: entries must fit in a float") from None
     if not np.isfinite(out).all():
         # JSON readers accept NaN and Infinity, which pass every tolerance check
         i = int(np.flatnonzero(~np.isfinite(out))[0])
@@ -57,17 +76,13 @@ def _square_matrix(raw: Any, field: str) -> np.ndarray:
 def _dims_parties(doc: dict, field: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     _require("dims" in doc, f"{field}: missing 'dims'")
     _require("parties" in doc, f"{field}: missing 'parties'")
-    dims = doc["dims"]
+    dims = _positive_ints(doc["dims"], f"{field}.dims")
     parties = doc["parties"]
-    _require(
-        isinstance(dims, list) and all(isinstance(d, int) and d > 0 for d in dims),
-        f"{field}.dims: expected a list of positive integers",
-    )
     _require(
         isinstance(parties, list) and len(parties) == len(dims),
         f"{field}.parties: need one party label per factor",
     )
-    return tuple(dims), tuple(str(p) for p in parties)
+    return dims, tuple(str(p) for p in parties)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,7 @@ def cp_map_from_dict(doc: dict, field: str = "cp_map") -> CpMap:
         )
         rows, cols = kdoc["rows"], kdoc["cols"]
         _require(
-            isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0,
+            _is_positive_int(rows) and _is_positive_int(cols),
             f"{kfield}: rows/cols must be positive integers",
         )
         flat = _complex_list(kdoc["entries"], f"{kfield}.entries")
@@ -174,8 +189,8 @@ def cp_map_from_dict(doc: dict, field: str = "cp_map") -> CpMap:
             f"{kfield}: {flat.size} entries do not fill {rows}x{cols}",
         )
         kraus.append(flat.reshape(rows, cols))
-    in_dims = tuple(doc.get("in_dims", ()))
-    out_dims = tuple(doc.get("out_dims", ()))
+    in_dims = _positive_ints(doc.get("in_dims", []), f"{field}.in_dims")
+    out_dims = _positive_ints(doc.get("out_dims", []), f"{field}.out_dims")
     try:
         return CpMap(tuple(kraus), in_dims, out_dims)
     except ValueError as exc:
@@ -239,7 +254,7 @@ def protocol_from_dict(doc: dict, field: str = "protocol") -> MergingProtocol:
     for key in ("blocklength", "phi_in", "phi_out", "locc"):
         _require(key in doc, f"{field}: missing '{key}'")
     _require(
-        isinstance(doc["blocklength"], int) and doc["blocklength"] >= 1,
+        _is_positive_int(doc["blocklength"]),
         f"{field}.blocklength: must be a positive integer",
     )
     try:

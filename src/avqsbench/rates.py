@@ -444,21 +444,6 @@ def distillation_rate_lower_bound(
     return DistillationResult(report, best_instrument)
 
 
-def avqs_distillation_capacity(xs: StateSet, **kwargs) -> DistillationResult:
-    """Distillation rate for the adversarially varying source.
-
-    The adversarial capacity coincides with the compound capacity of the
-    convex hull, so this delegates to the same hull computation and tags the
-    report with the identity used.
-    """
-    result = distillation_rate_lower_bound(xs, **kwargs)
-    result.report.quantity = "avqs-distillation-capacity"
-    result.report.metadata["identity"] = (
-        "adversarial source capacity = compound capacity of the convex hull"
-    )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # worst-case protocol performance over words
 

@@ -134,9 +134,9 @@ def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:
     first = np.zeros((m, 1))
     first[0, 0] = 1.0
     restore = []
-    for p in fam.shifts:
+    for s in range(fam.n):
         u = np.zeros((m, m))
-        u[p, np.arange(m)] = 1.0  # U_s|i> = |p[i]>
+        u[fam.shift(s), np.arange(m)] = 1.0  # U_s|i> = |shift(s)[i]>
         restore.append([u @ fam.embed] + [first @ col.conj().reshape(1, -1) for col in v[:, w > 0.5].T])
     eye_k1b = np.eye(sub.phi_out.dims[1])
     out = []

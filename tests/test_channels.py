@@ -322,6 +322,14 @@ class TestMergingFidelity:
         with pytest.raises(ValueError, match="source state"):
             merging_fidelity(protocol, random_density([2, 2], rng, parties=("A", "A")))
 
+    def test_rejects_source_with_an_extra_factor(self):
+        # the purified path reads only the first 2l factors of the purification,
+        # so only this check keeps a third source factor from passing as environment
+        protocol = known_pure_state_merging(bell_pair().density(), 1)
+        source = tensor_product(bell_pair().density(), maximally_mixed(2, "C"))
+        with pytest.raises(ValueError, match="source state"):
+            merging_fidelity(protocol, source)
+
 
 class TestMergingProtocolValidation:
     def test_phi_must_be_maximally_entangled(self):

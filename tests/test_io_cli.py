@@ -177,6 +177,52 @@ class TestStrictParsing:
             with pytest.raises(ParseError, match=rf"{re.escape(field)}\[1\]: entries must be finite"):
                 parse(doc)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.0", "must be numbers"), (False, "must be numbers"), (10**400, "must fit in a float")],
+        ids=["string", "bool", "huge-int"],
+    )
+    def test_rejects_entries_that_are_not_json_numbers(self, bad, message):
+        bell = bell_pair()
+        docs = {
+            "state.matrix": (state_from_dict, state_to_dict(bell.density()), ["matrix"]),
+            "state_set.members.bell": (
+                state_set_from_dict,
+                state_set_to_dict(StateSet((bell.density(),), ("bell",))),
+                ["members", "bell"],
+            ),
+            "cp_map.kraus[0].entries": (
+                cp_map_from_dict,
+                cp_map_to_dict(CpMap((np.eye(2),), (2,), (2,))),
+                ["kraus", 0, "entries"],
+            ),
+            "pure_state.amplitudes": (pure_state_from_dict, pure_state_to_dict(bell), ["amplitudes"]),
+        }
+        for field, (parse, doc, path) in docs.items():
+            entries = doc
+            for key in path:
+                entries = entries[key]
+            entries[1] = [bad, 0.0]  # entry 1 is 0 in each document
+            with pytest.raises(ParseError, match=rf"{re.escape(field)}\[1\]: entries {message}"):
+                parse(doc)
+
+    def test_rejects_sizes_that_are_not_positive_integers(self):
+        with pytest.raises(ParseError, match=r"state\.dims: expected a list of positive integers"):
+            state_from_dict({"dims": [True, True], "parties": ["A", "B"], "matrix": [[1.0, 0.0]]})
+        one = cp_map_to_dict(CpMap((np.eye(1),)))
+        one["kraus"][0].update(rows=True, cols=True)
+        with pytest.raises(ParseError, match=r"kraus\[0\]: rows/cols must be positive integers"):
+            cp_map_from_dict(one)
+        for bad in ([True, 2], ["2"]):
+            doc = cp_map_to_dict(CpMap((np.eye(2),), (2,), (2,)))
+            doc["in_dims"] = bad
+            with pytest.raises(ParseError, match=r"cp_map\.in_dims: expected a list of positive integers"):
+                cp_map_from_dict(doc)
+        doc = protocol_to_dict(known_pure_state_merging(bell_pair().density(), 1))
+        doc["blocklength"] = True
+        with pytest.raises(ParseError, match=r"protocol\.blocklength: must be a positive integer"):
+            protocol_from_dict(doc)
+
 
 class TestCliCommands:
     def test_rates_reports_bell_conditional_entropy(self, bell_set_file, capsys):
@@ -293,6 +339,8 @@ class TestCliCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["value"] >= 1.0 - 1e-6
+        assert payload["report"]["quantity"] == "distillation-rate-lower-bound"
+        assert "identity" not in payload["report"]["metadata"]
 
 
 class TestCliExitCodes:
@@ -361,6 +409,31 @@ class TestCliExitCodes:
         assert "members.x[1]: entries must be finite" in capsys.readouterr().err
         assert main(schur + ["--eta", "nan", "--state", bell_state_file]) == 2
         assert "bin width must be positive, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("entry", "0.0", "matrix[1]: entries must be numbers"),
+            ("entry", False, "matrix[1]: entries must be numbers"),
+            ("entry", 10**400, "matrix[1]: entries must fit in a float"),
+            ("dims", [True, True], "dims: expected a list of positive integers"),
+        ],
+        ids=["string", "bool", "huge-int", "bool-dims"],
+    )
+    def test_entries_and_dims_that_are_not_json_numbers_are_usage_errors(
+        self, tmp_path, capsys, field, bad, message
+    ):
+        doc = state_to_dict(bell_pair().density())
+        if field == "entry":
+            doc["matrix"][1] = [bad, 0.0]
+            argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", "0.25", "--state"]
+        else:
+            doc.update(dims=bad, members={"x": [[1.0, 0.0]]})
+            argv = ["rates", "--set"]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
         assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2

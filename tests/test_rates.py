@@ -41,7 +41,6 @@ from avqsbench.rates import (
     StateSet,
     _block_row_instrument,
     _hull_rate,
-    avqs_distillation_capacity,
     compound_classical_cost,
     compound_merging_cost,
     convex_mixture,
@@ -328,13 +327,6 @@ class TestDistillation:
         one = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=5, seed=0)
         two = distillation_rate_lower_bound(xs, k=2, restarts=1, maxiter=5, seed=0)
         assert two.report.value == pytest.approx(one.report.value, abs=1e-6)
-
-    def test_avqs_delegates_to_hull_computation(self):
-        xs = StateSet((bell_pair().density(),))
-        compound = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=10, seed=0)
-        adversarial = avqs_distillation_capacity(xs, k=1, restarts=1, maxiter=10, seed=0)
-        assert adversarial.report.value == compound.report.value
-        assert "identity" in adversarial.report.metadata
 
     def test_two_identical_members_equal_singleton(self):
         rho = bell_pair().density()
