@@ -22,7 +22,6 @@ from .linalg import (
     state,
     tensor_power,
     tensor_product,
-    tensor_pure,
     trace_distance,
     trace_norm,
 )
@@ -47,11 +46,8 @@ from .channels import (
     identity_instrument,
     instrument_statistics,
     merging_fidelity,
-    permutation_channel,
-    projective_instrument,
     purified_merging_fidelity,
     trivial_resource,
-    unitary_channel,
 )
 from .schur_weyl import (
     EntropyBin,

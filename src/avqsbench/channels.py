@@ -108,14 +108,6 @@ def identity_channel(dims: Sequence[int]) -> CpMap:
     return CpMap((np.eye(d, dtype=complex),), tuple(dims), tuple(dims))
 
 
-def unitary_channel(u, in_dims: Sequence[int] | None = None) -> CpMap:
-    mat = _as_operator(u)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("unitary channel needs a square matrix")
-    dims = tuple(in_dims) if in_dims is not None else (mat.shape[0],)
-    return CpMap((mat,), dims, dims)
-
-
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """Finite family of trace-nonincreasing CP maps summing to a channel.
@@ -168,14 +160,6 @@ class Instrument:
 
 def identity_instrument(dims: Sequence[int]) -> Instrument:
     return Instrument((identity_channel(dims),))
-
-
-def projective_instrument(projectors: Sequence[np.ndarray], dims: Sequence[int] | None = None) -> Instrument:
-    """Instrument with one projector per outcome (must resolve the identity)."""
-    mats = [np.asarray(p, dtype=complex) for p in projectors]
-    d = mats[0].shape[0]
-    factor_dims = tuple(dims) if dims is not None else (d,)
-    return Instrument(tuple(CpMap((p,), factor_dims, factor_dims) for p in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +423,24 @@ def merging_fidelity(p: MergingProtocol, rho: State, purification: PureState | N
     """Fidelity between the protocol output on a purified source and the
     relabeled purification next to the produced resource.
 
-    The purification (supplied, or the canonical one) is checked against
-    ``rho``; the value does not depend on which purification is supplied.
+    A supplied purification is checked against ``rho``; without one, the
+    canonical :func:`linalg.purify` is used.  The value does not depend on
+    which purification is used.  The source layout is checked by
+    :func:`purified_merging_fidelity`, so factors of ``rho`` labelled "E"
+    count as environment.
     """
-    l = p.blocklength
-    d_a, d_b = p.copy_dims
-    if rho.dims != (d_a, d_b) * l or rho.parties != ("A", "B") * l:
-        raise ValueError(
-            f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties"
-        )
-    psi = purification if purification is not None else purify(rho)
-    check_purification(psi, rho)
-    return purified_merging_fidelity(p, psi)
+    if purification is None:
+        return purified_merging_fidelity(p, purify(rho))
+    check_purification(purification, rho)
+    return purified_merging_fidelity(p, purification)
 
 
 def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
-    """Merging fidelity on the source purified by ``psi``, whose factors
-    after the first 2l (the (A, B) copies) are the environment.
+    """Merging fidelity on the source purified by ``psi``.
 
+    ``psi`` must have the (A, B) copies, dims (d_A, d_B) * l and parties
+    (A, B) * l, followed only by environment factors labelled "E"; any
+    other layout is refused, so no source factor is scored as environment.
     The comparison target phi_out x psi' is pure, so the fidelity equals the
     overlap <t| output |t>; the output never has to be materialized as a
     matrix.  Sending-side branches of weight ||K_a psi||^2 <= prob_tol are
@@ -469,11 +453,12 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     """
     l = p.blocklength
     d_a, d_b = p.copy_dims
-    if psi.dims[: 2 * l] != (d_a, d_b) * l or psi.parties[: 2 * l] != ("A", "B") * l:
-        raise ValueError(
-            f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties"
-        )
     n_env = len(psi.dims) - 2 * l
+    if psi.dims[: 2 * l] != (d_a, d_b) * l or psi.parties != ("A", "B") * l + ("E",) * n_env:
+        raise ValueError(
+            f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties, "
+            "followed only by environment factors labelled E"
+        )
     prob_tol = get_config().prob_tol
 
     # input factors (K0_A, K0_B, A_1, B_1, ..., A_l, B_l, env), sending ones

@@ -197,11 +197,6 @@ def tensor_product(a: State, b: State) -> State:
     return State(np.kron(a.matrix, b.matrix), a.dims + b.dims, a.parties + b.parties)
 
 
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    check_dim_cap(a.dim * b.dim, "tensor_pure")
-    return PureState(np.kron(a.vector, b.vector), a.dims + b.dims, a.parties + b.parties)
-
-
 def tensor_power(s: State, copies: int) -> State:
     if copies < 1:
         raise ValueError("need at least one copy")
@@ -246,14 +241,6 @@ def permute_factors(s: State, order: Sequence[int]) -> State:
         .reshape(s.dim, s.dim)
     )
     return State(mat, tuple(s.dims[i] for i in order), tuple(s.parties[i] for i in order))
-
-
-def permute_pure(p: PureState, order: Sequence[int]) -> PureState:
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(len(p.dims))):
-        raise ValueError(f"{order} is not a permutation of the {len(p.dims)} factors")
-    vec = p.vector.reshape(p.dims).transpose(order).reshape(-1)
-    return PureState(vec, tuple(p.dims[i] for i in order), tuple(p.parties[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +314,12 @@ def trace_distance(a, b) -> float:
     return trace_norm(_to_matrix(a) - _to_matrix(b))
 
 
-def purify(s: State, env_party: Party = "E") -> PureState:
+def purify(s: State) -> PureState:
     """Canonical purification via the eigendecomposition of ``s``.
 
     With s = sum_i w_i |e_i><e_i| the output is sum_i sqrt(w_i) |e_i>|i>,
-    so the appended environment factor has dimension rank(s) and tracing it
-    out recovers ``s``.
+    so the appended environment factor, labelled "E", has dimension rank(s)
+    and tracing it out recovers ``s``.
     """
     w, v = eigensystem(s.matrix)
     rank = int(np.sum(w > get_config().rank_tol))
@@ -343,7 +330,7 @@ def purify(s: State, env_party: Party = "E") -> PureState:
         amps[:, i] = np.sqrt(max(w[i], 0.0)) * v[:, i]
     vec = amps.reshape(-1)
     vec = vec / np.linalg.norm(vec)
-    return PureState(vec, s.dims + (rank,), s.parties + (env_party,))
+    return PureState(vec, s.dims + (rank,), s.parties + ("E",))
 
 
 def check_purification(psi: PureState, s: State) -> None:
@@ -374,10 +361,6 @@ class SchmidtDecomposition:
     @property
     def rank(self) -> int:
         return int(np.sum(self.coefficients > get_config().rank_tol))
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitudes on (left x right) in the permuted factor order."""
-        return (self.left_vectors * self.coefficients) @ self.right_vectors.conj().T
 
 
 def schmidt_decomposition(p: PureState, left_factors: Iterable[int]) -> SchmidtDecomposition:

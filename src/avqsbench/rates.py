@@ -5,6 +5,7 @@ k=1 distillation inner infimum carry a Frank-Wolfe duality gap."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -28,17 +29,7 @@ from .entropy import (
     post_measurement_blocks,
     source_first,
 )
-from .linalg import (
-    PureState,
-    State,
-    check_purification,
-    permute_pure,
-    purify,
-    tensor_product,
-    tensor_pure,
-    trace_distance,
-    trace_norm,
-)
+from .linalg import PureState, State, purify, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -394,8 +385,10 @@ def distillation_rate_lower_bound(
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
-    if restarts < 1 or maxiter < 1:
-        raise ValueError(f"restarts and maxiter must be >= 1, got {restarts} and {maxiter}")
+    if n_outcomes < 1 or restarts < 1 or maxiter < 1:
+        raise ValueError(
+            f"n_outcomes, restarts and maxiter must be >= 1, got {n_outcomes}, {restarts} and {maxiter}"
+        )
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
@@ -479,17 +472,17 @@ def word_fidelities(
     """Merging fidelity of the protocol on the word state of each word of
     member indices.
 
-    Word states are products, so each member is purified and checked once,
-    and a word's purification is the tensor product of its members' with
-    the environment factors moved last; no word state is ever formed.  Word
-    states over the dimension cap raise ``DimensionCapError`` before any
-    member or word is evaluated.
+    Word states are products, so each member is purified once, and a
+    word's purification is the tensor product of its members' with the
+    environment factors moved last; no word state is ever formed.
+    :func:`channels.purified_merging_fidelity` refuses a word whose source
+    factors are not the protocol's (A, B) copies.  Word states over the
+    dimension cap raise ``DimensionCapError`` before any member or word is
+    evaluated.
     """
     longest = max((len(w) for w in words), default=1)
     check_dim_cap(prod(xs.dims) ** longest, "word states")
     purifications = [purify(m) for m in xs.members]
-    for psi, m in zip(purifications, xs.members):
-        check_purification(psi, m)
     return [
         purified_merging_fidelity(protocol, _word_purification(purifications, w))
         for w in words
@@ -505,9 +498,16 @@ def _word_purification(purifications: Sequence[PureState], word: Sequence[int]) 
         raise ValueError(
             f"word {word} is not a nonempty sequence of indices into {len(purifications)} members"
         )
-    psi = purifications[word[0]]
-    for s in word[1:]:
-        psi = tensor_pure(psi, purifications[s])
-    width = len(psi.dims) // len(word)  # source factors plus the environment
+    letters = [purifications[s] for s in word]
+    dims = tuple(d for psi in letters for d in psi.dims)
+    parties = tuple(q for psi in letters for q in psi.parties)
+    check_dim_cap(prod(dims), "word purification")
+    vec = functools.reduce(np.kron, (psi.vector for psi in letters))
+    width = len(letters[0].dims)  # source factors plus the environment
     order = [i * width + j for i in range(len(word)) for j in range(width - 1)]
-    return permute_pure(psi, order + [i * width + width - 1 for i in range(len(word))])
+    order += [i * width + width - 1 for i in range(len(word))]
+    return PureState(
+        vec.reshape(dims).transpose(order).reshape(-1),
+        tuple(dims[i] for i in order),
+        tuple(parties[i] for i in order),
+    )

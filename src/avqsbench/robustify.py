@@ -37,10 +37,6 @@ class TypeDistribution:
     def probability(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.length
 
-    def representative(self) -> Word:
-        """Lexicographically smallest word of this type."""
-        return tuple(s for s, c in enumerate(self.counts) for _ in range(c))
-
 
 def enumerate_types(n_symbols: int, l: int) -> list[TypeDistribution]:
     """All compositions of ``l`` into ``n_symbols`` nonnegative parts."""
@@ -111,14 +107,6 @@ class RobustificationReport:
     worst_word: Word
     worst_value: float
     passed: bool
-
-    def word_margins(self) -> list[tuple[Word, float]]:
-        """Conclusion margin for every word (margins depend only on type)."""
-        words, types, type_of_word, _ = _word_table(self.n_symbols, self.blocklength)
-        by_type = {tc.counts: tc.conclusion_margin for tc in self.type_checks}
-        return [
-            (w, by_type[types[type_of_word[i]].counts]) for i, w in enumerate(words)
-        ]
 
     def to_dict(self) -> dict:
         return {

@@ -13,8 +13,9 @@ from math import factorial, prod
 
 import numpy as np
 
-from avqsbench.channels import instrument_statistics
+from avqsbench.channels import CpMap, Instrument, instrument_statistics
 from avqsbench.entropy import coherent_information
+from avqsbench.robustify import word_type
 from avqsbench.schur_weyl import YoungFrame, young_frames
 
 
@@ -120,6 +121,36 @@ def random_instrument_kraus(rng, d_in: int, d_out: int, n_outcomes: int) -> list
 
 def all_words(n_symbols: int, l: int):
     return list(itertools.product(range(n_symbols), repeat=l))
+
+
+def unitary_channel(u) -> CpMap:
+    """One-operator channel rho -> u rho u^dagger on a single factor."""
+    return CpMap((np.asarray(u, dtype=complex),))
+
+
+def projective_instrument(projectors) -> Instrument:
+    """Instrument with one projector per outcome on a single factor."""
+    return Instrument(tuple(CpMap((np.asarray(p, dtype=complex),)) for p in projectors))
+
+
+def schmidt_reconstruct(sd) -> np.ndarray:
+    """Amplitudes on (left x right) in the permuted factor order."""
+    return (sd.left_vectors * sd.coefficients) @ sd.right_vectors.conj().T
+
+
+def type_representative(t) -> tuple[int, ...]:
+    """Lexicographically smallest word of the type."""
+    return tuple(s for s, c in enumerate(t.counts) for _ in range(c))
+
+
+def word_margins(report) -> list[tuple[tuple[int, ...], float]]:
+    """Conclusion margin of a robustification report at every word, looked
+    up by the word's type."""
+    by_type = {tc.counts: tc.conclusion_margin for tc in report.type_checks}
+    return [
+        (w, by_type[word_type(w, report.n_symbols).counts])
+        for w in all_words(report.n_symbols, report.blocklength)
+    ]
 
 
 def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:

@@ -14,7 +14,6 @@ from avqsbench.channels import (
     instrument_statistics,
     merging_fidelity,
     permutation_channel,
-    projective_instrument,
     trivial_resource,
 )
 from avqsbench.linalg import (
@@ -36,7 +35,13 @@ from avqsbench.rate_gap import known_pure_state_merging
 from avqsbench.rates import StateSet, word_fidelities
 from avqsbench.schur_weyl import build_entropy_instrument
 
-from helpers import embed_operator, random_instrument_kraus, random_kraus_channel
+from helpers import (
+    embed_operator,
+    projective_instrument,
+    random_instrument_kraus,
+    random_kraus_channel,
+    unitary_channel,
+)
 
 rng = np.random.default_rng(11)
 
@@ -191,8 +196,6 @@ class TestOneWayLocc:
 
 
 def test_unitary_channel_conjugates():
-    from avqsbench.channels import unitary_channel
-
     u = random_unitary(2, rng)
     rho = random_density([2], rng)
     out, weight = apply_cp_map(unitary_channel(u), rho, [0])
@@ -323,12 +326,28 @@ class TestMergingFidelity:
             merging_fidelity(protocol, random_density([2, 2], rng, parties=("A", "A")))
 
     def test_rejects_source_with_an_extra_factor(self):
-        # the purified path reads only the first 2l factors of the purification,
-        # so only this check keeps a third source factor from passing as environment
+        # the purified path accepts only environment factors labelled E after
+        # the 2l copies, so a third source factor cannot pass as environment
         protocol = known_pure_state_merging(bell_pair().density(), 1)
         source = tensor_product(bell_pair().density(), maximally_mixed(2, "C"))
         with pytest.raises(ValueError, match="source state"):
             merging_fidelity(protocol, source)
+
+    def test_factors_labelled_e_are_environment(self):
+        protocol = _reprepare_protocol(np.array([np.sqrt(0.3), np.sqrt(0.7)]))
+        rho = random_density([2, 2], rng, parties=("A", "B"))
+        with_env = tensor_product(rho, random_density([3], rng, parties=("E",)))
+        assert merging_fidelity(protocol, with_env) == pytest.approx(
+            merging_fidelity(protocol, rho), abs=1e-12
+        )
+
+    def test_rejects_supplied_environment_not_labelled_e(self):
+        protocol = _reprepare_protocol(np.array([1.0, 0.0]))
+        rho = random_density([2, 2], rng, parties=("A", "B"))
+        psi = purify(rho)
+        relabeled = PureState(psi.vector, psi.dims, ("A", "B", "R"))
+        with pytest.raises(ValueError, match="source state"):
+            merging_fidelity(protocol, rho, purification=relabeled)
 
 
 class TestMergingProtocolValidation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avqsbench.channels import CpMap, Instrument, identity_instrument, projective_instrument
+from avqsbench.channels import CpMap, Instrument, identity_instrument
 from avqsbench.config import local_config
 from avqsbench.entropy import (
     coherent_information,
@@ -28,6 +28,7 @@ from avqsbench.rates import _block_row_instrument
 
 from helpers import (
     haar_isometry,
+    projective_instrument,
     random_instrument_kraus,
     random_kraus_channel,
     scalar_instrument_rate,

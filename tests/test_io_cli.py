@@ -28,7 +28,14 @@ from avqsbench.io import (
     state_set_to_dict,
     state_to_dict,
 )
-from avqsbench.linalg import bell_pair, random_density, state, trace_distance
+from avqsbench.linalg import (
+    bell_pair,
+    maximally_mixed,
+    random_density,
+    state,
+    tensor_product,
+    trace_distance,
+)
 from avqsbench.rates import StateSet
 from avqsbench.rate_gap import (
     build_orthogonal_family,
@@ -380,6 +387,26 @@ class TestCliExitCodes:
         assert main(argv + ["--dim-cap", "15"]) == 3
         assert "word states" in capsys.readouterr().err
         assert main(argv + ["--dim-cap", "64"]) == 0
+
+    def test_worst_case_refuses_source_factors_beyond_the_protocol(
+        self, tmp_path, bell_protocol_file, bell_set_file, capsys
+    ):
+        # Bell x I/2 with parties A, B, B: the third factor is source, not environment
+        member = tensor_product(bell_pair().density(), maximally_mixed(2, "B"))
+        path = str(tmp_path / "bell_mixed.json")
+        save_json(path, state_set_to_dict(StateSet((member,), ("bell_mixed",))))
+        argv = ["worst-case", "--protocol", bell_protocol_file, "--blocklength"]
+        assert main(argv + ["1", "--set", path]) == 2
+        assert "source state" in capsys.readouterr().err
+        # two-letter words for the l=1 protocol: the second copy is source too
+        for extra in ([], ["--sample", "3"]):
+            assert main(argv + ["2", "--set", bell_set_file] + extra) == 2
+            assert "source state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outcomes", ["0", "-1"])
+    def test_outcomes_below_one_are_usage_errors(self, outcomes, two_state_file, capsys):
+        assert main(["distill-capacity", "--set", two_state_file, "--outcomes", outcomes]) == 2
+        assert "n_outcomes" in capsys.readouterr().err
 
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         import avqsbench.cli as cli_module

@@ -24,6 +24,8 @@ from avqsbench.linalg import (
     trace_norm,
 )
 
+from helpers import schmidt_reconstruct
+
 rng = np.random.default_rng(2024)
 
 
@@ -262,7 +264,7 @@ class TestSchmidt:
     def test_reconstruction(self):
         psi = random_pure([2, 3], rng)
         sd = schmidt_decomposition(psi, [0])
-        rebuilt = sd.reconstruct().reshape(-1)
+        rebuilt = schmidt_reconstruct(sd).reshape(-1)
         assert np.linalg.norm(rebuilt - psi.vector) <= 1e-10
 
     def test_squared_coefficients_match_marginal_spectrum(self):

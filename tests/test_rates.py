@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import avqsbench.channels
 import avqsbench.rates
 from avqsbench.channels import (
     CpMap,
@@ -49,6 +50,7 @@ from avqsbench.rates import (
     word_fidelities,
     worst_case_protocol_fidelity,
 )
+from avqsbench.rate_gap import known_pure_state_merging
 
 from helpers import (
     haar_isometry,
@@ -370,6 +372,11 @@ class TestDistillation:
         with pytest.raises(ValueError, match="k in"):
             distillation_rate_lower_bound(StateSet((bell_pair().density(),)), k=3)
 
+    @pytest.mark.parametrize("n_outcomes", [0, -1])
+    def test_rejects_fewer_than_one_outcome(self, n_outcomes):
+        with pytest.raises(ValueError, match="n_outcomes"):
+            distillation_rate_lower_bound(StateSet((bell_pair().density(),)), n_outcomes=n_outcomes)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_inner_infimum_matches_scalar_oracle(self, k):
         case_rng = np.random.default_rng(200 + k)
@@ -486,6 +493,34 @@ class TestWorstCase:
             psi = purify(rho).density()
             out = apply_one_way_locc(protocol(receiving[2]).locc, tensor_product(resources, psi))
             assert value == pytest.approx(fidelity(out.matrix, psi.matrix), abs=1e-10)
+
+    def test_rejects_words_longer_than_the_protocol(self):
+        # the second letter's copy would otherwise be scored as environment
+        xs = StateSet((bell_pair().density(),))
+        protocol = known_pure_state_merging(bell_pair().density(), 1)
+        assert word_fidelities(protocol, xs, [(0,)]) == pytest.approx([1.0], abs=1e-9)
+        with pytest.raises(ValueError, match="source state"):
+            word_fidelities(protocol, xs, [(0, 0)])
+
+    def test_members_are_purified_once_and_not_rechecked(self, monkeypatch):
+        xs = _random_set(3)
+        protocol = _random_merging_protocol(2)
+        words = list(itertools.product(range(xs.n), repeat=2))
+        expected = word_fidelities(protocol, xs, words)
+        purified = []
+
+        def counting_purify(m):
+            purified.append(m)
+            return purify(m)
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("a purification made by the package was checked again")
+
+        monkeypatch.setattr(avqsbench.rates, "purify", counting_purify)
+        for module in (avqsbench.channels, avqsbench.rates):
+            monkeypatch.setattr(module, "check_purification", no_check, raising=False)
+        assert word_fidelities(protocol, xs, words) == expected
+        assert purified == list(xs.members)
 
     def test_word_dimension_cap_raises_before_any_evaluation(self, monkeypatch):
         xs = _random_set(2)

@@ -13,7 +13,7 @@ from avqsbench.robustify import (
     word_type,
 )
 
-from helpers import all_words, iid_type_average, permutation_average
+from helpers import all_words, iid_type_average, permutation_average, type_representative, word_margins
 
 rng = np.random.default_rng(31)
 
@@ -29,7 +29,7 @@ class TestTypes:
     def test_word_type_roundtrip(self):
         t = word_type((0, 2, 2, 1), 3)
         assert t.counts == (1, 1, 2)
-        assert word_type(t.representative(), 3).counts == t.counts
+        assert word_type(type_representative(t), 3).counts == t.counts
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestCheckRobustification:
 
     def test_word_margins_cover_every_word(self):
         report = check_robustification(lambda w: 1.0, 2, 3)
-        margins = report.word_margins()
+        margins = word_margins(report)
         assert len(margins) == 2**3
 
     def test_supplied_gamma_can_fail(self):
