@@ -4,21 +4,23 @@ entropy-estimating instrument built from them.
 The isotypic projector for a frame can be materialized as a matrix via the
 central character sum, which costs l! permutations and stops at blocklength
 8.  Traces against product states are the Keyl-Werner weights
-dim(frame) * s_frame(spectrum), with the Schur polynomial evaluated
-subtraction-free by the branching rule.  For a fixed local dimension d
-that costs a polynomial in l, at most about l^(2(d-1)) terms per spectrum.
+dim(frame) * s_frame(spectrum), with the Schur polynomials of all frames of
+one spectrum evaluated subtraction-free by the branching rule, one table
+per level.  The work is the frames' interlacing-box volumes,
+prod_i (f_i - f_(i+1) + 1) each, a polynomial in l of degree 2(d-1); the
+memory is the number of frames and of the smaller partitions they reach.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import ceil, exp, factorial, log, log2, prod
+from functools import cached_property, lru_cache
+from math import ceil, factorial, log, log2, prod
 
 import numpy as np
 
-from .config import check_dim_cap, check_matrix_form_blocklength
+from .config import DimensionCapError, check_dim_cap, check_matrix_form_blocklength, get_config
 from .entropy import spectrum_entropy
 from .linalg import State
 
@@ -48,6 +50,11 @@ class YoungFrame:
     def normalized_rows(self) -> tuple[float, ...]:
         l = self.size
         return tuple(p / l for p in self.parts)
+
+    @cached_property
+    def log_dimension(self) -> float:
+        """Natural log of ``frame_dimension``, computed once per frame."""
+        return log(frame_dimension(self))
 
 
 def _partitions(n: int, max_part: int | None = None, max_rows: int | None = None):
@@ -90,9 +97,12 @@ def _hook_lengths(parts: tuple[int, ...]) -> list[list[int]]:
 
 
 def frame_dimension(f: YoungFrame) -> int:
-    """Dimension of the symmetric-group irrep (hook length formula)."""
-    hooks = _hook_lengths(f.parts)
-    return factorial(f.size) // prod(h for row in hooks for h in row)
+    """Dimension of the symmetric-group irrep: l! prod_(i<j) (b_i - b_j) /
+    prod_i b_i! over the first-column hook lengths b_i = f_i + rows - i."""
+    k = f.rows
+    beta = [p + k - 1 - i for i, p in enumerate(f.parts)]
+    spread = prod(beta[i] - beta[j] for i in range(k) for j in range(i + 1, k))
+    return factorial(f.size) * spread // prod(map(factorial, beta))
 
 
 def weyl_dimension(f: YoungFrame, d: int) -> int:
@@ -195,42 +205,104 @@ def _spectrum_of(rho) -> np.ndarray:
 
 
 def frame_probability(f: YoungFrame, rho) -> float:
-    """Exact trace of (isotypic projector of ``f``) against rho^(x l).
+    """Exact trace of (isotypic projector of ``f``) against rho^(x l); the
+    one-frame case of ``frame_probabilities``."""
+    return float(frame_probabilities([f], rho)[0])
 
-    This is dim(f) * s_f(x) for the spectrum x of rho clipped at 0, so a
+
+def frame_probabilities(frames, rho) -> np.ndarray:
+    """Exact traces of the isotypic projectors of ``frames`` against
+    rho^(x l), from one branching table for the spectrum.
+
+    Each is dim(f) * s_f(x) for the spectrum x of rho clipped at 0, so a
     frame with more rows than positive eigenvalues gets 0.  Agrees with the
     matrix-form projector wherever both are available.  ``rho`` may be a
     State, a density matrix, or a spectrum.
     """
-    x = tuple(sorted((float(v) for v in _spectrum_of(rho) if v > 0), reverse=True))
-    if f.rows > len(x):
-        return 0.0
-    log_leading = log(frame_dimension(f)) + sum(p * log(v) for p, v in zip(f.parts, x))
-    return exp(log_leading) * _schur_ratio(f.parts, x)
+    spectrum = _spectrum_of(rho)
+    x = np.sort(spectrum[spectrum > 0])[::-1]
+    n = len(x)
+    out = np.zeros(len(frames))
+    fit = [i for i, f in enumerate(frames) if f.rows <= n]
+    if fit:
+        parts = np.array([frames[i].parts + (0,) * (n - frames[i].rows) for i in fit])
+        ratios = _schur_ratios(parts[:, :-1] - parts[:, 1:], x)
+        log_dim = np.array([frames[i].log_dimension for i in fit])
+        out[fit] = np.exp(log_dim + (parts * [log(v) for v in x]).sum(axis=1)) * ratios
+    return out
 
 
-@lru_cache(maxsize=1 << 16)
-def _schur_ratio(parts: tuple[int, ...], x: tuple[float, ...]) -> float:
-    """s_parts(x) / prod_i x_i^parts_i for descending positive x, memoized
-    across the frames and bins of one spectrum.
+_CHUNK = 1 << 18  # index entries of the interlacing terms gathered at once
 
-    Branching rule: s_parts(x_1..x_n) sums s_mu(x_1..x_{n-1}) x_n^(|parts|-|mu|)
-    over mu interlacing parts (parts_{i+1} <= mu_i <= parts_i).  Divided, a
-    term is the ratio for mu times prod_i (x_n/x_i)^(parts_i - mu_i) <= 1, so
-    no term is negative and the value stays in [1, weyl_dimension].
+
+def _check_table(size: int) -> None:
+    cap = get_config().dim_cap
+    if size > cap * cap:  # the entries of the largest matrix allowed
+        raise DimensionCapError(f"branching table of {size} partitions exceeds dim_cap^2 = {cap * cap}")
+
+
+def _schur_ratios(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s_f(x) / prod_i x_i^f_i for descending positive x, one frame f per row
+    of ``delta``, its row differences f_i - f_(i+1) (i < len(x)).
+
+    Branching rule, one table per level k: a partition's ratio in x_1..x_k
+    depends only on its row differences d, and sums the level-(k-1) ratios
+    of nu = mu - t over the interlacing box 0 <= t_i <= d_i, weighted by
+    prod_i (x_k/x_i)^t_i <= 1, so no term is negative.  Level 2 is a
+    geometric sum; lower levels cover every d with sum_i i*d_i <= big (what
+    the frames reach; d_i = 0 for i > big), as a prefix tree; the top level
+    only the frames.
     """
-    if len(x) == 1 or not parts:
-        return 1.0
-    tail = parts + (0,)
-    ranges = (range(tail[i + 1], parts[i] + 1) for i in range(min(len(parts), len(x) - 1)))
-    ratios = [x[-1] / v for v in x]
-    total = 0.0
-    for mu in itertools.product(*ranges):
-        term = _schur_ratio(tuple(m for m in mu if m), x[:-1])
-        for p, m, r in zip(parts, mu, ratios):
-            term *= r ** (p - m)
-        total += term
-    return total
+    n = len(x)
+    if n == 1:
+        return np.ones(len(delta))
+    big = max(1, int((delta @ np.arange(1, n)).max()))
+    _check_table(big + 1)
+    table = np.cumsum((x[1] / x[0]) ** np.arange(big + 1))
+    keys, starts = np.arange(big + 1)[:, None], []
+    for k in range(3, n + 1):
+        below = list(starts)  # the prefix tree of level k-1
+        if k == n:
+            keys = delta[:, : min(n - 1, big)]
+        elif k - 1 <= big:
+            # append d_(k-1) <= (big - sum_i i*d_i) / (k-1) to each key
+            room = (big - keys @ np.arange(1, k - 1)) // (k - 1) + 1
+            _check_table(int(room.sum()))
+            starts.append(np.cumsum(room) - room)
+            owner = np.repeat(np.arange(len(keys)), room)
+            keys = np.column_stack([keys[owner], np.arange(len(owner)) - starts[-1][owner]])
+        table = _contract(table, below, keys, x[:k], big)
+    return table if n > 2 else table[delta[:, 0]]
+
+
+def _contract(prev, starts, keys, x, big) -> np.ndarray:
+    """Level len(x) of the branching rule at ``keys`` (row differences) from
+    the level below, ``prev``, indexed through the prefix-tree ``starts``."""
+    m = keys.shape[1]
+    powers = (x[-1] / x[:m])[:, None] ** np.arange(big + 1)
+    vol = np.prod(keys + 1, axis=1)
+    cum = np.cumsum(vol)
+    out = np.empty(len(keys))
+    lo = 0
+    while lo < len(keys):
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - vol[lo] + _CHUNK // (m + 1), "right")))
+        box = vol[lo:hi]
+        owner = np.repeat(np.arange(hi - lo), box)
+        d = keys[lo:hi][owner]
+        rest = np.arange(len(owner)) - (np.cumsum(box) - box)[owner]
+        t = np.zeros((len(owner), m + 1), dtype=d.dtype)
+        for i in range(m - 1, -1, -1):
+            rest, t[:, i] = np.divmod(rest, d[:, i] + 1)
+        nu = d - t[:, :-1] + t[:, 1:]
+        idx = nu[:, 0]
+        for j, start in enumerate(starts, 1):
+            idx = start[idx] + nu[:, j]
+        term = prev[idx]
+        for i in range(m):
+            term = term * powers[i, t[:, i]]
+        out[lo:hi] = np.bincount(owner, term, minlength=hi - lo)
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,46 +310,49 @@ def _schur_ratio(parts: tuple[int, ...], x: tuple[float, ...]) -> float:
 
 @dataclass(frozen=True)
 class EntropyBinning:
-    """Partition of [0, log2 d] into bins of width ``width`` (the last bin
-    absorbs the remainder).  Bin 1 is closed, later bins are left-open:
-    I_1 = [s_0, s_1], I_i = (s_{i-1}, s_i]."""
+    """Partition of [0, log2 d] into ``n_bins`` bins of width ``width`` (the
+    last bin absorbs the remainder).  Bin 1 is closed, later bins are
+    left-open: I_1 = [s_0, s_1], I_i = (s_{i-1}, s_i], with s_i = i * width
+    below the top."""
 
     blocklength: int
     local_dim: int
     width: float
-    boundaries: tuple[float, ...]
+    n_bins: int
+
+    def _edge(self, i: int) -> float:
+        if i == self.n_bins:
+            return log2(self.local_dim)
+        return i * self.width if i else 0.0
 
     @property
-    def n_bins(self) -> int:
-        return len(self.boundaries) - 1
+    def boundaries(self) -> tuple[float, ...]:
+        return tuple(self._edge(i) for i in range(self.n_bins + 1))
 
     def interval(self, index: int) -> tuple[float, float]:
         """Bin boundaries for a 1-based bin index."""
         if not 1 <= index <= self.n_bins:
             raise ValueError(f"bin index {index} out of range 1..{self.n_bins}")
-        return (self.boundaries[index - 1], self.boundaries[index])
+        return (self._edge(index - 1), self._edge(index))
 
     def bin_of(self, entropy: float) -> int:
-        """1-based index of the bin containing an entropy value."""
-        top = self.boundaries[-1]
-        h = min(max(float(entropy), 0.0), top)
-        # small slack so exact boundary values land in the lower bin, as the
-        # right-closed interval convention demands
-        for i in range(1, self.n_bins + 1):
-            if h <= self.boundaries[i] + 1e-12:
-                return i
-        return self.n_bins
+        """1-based index of the bin containing an entropy value: the first i
+        with entropy <= s_i, up to a small slack so exact boundary values land
+        in the lower bin, as the right-closed interval convention demands."""
+        h = min(max(float(entropy), 0.0), log2(self.local_dim))
+        i = min(max(ceil((h - 1e-12) / self.width), 1), self.n_bins)
+        while i > 1 and h <= self._edge(i - 1) + 1e-12:
+            i -= 1
+        while h > self._edge(i) + 1e-12:
+            i += 1
+        return i
 
 
 def make_binning(l: int, d: int, eta: float) -> EntropyBinning:
     if not eta > 0:  # also refuses NaN
         raise ValueError(f"bin width must be positive, got {eta}")
     top = log2(d)
-    if eta >= top:
-        return EntropyBinning(l, d, eta, (0.0, top))
-    n = int(ceil(top / eta - 1e-12))
-    boundaries = tuple(i * eta for i in range(n)) + (top,)
-    return EntropyBinning(l, d, eta, boundaries)
+    return EntropyBinning(l, d, eta, 1 if eta >= top else int(ceil(top / eta - 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -323,17 +398,16 @@ class EntropyInstrument:
 
     def bin_probability(self, rho, b: EntropyBin) -> float:
         """Probability of outcome ``b`` on rho^(x blocklength)."""
-        spectrum = _spectrum_of(rho)
-        return sum(frame_probability(f, spectrum) for f in b.frames)
+        return float(frame_probabilities(b.frames, rho).sum())
 
     def probabilities(self, rho) -> list[tuple[int, float, float, float]]:
         """(bin index, interval lo, interval hi, probability) per nonempty bin."""
-        spectrum = _spectrum_of(rho)
-        rows = []
-        for b in self.bins:
-            lo, hi = self.binning.interval(b.index)
-            rows.append((b.index, lo, hi, self.bin_probability(spectrum, b)))
-        return rows
+        p = frame_probabilities([f for b in self.bins for f in b.frames], rho)
+        ends = np.cumsum([len(b.frames) for b in self.bins])
+        return [
+            (b.index, *self.binning.interval(b.index), float(p[end - len(b.frames) : end].sum()))
+            for b, end in zip(self.bins, ends)
+        ]
 
 
 def build_entropy_instrument(l: int, d: int, eta: float) -> EntropyInstrument:
@@ -366,8 +440,6 @@ def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None
     spectrum = np.linalg.eigvalsh(sending_marginal(rho).matrix)
     if true_bin is None:
         true_bin = inst.binning.bin_of(spectrum_entropy(spectrum))
-    total = 0.0
-    for b in inst.bins:
-        if abs(b.index - true_bin) > 1:
-            total += inst.bin_probability(spectrum, b)
-    return float(min(max(total, 0.0), 1.0))
+    far = [f for b in inst.bins if abs(b.index - true_bin) > 1 for f in b.frames]
+    total = float(frame_probabilities(far, spectrum).sum())
+    return min(max(total, 0.0), 1.0)

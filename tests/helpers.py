@@ -9,14 +9,15 @@ computed by full enumeration.
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
+from functools import lru_cache
+from math import exp, factorial, log, prod
 
 import numpy as np
 
 from avqsbench.channels import CpMap, Instrument, instrument_statistics
 from avqsbench.entropy import coherent_information
 from avqsbench.robustify import word_type
-from avqsbench.schur_weyl import YoungFrame, young_frames
+from avqsbench.schur_weyl import YoungFrame, frame_dimension, young_frames
 
 
 def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
@@ -234,3 +235,36 @@ def permutation_average(f, word) -> float:
     """
     values = [float(f(w)) for w in distinct_permutations(tuple(int(s) for s in word))]
     return sum(values) / len(values)
+
+
+def branching_frame_probability(f: YoungFrame, spectrum) -> float:
+    """dim(f) * s_f(x) for the positive part x of ``spectrum``, one frame at a
+    time through the recursive branching rule."""
+    x = tuple(sorted((float(v) for v in spectrum if v > 0), reverse=True))
+    if f.rows > len(x):
+        return 0.0
+    log_leading = log(frame_dimension(f)) + sum(p * log(v) for p, v in zip(f.parts, x))
+    return exp(log_leading) * schur_ratio(f.parts, x)
+
+
+@lru_cache(maxsize=1 << 16)
+def schur_ratio(parts: tuple[int, ...], x: tuple[float, ...]) -> float:
+    """s_parts(x) / prod_i x_i^parts_i for descending positive x.
+
+    Branching rule: s_parts(x_1..x_n) sums s_mu(x_1..x_{n-1}) x_n^(|parts|-|mu|)
+    over mu interlacing parts (parts_{i+1} <= mu_i <= parts_i).  Divided, a
+    term is the ratio for mu times prod_i (x_n/x_i)^(parts_i - mu_i) <= 1, so
+    no term is negative and the value stays in [1, weyl_dimension].
+    """
+    if len(x) == 1 or not parts:
+        return 1.0
+    tail = parts + (0,)
+    ranges = (range(tail[i + 1], parts[i] + 1) for i in range(min(len(parts), len(x) - 1)))
+    ratios = [x[-1] / v for v in x]
+    total = 0.0
+    for mu in itertools.product(*ranges):
+        term = schur_ratio(tuple(m for m in mu if m), x[:-1])
+        for p, m, r in zip(parts, mu, ratios):
+            term *= r ** (p - m)
+        total += term
+    return total

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -326,6 +327,15 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         total = sum(row["probability"] for row in payload["bins"])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_schur_demo_narrow_bins_stay_cheap(self, bell_state_file, capsys):
+        # 10^9 bins of width 1e-9: no per-bin storage
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", "1e-9"]
+        start = time.perf_counter()
+        assert main(argv + ["--state", bell_state_file, "--format", "json"]) == 0
+        assert time.perf_counter() - start < 0.5
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(row["probability"] for row in payload["bins"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_distill_capacity(self, bell_set_file, capsys):
         code = main(

@@ -1,11 +1,13 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from avqsbench.channels import permutation_channel
-from avqsbench.config import DimensionCapError
+from avqsbench.config import DimensionCapError, local_config
 from avqsbench.linalg import random_unitary, state
 from avqsbench.schur_weyl import (
     YoungFrame,
@@ -13,6 +15,7 @@ from avqsbench.schur_weyl import (
     cycle_types,
     frame_dimension,
     frame_entropy,
+    frame_probabilities,
     frame_probability,
     isotypic_projector,
     make_binning,
@@ -22,7 +25,12 @@ from avqsbench.schur_weyl import (
     young_frames,
 )
 
-from helpers import conjugacy_class_size, kron_power, lagrange_projectors
+from helpers import (
+    branching_frame_probability,
+    conjugacy_class_size,
+    kron_power,
+    lagrange_projectors,
+)
 
 rng = np.random.default_rng(23)
 
@@ -248,6 +256,90 @@ class TestBinning:
         assert binning.boundaries[-1] == pytest.approx(np.log2(3))
         assert binning.boundaries[-2] == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("eta", [0.1, 0.25, 0.6, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bin_of_matches_linear_scan_at_every_boundary(self, d, eta):
+        # oracle: the explicit boundary tuple and a linear scan with the same
+        # 1e-12 slack
+        top = math.log2(d)
+        n = 1 if eta >= top else math.ceil(top / eta - 1e-12)
+        edges = tuple(i * eta for i in range(n)) + (top,)
+
+        def scan(h):
+            h = min(max(h, 0.0), top)
+            return next(i for i in range(1, n + 1) if h <= edges[i] + 1e-12)
+
+        binning = make_binning(5, d, eta)
+        assert binning.boundaries == edges
+        for i, s in enumerate(edges):
+            if i:
+                assert binning.interval(i) == (edges[i - 1], s)
+            for h in (s, s - 1e-12, s + 1e-12, np.nextafter(s + 1e-12, 9.0), s + 2e-12):
+                assert binning.bin_of(h) == scan(h), (i, h)
+
+
+class TestBranchingTable:
+    # all frames of one spectrum at once against the recursive one-frame
+    # branching rule in tests/helpers.py
+    @staticmethod
+    def _assert_matches_oracle(l, spectrum):
+        d = len(spectrum)
+        frames = young_frames(l, d)
+        table = frame_probabilities(frames, spectrum)
+        for f, p in zip(frames, table):
+            assert p == pytest.approx(branching_frame_probability(f, spectrum), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d,lmax", [(2, 30), (3, 20), (4, 12), (5, 8)])
+    def test_dirichlet_spectra(self, d, lmax):
+        gen = np.random.default_rng(1300 + d)
+        for l in range(1, lmax + 1):
+            self._assert_matches_oracle(l, gen.dirichlet(np.ones(d)))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_near_degenerate_spectra(self, d):
+        x = 1.0 + 1e-9 * np.arange(d)
+        self._assert_matches_oracle(12 if d == 3 else 10, x / x.sum())
+
+    def test_zero_eigenvalues(self):
+        spectrum = np.array([0.0, 0.5, 0.0, 0.3, 0.2])
+        frames = young_frames(7, 5)
+        table = frame_probabilities(frames, spectrum)
+        for f, p in zip(frames, table):
+            if f.rows > 3:
+                assert p == 0.0
+            else:
+                assert p == pytest.approx(branching_frame_probability(f, spectrum), rel=1e-12, abs=0)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_d2_closed_form_for_all_frames_at_once(self):
+        # exact oracle: dim(lambda) (xy)^b h_{a-b}(x, y) in rational arithmetic
+        x, y = Fraction(3, 4), Fraction(1, 4)
+        frames = young_frames(200, 2)
+        table = frame_probabilities(frames, np.array([0.25, 0.75]))
+        for f, p in zip(frames, table):
+            a, b = f.parts if f.rows == 2 else (200, 0)
+            h = (x ** (a - b + 1) - y ** (a - b + 1)) / (x - y)
+            assert p == pytest.approx(float(frame_dimension(f) * (x * y) ** b * h), rel=1e-12, abs=0)
+
+    def test_table_cap_raises_before_allocating(self):
+        # the level-2 table alone would hold 10^6 + 1 floats (8 MB)
+        tracemalloc.start()
+        try:
+            with local_config(dim_cap=8), pytest.raises(DimensionCapError, match="dim_cap"):
+                frame_probability(YoungFrame((10**6,)), np.array([0.6, 0.4]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_table_cap_applies_at_every_level(self):
+        # d=4, l=30: level 2 has 31 entries, level 3 more than 36
+        frames = young_frames(30, 4)
+        spectrum = np.array([0.4, 0.3, 0.2, 0.1])
+        assert frame_probabilities(frames, spectrum).sum() == pytest.approx(1.0, abs=1e-12)
+        with local_config(dim_cap=6), pytest.raises(DimensionCapError, match="dim_cap"):
+            frame_probabilities(frames, spectrum)
+
 
 class TestEntropyInstrument:
     def test_single_bin_is_identity(self):
@@ -312,6 +404,20 @@ class TestMisbinProbability:
                         expected += float(np.trace(oracle_projs[f.parts] @ rho_a_power).real)
             assert values[l] == pytest.approx(expected, abs=1e-9)
         assert values[10] < values[4]
+
+    @pytest.mark.parametrize(
+        "spectrum,l,expected",
+        [
+            ((0.6, 0.3, 0.1), 60, 0.16584737923176035),
+            ((0.6, 0.3, 0.1), 120, 0.047162732928511336),
+            ((0.8, 0.2), 800, 3.735648540808971e-05),
+        ],
+    )
+    def test_pinned_values_at_long_blocklength(self, spectrum, l, expected):
+        # values of the one-frame-at-a-time branching recursion
+        inst = build_entropy_instrument(l, len(spectrum), 0.1)
+        value = misbin_probability(inst, state(np.diag(spectrum)))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_derived_bin_matches_explicit(self):
         inst = build_entropy_instrument(4, 2, 0.25)
