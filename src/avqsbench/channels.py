@@ -14,14 +14,12 @@ Factor conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
-from typing import Sequence
+from math import gcd, prod
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import check_dim_cap, get_config
+from .config import Frozen, check_dim_cap, get_config
 from .linalg import (
     Party,
     PureState,
@@ -40,8 +38,7 @@ def _as_operator(k) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class CpMap:
+class CpMap(Frozen):
     """Completely positive trace-nonincreasing map in Kraus form.
 
     ``in_dims`` / ``out_dims`` record the tensor-factor splitting of the
@@ -49,9 +46,9 @@ class CpMap:
     application site.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    in_dims: tuple[int, ...] = ()
-    out_dims: tuple[int, ...] = ()
+    def __init__(self, kraus: tuple[np.ndarray, ...], in_dims: tuple[int, ...] = (), out_dims: tuple[int, ...] = ()):
+        vars(self).update(kraus=kraus, in_dims=in_dims, out_dims=out_dims)
+        self.__post_init__()
 
     def __post_init__(self):
         kraus = tuple(_as_operator(k) for k in self.kraus)
@@ -76,9 +73,7 @@ class CpMap:
         top = float(np.linalg.eigvalsh(gram).max(initial=0.0))
         if top > 1.0 + get_config().tp_tol:
             raise ValueError(f"map increases trace (largest Gram eigenvalue {top:.12f})")
-        object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "in_dims", in_dims)
-        object.__setattr__(self, "out_dims", out_dims)
+        vars(self).update(kraus=kraus, in_dims=in_dims, out_dims=out_dims)
 
     @staticmethod
     def gram_with(kraus) -> np.ndarray:
@@ -108,14 +103,15 @@ def identity_channel(dims: Sequence[int]) -> CpMap:
     return CpMap((np.eye(d, dtype=complex),), tuple(dims), tuple(dims))
 
 
-@dataclass(frozen=True, eq=False)
-class Instrument:
+class Instrument(Frozen):
     """Finite family of trace-nonincreasing CP maps summing to a channel.
 
     Outcomes are ordered; the outcome index is the classical message.
     """
 
-    outcomes: tuple[CpMap, ...]
+    def __init__(self, outcomes: tuple[CpMap, ...]):
+        vars(self).update(outcomes=outcomes)
+        self.__post_init__()
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
@@ -129,7 +125,7 @@ class Instrument:
         dev = float(np.max(np.abs(total - np.eye(first.dim_in))))
         if dev > get_config().tp_tol:
             raise ValueError(f"outcome maps do not sum to a channel (deviation {dev:.3e})")
-        object.__setattr__(self, "outcomes", outcomes)
+        vars(self).update(outcomes=outcomes)
 
     @property
     def n_outcomes(self) -> int:
@@ -224,8 +220,7 @@ def apply_cp_map(m: CpMap, s: State, targets) -> tuple[State, float]:
     return result, result.trace()
 
 
-@dataclass(frozen=True)
-class OutcomeStat:
+class OutcomeStat(NamedTuple):
     """One retained instrument outcome: original index, weight, post-state."""
 
     index: int
@@ -254,19 +249,15 @@ def instrument_statistics(e: Instrument, s: State, targets) -> list[OutcomeStat]
     return stats
 
 
-@dataclass(frozen=True, eq=False)
-class OneWayLoccChannel:
+class OneWayLoccChannel(Frozen):
     """Instrument on the sending side paired with one receiving channel per
     classical message: rho -> sum_k (T_k x R_k)(rho)."""
 
-    a_instrument: Instrument
-    b_channels: tuple[CpMap, ...]
-
-    def __post_init__(self):
-        b = tuple(self.b_channels)
-        if len(b) != self.a_instrument.n_outcomes:
+    def __init__(self, a_instrument: Instrument, b_channels: tuple[CpMap, ...]):
+        b = tuple(b_channels)
+        if len(b) != a_instrument.n_outcomes:
             raise ValueError(
-                f"{self.a_instrument.n_outcomes} instrument outcomes but {len(b)} receiving channels"
+                f"{a_instrument.n_outcomes} instrument outcomes but {len(b)} receiving channels"
             )
         first = b[0]
         for ch in dict.fromkeys(b):  # a channel shared between messages is checked once
@@ -274,7 +265,7 @@ class OneWayLoccChannel:
                 raise ValueError("every receiving channel must be trace preserving")
             if ch.in_dims != first.in_dims or ch.out_dims != first.out_dims:
                 raise ValueError("receiving channels must share input/output factor dims")
-        object.__setattr__(self, "b_channels", b)
+        vars(self).update(a_instrument=a_instrument, b_channels=b)
 
     @property
     def message_count(self) -> int:
@@ -323,8 +314,7 @@ def apply_one_way_locc(
 # ---------------------------------------------------------------------------
 # merging protocols
 
-@dataclass(frozen=True, eq=False)
-class MergingProtocol:
+class MergingProtocol(Frozen):
     """One-way LOCC channel together with the entangled resource registers
     it consumes (``phi_in``) and produces (``phi_out``).
 
@@ -339,35 +329,36 @@ class MergingProtocol:
     mirror factors are output as they are.
     """
 
-    locc: OneWayLoccChannel
-    phi_in: PureState
-    phi_out: PureState
-    blocklength: int
-    mirrors: tuple[tuple[CpMap, ...], ...] = ()
-
-    def __post_init__(self):
-        if self.blocklength < 1:
+    def __init__(
+        self,
+        locc: OneWayLoccChannel,
+        phi_in: PureState,
+        phi_out: PureState,
+        blocklength: int,
+        mirrors: tuple[tuple[CpMap, ...], ...] = (),
+    ):
+        if blocklength < 1:
             raise ValueError("blocklength must be >= 1")
-        for name, phi in (("phi_in", self.phi_in), ("phi_out", self.phi_out)):
+        for name, phi in (("phi_in", phi_in), ("phi_out", phi_out)):
             if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
                 raise ValueError(f"{name} must live on two factors of equal dimension")
             _require_flat_schmidt(phi, name)
-        ins = self.locc.a_instrument
-        recv = self.locc.b_channels[0]
-        l = self.blocklength
+        ins = locc.a_instrument
+        recv = locc.b_channels[0]
+        l = blocklength
         if len(ins.in_dims) != l + 1 or len(recv.in_dims) != l + 1:
             raise ValueError("instrument/receiver must expose (resource, copies...) factor dims")
-        if ins.in_dims[0] != self.phi_in.dims[0] or recv.in_dims[0] != self.phi_in.dims[1]:
+        if ins.in_dims[0] != phi_in.dims[0] or recv.in_dims[0] != phi_in.dims[1]:
             raise ValueError("input resource dimensions do not match phi_in")
-        if ins.out_dims != (self.phi_out.dims[0],):
+        if ins.out_dims != (phi_out.dims[0],):
             raise ValueError("instrument output must be the single output resource factor")
         d_a = ins.in_dims[1]
         d_b = recv.in_dims[1]
         if ins.in_dims[1:] != (d_a,) * l or recv.in_dims[1:] != (d_b,) * l:
             raise ValueError("copy factors must all share one dimension per side")
-        mirrors = tuple(tuple(maps) for maps in self.mirrors)
+        mirrors = tuple(tuple(maps) for maps in mirrors)
         if mirrors and (
-            len(mirrors) != self.message_count or any(len(maps) != l for maps in mirrors)
+            len(mirrors) != locc.message_count or any(len(maps) != l for maps in mirrors)
         ):
             raise ValueError("mirror maps must give one channel per copy for every message")
         distinct = list(dict.fromkeys(x for maps in mirrors for x in maps))
@@ -375,12 +366,12 @@ class MergingProtocol:
         for x in distinct:
             if (x.dim_in, x.dim_out) != (d_mirror, d_a) or not x.is_trace_preserving:
                 raise ValueError(f"mirror maps must be channels from dimension {d_mirror} to {d_a}")
-        object.__setattr__(self, "mirrors", mirrors)
-        expected_out = (self.phi_out.dims[1],) + (d_mirror, d_b) * l
+        expected_out = (phi_out.dims[1],) + (d_mirror, d_b) * l
         if recv.out_dims != expected_out:
             raise ValueError(
                 f"receiving channels must output {expected_out}, got {recv.out_dims}"
             )
+        vars(self).update(locc=locc, phi_in=phi_in, phi_out=phi_out, blocklength=l, mirrors=mirrors)
 
     @property
     def copy_dims(self) -> tuple[int, int]:
@@ -392,15 +383,16 @@ class MergingProtocol:
         return self.locc.message_count
 
     @property
-    def resource_ratio(self) -> Fraction:
-        """Schmidt-rank ratio consumed/produced, as an exact rational."""
-        return Fraction(self.phi_in.dims[0], self.phi_out.dims[0])
+    def resource_ratio(self) -> float:
+        """Schmidt-rank ratio consumed/produced."""
+        return self.phi_in.dims[0] / self.phi_out.dims[0]
 
     @property
     def entanglement_rate(self) -> float:
-        """log2(resource ratio) per source copy (negative = net gain)."""
-        ratio = self.resource_ratio
-        return (np.log2(ratio.numerator) - np.log2(ratio.denominator)) / self.blocklength
+        """log2 of the reduced resource ratio per source copy (negative = net gain)."""
+        k_in, k_out = self.phi_in.dims[0], self.phi_out.dims[0]
+        g = gcd(k_in, k_out)
+        return (np.log2(k_in // g) - np.log2(k_out // g)) / self.blocklength
 
     @property
     def classical_rate(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from math import prod
 
 import numpy as np
@@ -45,7 +44,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CONFIG_FIELDS = {f.name for f in dataclass_fields(Config)}
+_CONFIG_FIELDS = set(Config._fields)
 
 
 def _add_common_arguments(p: argparse.ArgumentParser) -> None:

@@ -1,23 +1,42 @@
-"""Numerical tolerances and resource caps, overridable at runtime."""
+"""Numerical tolerances and resource caps, overridable at runtime, and the
+immutable base that the package's validated types share."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from math import log2
+from typing import NamedTuple
 
 
 class DimensionCapError(Exception):
-    """Raised when an operation would exceed a dimension or word cap."""
+    """Raised when an operation would exceed a dimension, word or frame-work cap."""
 
 
 WORD_CAP = 4096  # largest number of source words enumerated one by one
 # matrix-form isotypic projectors sum over all l! permutations; beyond this
 # blocklength the trace-form evaluation is the only supported path
 MATRIX_FORM_MAX_BLOCKLENGTH = 8
+# largest (l+1)^(2m-1) for frames of l boxes in at most m = min(d, l) rows: (l+1)^(m-1)
+# frames, each an exact dimension from l! and up to (l+1)^(m-1) interlacing terms
+FRAME_WORK_CAP = 1 << 35
 
 
-@dataclass(frozen=True)
-class Config:
+class Frozen:
+    """Immutable base: ``__init__`` stores the fields with ``vars(self).update``;
+    assigning or deleting an attribute raises ``AttributeError``.  ``State``,
+    ``CpMap`` and ``Instrument`` validate in ``__post_init__``, the name that
+    ``perfbench/tracer.py`` wraps to count constructions."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Config(NamedTuple):
     """Tolerance and cap settings shared by all modules.
 
     Entropies and rates are in bits (logarithms base 2) throughout.
@@ -48,7 +67,7 @@ def set_config(cfg: Config) -> None:
 
 def update_config(**overrides) -> Config:
     """Replace individual fields of the active config; returns the new one."""
-    cfg = replace(_active, **overrides)
+    cfg = _active._replace(**overrides)
     set_config(cfg)
     return cfg
 
@@ -75,6 +94,15 @@ def check_dim_cap(dim: int, context: str = "") -> None:
 def check_word_cap(n_words: int, context: str) -> None:
     if n_words > WORD_CAP:
         raise DimensionCapError(f"{n_words} words exceed the enumeration cap of {WORD_CAP} in {context}")
+
+
+def check_frame_work(l: int, d: int, context: str) -> None:
+    work = (2 * min(d, l) - 1) * log2(max(l, 0) + 1)
+    if work > log2(FRAME_WORK_CAP):
+        raise DimensionCapError(
+            f"blocklength {l} at local dimension {d} needs about 2^{work:.1f} frame-table terms, "
+            f"over the cap of 2^{log2(FRAME_WORK_CAP):g} in {context}"
+        )
 
 
 def check_matrix_form_blocklength(l: int) -> None:

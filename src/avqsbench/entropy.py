@@ -5,12 +5,11 @@ optimizer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, prod
 
 import numpy as np
 
-from .config import get_config
+from .config import Frozen, get_config
 from .linalg import State, partial_trace, permute_factors
 
 ENTROPY = "entropy"
@@ -20,16 +19,13 @@ COHERENT_INFO = "coherent-info"
 INSTRUMENT_RATE = "instrument-rate"
 
 
-@dataclass(frozen=True)
-class RateValue:
+class RateValue(Frozen):
     """A rate in bits together with the kind of quantity it measures."""
 
-    value: float
-    kind: str
-
-    def __post_init__(self):
-        if not isfinite(self.value):
-            raise ValueError(f"rate value must be finite, got {self.value}")
+    def __init__(self, value: float, kind: str):
+        if not isfinite(value):
+            raise ValueError(f"rate value must be finite, got {value}")
+        vars(self).update(value=value, kind=kind)
 
 
 def spectrum_entropy(weights) -> float:

@@ -7,13 +7,12 @@ expressed by factor index rather than by ad-hoc reshaping at call sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import check_dim_cap, get_config
+from .config import Frozen, check_dim_cap, get_config
 
 Party = str
 
@@ -30,8 +29,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class State:
+class State(Frozen):
     """Density operator with explicit tensor-factor structure.
 
     ``dims`` lists factor dimensions in tensor order; ``parties`` assigns a
@@ -41,9 +39,9 @@ class State:
     unit-trace construction.
     """
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    parties: tuple[Party, ...]
+    def __init__(self, matrix: np.ndarray, dims: tuple[int, ...], parties: tuple[Party, ...]):
+        vars(self).update(matrix=matrix, dims=dims, parties=parties)
+        self.__post_init__()
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix)
@@ -61,9 +59,7 @@ class State:
         herm_dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
         if herm_dev > get_config().herm_tol:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-        object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "parties", parties)
+        vars(self).update(matrix=_freeze(mat), dims=dims, parties=parties)
 
     @property
     def dim(self) -> int:
@@ -103,18 +99,13 @@ class State:
         return State(self.matrix, self.dims, tuple(mapping.get(p, p) for p in self.parties))
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Frozen):
     """Unit vector over a factored Hilbert space, same metadata as State."""
 
-    vector: np.ndarray
-    dims: tuple[int, ...]
-    parties: tuple[Party, ...]
-
-    def __post_init__(self):
-        vec = np.array(self.vector, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        parties = tuple(str(p) for p in self.parties)
+    def __init__(self, vector: np.ndarray, dims: tuple[int, ...], parties: tuple[Party, ...]):
+        vec = np.array(vector, dtype=complex).reshape(-1)
+        dims = tuple(int(d) for d in dims)
+        parties = tuple(str(p) for p in parties)
         if prod(dims) != vec.size:
             raise ValueError(
                 f"factor dimensions {dims} do not multiply to vector length {vec.size}"
@@ -125,9 +116,7 @@ class PureState:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > get_config().trace_tol:
             raise ValueError(f"vector norm is {norm:.12f}, expected 1")
-        object.__setattr__(self, "vector", _freeze(vec))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "parties", parties)
+        vars(self).update(vector=_freeze(vec), dims=dims, parties=parties)
 
     @property
     def dim(self) -> int:
@@ -344,8 +333,7 @@ def check_purification(psi: PureState, s: State) -> None:
         raise ValueError("supplied vector does not purify the source state")
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(NamedTuple):
     """Result of a bipartite Schmidt decomposition.
 
     ``coefficients`` are nonincreasing with squares summing to one;

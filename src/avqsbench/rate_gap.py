@@ -12,9 +12,9 @@ rates by exactly the logarithm of the family size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from math import log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .channels import (
     compose_instrument_with_protocols,
     trivial_resource,
 )
-from .config import DimensionCapError, check_dim_cap, check_word_cap, get_config
+from .config import DimensionCapError, Frozen, check_dim_cap, check_word_cap, get_config
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -40,8 +40,7 @@ from .linalg import (
 from .rates import StateSet, compound_classical_cost, compound_merging_cost, worst_case_protocol_fidelity
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalFamily:
+class OrthogonalFamily(Frozen):
     """Family of rotated copies of a base state with pairwise orthogonal
     sending-side supports.
 
@@ -50,10 +49,8 @@ class OrthogonalFamily:
     into block s by the block shift U_s (:meth:`shift`).
     """
 
-    base: State
-    n: int
-    embed: np.ndarray
-    members: StateSet
+    def __init__(self, base: State, n: int, embed: np.ndarray, members: StateSet):
+        vars(self).update(base=base, n=n, embed=embed, members=members)
 
     @property
     def support_rank(self) -> int:
@@ -245,8 +242,7 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
     return compose_instrument_with_protocols(sorting, [sub] * len(words), mirrors)
 
 
-@dataclass
-class RateGapReport:
+class RateGapReport(NamedTuple):
     """Hull costs versus protocol rates for an orthogonal family."""
 
     n: int

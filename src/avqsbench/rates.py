@@ -8,9 +8,8 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .channels import (
     identity_instrument,
     purified_merging_fidelity,
 )
-from .config import check_dim_cap, check_word_cap, get_config
+from .config import Frozen, check_dim_cap, check_word_cap, get_config
 from .entropy import (
     conditional_entropy,
     instrument_rates,
@@ -38,18 +37,14 @@ from .optim import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class StateSet:
+class StateSet(Frozen):
     """Finite indexed family of states on one common factored space."""
 
-    members: tuple[State, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        members = tuple(self.members)
+    def __init__(self, members: tuple[State, ...], labels: tuple[str, ...] = ()):
+        members = tuple(members)
         if not members:
             raise ValueError("a state set needs at least one member")
-        labels = tuple(self.labels) or tuple(str(i) for i in range(len(members)))
+        labels = tuple(labels) or tuple(str(i) for i in range(len(members)))
         if len(labels) != len(members):
             raise ValueError("need exactly one label per member")
         first = members[0]
@@ -67,8 +62,7 @@ class StateSet:
                         f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
                         stacklevel=2,
                     )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "labels", labels)
+        vars(self).update(members=members, labels=labels)
 
     @property
     def n(self) -> int:
@@ -93,22 +87,24 @@ class StateSet:
         return out
 
 
-@dataclass
-class RateReport:
+class RateReport(Frozen):
     """A computed rate in bits plus how it was attained."""
 
-    quantity: str
-    value: float
-    attained_by: str | None = None
-    weights: tuple[float, ...] | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
+    def __init__(
+        self,
+        quantity: str,
+        value: float,
+        attained_by: str | None = None,
+        weights: tuple[float, ...] | None = None,
+        metadata: dict | None = None,
+    ):
+        if weights is not None:
+            w = np.asarray(weights, dtype=float)
             if abs(w.sum() - 1.0) > 1e-9 or w.min() < -1e-9:
-                raise ValueError(f"weights {self.weights} are not on the simplex")
-            self.weights = tuple(float(x) for x in w)
+                raise ValueError(f"weights {weights} are not on the simplex")
+            weights = tuple(float(x) for x in w)
+        vars(self).update(quantity=quantity, value=value, attained_by=attained_by, weights=weights)
+        vars(self).update(metadata={} if metadata is None else metadata)
 
     def to_dict(self) -> dict:
         out = {"quantity": self.quantity, "value": self.value}
@@ -348,8 +344,7 @@ def _hull_rate(xs: StateSet, k: int):
     return rate, inner_infimum
 
 
-@dataclass
-class DistillationResult:
+class DistillationResult(NamedTuple):
     report: RateReport
     instrument: Instrument
 

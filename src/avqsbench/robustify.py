@@ -5,26 +5,24 @@ permutation average at least 1 - (l+1)^{|S|} gamma at every single word."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from .config import Frozen
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TypeDistribution:
+class TypeDistribution(Frozen):
     """Empirical symbol counts of a word; counts sum to the word length."""
 
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+    def __init__(self, counts: tuple[int, ...]):
+        counts = tuple(int(c) for c in counts)
         if any(c < 0 for c in counts) or sum(counts) == 0:
             raise ValueError(f"counts must be nonnegative and not all zero, got {counts}")
-        object.__setattr__(self, "counts", counts)
+        vars(self).update(counts=counts)
 
     @property
     def length(self) -> int:
@@ -86,8 +84,7 @@ def evaluate_on_words(f: Callable[[Word], float], n_symbols: int, l: int) -> np.
     return values
 
 
-@dataclass(frozen=True)
-class TypeCheck:
+class TypeCheck(NamedTuple):
     """Hypothesis and conclusion margins for one type class."""
 
     counts: tuple[int, ...]
@@ -97,8 +94,7 @@ class TypeCheck:
     conclusion_margin: float
 
 
-@dataclass(frozen=True)
-class RobustificationReport:
+class RobustificationReport(NamedTuple):
     n_symbols: int
     blocklength: int
     gamma: float

@@ -14,30 +14,41 @@ memory is the number of frames and of the smaller partitions they reach.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import ceil, factorial, log, log2, prod
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import DimensionCapError, check_dim_cap, check_matrix_form_blocklength, get_config
+from .config import (
+    DimensionCapError,
+    Frozen,
+    check_dim_cap,
+    check_frame_work,
+    check_matrix_form_blocklength,
+    get_config,
+)
 from .entropy import spectrum_entropy
 from .linalg import State
 
 
-@dataclass(frozen=True)
-class YoungFrame:
-    """Partition of the blocklength with nonincreasing positive parts."""
+class YoungFrame(Frozen):
+    """Partition of the blocklength with nonincreasing positive parts; frames
+    with equal parts are equal, with equal hashes."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(p) for p in parts)
         if not parts or any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be nonincreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        vars(self).update(parts=parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is YoungFrame else NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def size(self) -> int:
@@ -308,8 +319,7 @@ def _contract(prev, starts, keys, x, big) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # entropy binning
 
-@dataclass(frozen=True)
-class EntropyBinning:
+class EntropyBinning(NamedTuple):
     """Partition of [0, log2 d] into ``n_bins`` bins of width ``width`` (the
     last bin absorbs the remainder).  Bin 1 is closed, later bins are
     left-open: I_1 = [s_0, s_1], I_i = (s_{i-1}, s_i], with s_i = i * width
@@ -355,8 +365,7 @@ def make_binning(l: int, d: int, eta: float) -> EntropyBinning:
     return EntropyBinning(l, d, eta, 1 if eta >= top else int(ceil(top / eta - 1e-12)))
 
 
-@dataclass(frozen=True)
-class EntropyBin:
+class EntropyBin(NamedTuple):
     """Frames whose row entropy falls in one bin; ``index`` is the original
     1-based bin index (empty bins are skipped but indices are preserved)."""
 
@@ -364,13 +373,12 @@ class EntropyBin:
     frames: tuple[YoungFrame, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyInstrument:
+class EntropyInstrument(Frozen):
     """Projective instrument sorting tensor-power states by estimated
     entropy, one outcome per nonempty bin."""
 
-    binning: EntropyBinning
-    bins: tuple[EntropyBin, ...]
+    def __init__(self, binning: EntropyBinning, bins: tuple[EntropyBin, ...]):
+        vars(self).update(binning=binning, bins=bins)
 
     @property
     def local_dim(self) -> int:
@@ -412,6 +420,7 @@ class EntropyInstrument:
 
 def build_entropy_instrument(l: int, d: int, eta: float) -> EntropyInstrument:
     binning = make_binning(l, d, eta)
+    check_frame_work(l, d, "build_entropy_instrument")
     grouped: dict[int, list[YoungFrame]] = {}
     for f in young_frames(l, d):
         grouped.setdefault(binning.bin_of(frame_entropy(f)), []).append(f)
@@ -437,6 +446,7 @@ def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None
     over bins j with |j - i| > 1, where i is the bin of the marginal's
     entropy (derived when not supplied).
     """
+    check_frame_work(inst.blocklength, inst.local_dim, "misbin_probability")
     spectrum = np.linalg.eigvalsh(sending_marginal(rho).matrix)
     if true_bin is None:
         true_bin = inst.binning.bin_of(spectrum_entropy(spectrum))

@@ -382,6 +382,14 @@ class TestCliExitCodes:
         assert main(argv + ["--blocklength", "13"]) == 3
         assert "enumeration cap" in capsys.readouterr().err
 
+    def test_schur_demo_frame_work_cap_exit_code(self, bell_state_file, capsys):
+        # passes every other cap; without the frame-work cap it ran for minutes
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "100000", "--eta", "0.1"]
+        start = time.perf_counter()
+        assert main(argv + ["--state", bell_state_file]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "frame-table terms" in capsys.readouterr().err
+
     def test_word_dimension_cap_exit_code(self, tmp_path, two_state_file, capsys):
         # l=2 protocol with trivial resources: only the 16-dimensional word
         # states exceed --dim-cap 15, not anything loaded from the files; the
@@ -687,6 +695,22 @@ def test_unseeded_commands_leave_numpy_random_unloaded(two_state_file, bell_stat
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[0, 0, 0] False"
+
+
+def test_import_generates_no_class_code():
+    # the package's types are written out in the source: importing it neither
+    # loads dataclasses or fractions nor makes any dataclass
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import inspect, sys, avqsbench.cli\n"
+        "mods = [m for name, m in list(sys.modules.items()) if name.startswith('avqsbench')]\n"
+        "generated = [c.__name__ for m in mods for c in vars(m).values()\n"
+        "             if inspect.isclass(c) and hasattr(c, '__dataclass_fields__')]\n"
+        "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)), generated)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] []"
 
 
 SCIPY_BLOCKED_DISTILL = """

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -25,6 +24,7 @@ from avqsbench.linalg import (
     trace_norm,
 )
 from avqsbench.rates import (
+    StateSet,
     compound_classical_cost,
     compound_merging_cost,
     convex_mixture,
@@ -32,6 +32,7 @@ from avqsbench.rates import (
     worst_case_protocol_fidelity,
 )
 from avqsbench.rate_gap import (
+    OrthogonalFamily,
     build_orthogonal_family,
     discriminating_instrument,
     family_merging_protocol,
@@ -124,8 +125,8 @@ class TestTamperedFamily:
         a0 = partial_trace(fam.members.members[0], [0]).matrix
         assert trace_norm(a0 @ partial_trace(swapped, [0]).matrix) <= 1e-12
         assert trace_distance(partial_trace(swapped, [1]), partial_trace(fam.members.members[1], [1])) <= 1e-12
-        tampered = dataclasses.replace(
-            fam, members=dataclasses.replace(fam.members, members=(fam.members.members[0], swapped))
+        tampered = OrthogonalFamily(
+            fam.base, fam.n, fam.embed, StateSet((fam.members.members[0], swapped), fam.members.labels)
         )
         report = rate_gap_report(tampered, l=1).to_dict()
         assert report["passed"] is False
@@ -303,10 +304,11 @@ class TestFamilyProtocol:
         fam = build_orthogonal_family(_rank2_negative_base(), 2)
         protocol = family_merging_protocol(fam, known_pure_state_merging(_rank2_negative_base(), 1))
         leaky = CpMap(protocol.mirrors[0][0].kraus[:1], (4,), (fam.enlarged_dim,))
+        fields = (protocol.locc, protocol.phi_in, protocol.phi_out, protocol.blocklength)
         with pytest.raises(ValueError, match="mirror maps must be channels"):
-            dataclasses.replace(protocol, mirrors=((leaky,),) + protocol.mirrors[1:])
+            MergingProtocol(*fields, mirrors=((leaky,),) + protocol.mirrors[1:])
         with pytest.raises(ValueError, match="one channel per copy"):
-            dataclasses.replace(protocol, mirrors=protocol.mirrors[1:])
+            MergingProtocol(*fields, mirrors=protocol.mirrors[1:])
 
 
 class TestOrthogonalSupportEntropyIdentity:

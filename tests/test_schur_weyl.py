@@ -10,6 +10,7 @@ from avqsbench.channels import permutation_channel
 from avqsbench.config import DimensionCapError, local_config
 from avqsbench.linalg import random_unitary, state
 from avqsbench.schur_weyl import (
+    EntropyInstrument,
     YoungFrame,
     build_entropy_instrument,
     cycle_types,
@@ -339,6 +340,28 @@ class TestBranchingTable:
         assert frame_probabilities(frames, spectrum).sum() == pytest.approx(1.0, abs=1e-12)
         with local_config(dim_cap=6), pytest.raises(DimensionCapError, match="dim_cap"):
             frame_probabilities(frames, spectrum)
+
+
+class TestFrameWorkCap:
+    @pytest.mark.parametrize("d, l", [(2, 800), (3, 120), (4, 20)])
+    def test_suite_and_readme_sizes_run(self, d, l):
+        spectrum = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+        inst = build_entropy_instrument(l, d, 0.1)
+        assert 0.0 <= misbin_probability(inst, state(np.diag(spectrum))) <= 1.0
+
+    def test_refused_before_any_frame_is_enumerated(self, monkeypatch):
+        import avqsbench.schur_weyl as schur_weyl
+
+        def no_frames(*args):
+            raise AssertionError("frames enumerated")
+
+        monkeypatch.setattr(schur_weyl, "young_frames", no_frames)
+        with pytest.raises(DimensionCapError, match="frame-table terms"):
+            build_entropy_instrument(100000, 2, 0.1)
+        # bins are not read either: an instrument without frames is refused
+        empty = EntropyInstrument(make_binning(100000, 2, 0.1), ())
+        with pytest.raises(DimensionCapError, match="frame-table terms"):
+            misbin_probability(empty, state(np.diag([0.8, 0.2])))
 
 
 class TestEntropyInstrument:
