@@ -170,23 +170,6 @@ def _sorted_targets(n: int, targets) -> list[int]:
     return tgt
 
 
-def apply_kraus_to_vector(vec: np.ndarray, dims: Sequence[int], op: np.ndarray, targets) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Apply one operator to the given factors of an amplitude vector.
-
-    Returns the new (flat, generally unnormalized) vector; the operator's
-    output block comes first in the new factor order, then the untouched
-    factors.  The caller tracks output factor dims.
-    """
-    dims = tuple(dims)
-    tgt = _sorted_targets(len(dims), targets)
-    rest = [i for i in range(len(dims)) if i not in tgt]
-    d_t = prod(dims[i] for i in tgt)
-    d_r = prod((dims[i] for i in rest), start=1)
-    arranged = vec.reshape(dims).transpose(tgt + rest).reshape(d_t, d_r)
-    out = op @ arranged
-    return out.reshape(-1), tuple(dims[i] for i in rest)
-
-
 def apply_cp_map(m: CpMap, s: State, targets) -> tuple[State, float]:
     """Apply a CP map to a subset of factors of a state.
 
@@ -458,15 +441,13 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     in_dims = p.phi_in.dims + psi.dims
     a_targets = [0] + [2 + 2 * i for i in range(l)]
     rest = [i for i in range(len(in_dims)) if i not in a_targets]
-    rest_dims = tuple(in_dims[i] for i in rest)
     arranged = (
         np.kron(p.phi_in.vector, psi.vector)
         .reshape(in_dims)
         .transpose(a_targets + rest)
         .reshape(p.locc.a_instrument.dim_in, -1)
     )
-    # receiving-side factors directly follow the K1_A output after the sender acts
-    b_now = list(range(1, l + 2))
+    d_recv = p.locc.b_channels[0].dim_in
     # output factor order: (K1_B, B'_1, B_1, ..., B'_l, B_l), K1_A, env
     order = [1] + list(range(2, 2 * l + 2)) + [0] + list(range(2 * l + 2, 2 * l + 2 + n_env))
 
@@ -487,11 +468,13 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     for k, (t_k, r_k) in enumerate(zip(p.locc.a_instrument.outcomes, p.locc.b_channels)):
         maps = p.mirrors[k] if p.mirrors else ()
         for ka in t_k.kraus:
-            mid = (ka @ arranged).reshape(-1)
+            # factors (K1_A, K0_B, B_1, ..., B_l, env): the receiving ones form
+            # one block, swapped in front of K1_A
+            mid = (ka @ arranged).reshape(ka.shape[0], d_recv, -1)
             if np.vdot(mid, mid).real <= prob_tol:
                 continue
-            mid_dims = t_k.out_dims + rest_dims
-            outs = [apply_kraus_to_vector(mid, mid_dims, kb, b_now)[0] for kb in r_k.kraus]
+            block = mid.transpose(1, 0, 2).reshape(d_recv, -1)
+            outs = [(kb @ block).reshape(-1) for kb in r_k.kraus]
             if maps not in cache:
                 cache[maps] = pulled_targets(maps)
             for t in cache[maps]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channels import merging_fidelity
-from .config import Config, DimensionCapError, check_word_cap, get_config, set_config, update_config
+from .config import Config, DimensionCapError, all_words, get_config, set_config, update_config
 from .io import (
     ParseError,
     instrument_to_dict,
@@ -302,7 +302,7 @@ def _robustify_args(p):
 def _cmd_robustify(args):
     xs = state_set_from_dict(load_json(args.set_path), args.set_path)
     l = args.blocklength
-    check_word_cap(xs.n**l, "robustify-check")
+    words = all_words(xs.n, l, "robustify-check")
     report = check_robustification(_word_fidelity_function(xs), xs.n, l)
     payload = {
         "set": args.set_path,
@@ -311,10 +311,7 @@ def _cmd_robustify(args):
     }
     passed = report.passed
     if args.trials:
-        import itertools
-
         rng = np.random.default_rng(args.seed)
-        words = list(itertools.product(range(xs.n), repeat=l))
         failures = 0
         for _ in range(args.trials):
             lookup = dict(zip(words, rng.random(len(words))))

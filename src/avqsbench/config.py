@@ -3,6 +3,7 @@ immutable base that the package's validated types share."""
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from math import log2
 from typing import NamedTuple
@@ -91,9 +92,13 @@ def check_dim_cap(dim: int, context: str = "") -> None:
         )
 
 
-def check_word_cap(n_words: int, context: str) -> None:
-    if n_words > WORD_CAP:
-        raise DimensionCapError(f"{n_words} words exceed the enumeration cap of {WORD_CAP} in {context}")
+def all_words(n: int, l: int, context: str) -> list[tuple[int, ...]]:
+    """Every word of length ``l`` over the symbols ``range(n)``, in
+    lexicographic order.  More than ``WORD_CAP`` words raise
+    ``DimensionCapError``, naming ``context``, before any word is made."""
+    if n**l > WORD_CAP:
+        raise DimensionCapError(f"{n**l} words exceed the enumeration cap of {WORD_CAP} in {context}")
+    return list(itertools.product(range(n), repeat=l))
 
 
 def check_frame_work(l: int, d: int, context: str) -> None:

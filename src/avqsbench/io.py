@@ -10,6 +10,7 @@ offending field named.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from math import isqrt, prod
 from typing import Any
 
@@ -27,6 +28,15 @@ class ParseError(Exception):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParseError(message)
+
+
+@contextmanager
+def _field(field: str):
+    """Re-raise a constructor's ``ValueError`` as a ``ParseError`` naming the field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"{field}: {exc}") from None
 
 
 # bool is a subclass of int, but true and false are not JSON numbers
@@ -96,10 +106,8 @@ def state_from_dict(doc: dict, field: str = "state") -> State:
         mat.shape[0] == prod(dims),
         f"{field}: matrix dimension {mat.shape[0]} does not match dims product {prod(dims)}",
     )
-    try:
+    with _field(field):
         return state(mat, dims, parties)
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def state_to_dict(s: State) -> dict:
@@ -119,10 +127,8 @@ def pure_state_from_dict(doc: dict, field: str = "pure_state") -> PureState:
         vec.size == prod(dims),
         f"{field}: {vec.size} amplitudes do not match dims product {prod(dims)}",
     )
-    try:
+    with _field(field):
         return PureState(vec, dims, parties)
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def pure_state_to_dict(p: PureState) -> dict:
@@ -147,10 +153,8 @@ def state_set_from_dict(doc: dict, field: str = "state_set") -> StateSet:
             mat.shape[0] == prod(dims),
             f"{field}.members.{name}: dimension {mat.shape[0]} does not match dims product",
         )
-        try:
+        with _field(f"{field}.members.{name}"):
             members.append(state(mat, dims, parties))
-        except ValueError as exc:
-            raise ParseError(f"{field}.members.{name}: {exc}") from None
         labels.append(str(name))
     return StateSet(tuple(members), tuple(labels))
 
@@ -191,10 +195,8 @@ def cp_map_from_dict(doc: dict, field: str = "cp_map") -> CpMap:
         kraus.append(flat.reshape(rows, cols))
     in_dims = _positive_ints(doc.get("in_dims", []), f"{field}.in_dims")
     out_dims = _positive_ints(doc.get("out_dims", []), f"{field}.out_dims")
-    try:
+    with _field(field):
         return CpMap(tuple(kraus), in_dims, out_dims)
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def cp_map_to_dict(m: CpMap) -> dict:
@@ -220,10 +222,8 @@ def instrument_from_dict(doc: dict, field: str = "instrument") -> Instrument:
     outcomes = tuple(
         cp_map_from_dict(o, f"{field}.outcomes[{i}]") for i, o in enumerate(doc["outcomes"])
     )
-    try:
+    with _field(field):
         return Instrument(outcomes)
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def instrument_to_dict(e: Instrument) -> dict:
@@ -237,10 +237,8 @@ def locc_from_dict(doc: dict, field: str = "locc") -> OneWayLoccChannel:
     b = tuple(
         cp_map_from_dict(c, f"{field}.b_channels[{i}]") for i, c in enumerate(doc["b_channels"])
     )
-    try:
+    with _field(field):
         return OneWayLoccChannel(instrument, b)
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def locc_to_dict(n: OneWayLoccChannel) -> dict:
@@ -257,15 +255,13 @@ def protocol_from_dict(doc: dict, field: str = "protocol") -> MergingProtocol:
         _is_positive_int(doc["blocklength"]),
         f"{field}.blocklength: must be a positive integer",
     )
-    try:
+    with _field(field):
         return MergingProtocol(
             locc=locc_from_dict(doc["locc"], f"{field}.locc"),
             phi_in=pure_state_from_dict(doc["phi_in"], f"{field}.phi_in"),
             phi_out=pure_state_from_dict(doc["phi_out"], f"{field}.phi_out"),
             blocklength=doc["blocklength"],
         )
-    except ValueError as exc:
-        raise ParseError(f"{field}: {exc}") from None
 
 
 def protocol_to_dict(p: MergingProtocol) -> dict:

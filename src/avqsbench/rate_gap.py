@@ -11,7 +11,6 @@ rates by exactly the logarithm of the family size.
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from math import log2
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from .channels import (
     compose_instrument_with_protocols,
     trivial_resource,
 )
-from .config import DimensionCapError, Frozen, check_dim_cap, check_word_cap, get_config
+from .config import DimensionCapError, Frozen, all_words, check_dim_cap, get_config
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -222,7 +221,7 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
     d_a, d_b = fam.base.dims
     if sub.copy_dims != (d_a, d_b):
         raise ValueError("subprotocol must act on the base state's spaces")
-    check_word_cap(fam.n**l, "the family protocol")
+    words = all_words(fam.n, l, "the family protocol")
     m = fam.enlarged_dim
     # refuse before building when word states could not be evaluated anyway
     check_dim_cap((m * d_b) ** l, "the family protocol's word states")
@@ -235,7 +234,6 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
     )
     restore = [CpMap((o.kraus[0].conj().T,) + complement, (d_a,), (m,)) for o in disc.outcomes]
 
-    words = list(itertools.product(range(fam.n), repeat=l))
     sort = [reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
     sorting = Instrument(tuple(CpMap((k,), (m,) * l, (d_a,) * l) for k in sort))
     mirrors = [tuple(restore[s] for s in word) for word in words]
@@ -315,7 +313,7 @@ def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
     members = fam.members
     base_cond = conditional_entropy(fam.base).value
     base_env = mutual_info_env(fam.base).value
-    log_n = log2(fam.n) if fam.n > 1 else 0.0
+    log_n = log2(fam.n)
 
     merge_hull = compound_merging_cost(members, hull=True)
     classical_hull = compound_classical_cost(members, hull=True)
@@ -345,11 +343,11 @@ def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
         base_env_mutual_info=base_env,
         hull_merging_numeric=merge_hull.value,
         hull_merging_closed=merge_closed,
-        hull_merging_weights=merge_hull.weights or (1.0,),
+        hull_merging_weights=merge_hull.weights,
         hull_merging_duality_gap=merge_hull.metadata["duality_gap"],
         hull_classical_numeric=classical_hull.value,
         hull_classical_closed=classical_closed,
-        hull_classical_weights=classical_hull.weights or (1.0,),
+        hull_classical_weights=classical_hull.weights,
         hull_classical_duality_gap=classical_hull.metadata["duality_gap"],
         protocol_entanglement_rate=ent_rate,
         protocol_classical_rate=cls_rate,

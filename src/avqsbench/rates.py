@@ -6,7 +6,6 @@ k=1 distillation inner infimum carry a Frank-Wolfe duality gap."""
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from math import prod
 from typing import NamedTuple, Sequence
@@ -17,17 +16,10 @@ from .channels import (
     CpMap,
     Instrument,
     MergingProtocol,
-    identity_instrument,
     purified_merging_fidelity,
 )
-from .config import Frozen, check_dim_cap, check_word_cap, get_config
-from .entropy import (
-    conditional_entropy,
-    instrument_rates,
-    mutual_info_env,
-    post_measurement_blocks,
-    source_first,
-)
+from .config import Frozen, all_words, check_dim_cap, get_config
+from .entropy import instrument_rates, post_measurement_blocks, source_first, von_neumann_entropy
 from .linalg import PureState, State, purify, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
@@ -216,16 +208,27 @@ def _vertex_entropy_sums(blocks):
     return total
 
 
-def _compound_cost(xs: StateSet, hull: bool, quantity: str, functional, terms) -> RateReport:
+def _signed_entropy_sum(s: State, terms) -> float:
+    """sum_b sign_b S(rho_b) over the marginals rho_b of ``s`` named by the
+    terms, added left to right."""
+    value = 0.0
+    for parties, sign in terms:
+        value += sign * von_neumann_entropy(s.marginal(*parties)).value
+    return value
+
+
+def _compound_cost(xs: StateSet, hull: bool, quantity: str, terms) -> RateReport:
+    """Largest signed entropy sum of ``terms``, each a (parties, sign) pair,
+    over the members or, by a certified ascent, over the hull."""
     if not hull:
-        values = [functional(m).value for m in xs.members]
+        values = [_signed_entropy_sum(m, terms) for m in xs.members]
         idx = int(np.argmax(values))
         return RateReport(
             quantity, float(values[idx]), attained_by=xs.labels[idx], metadata={"over": "members"}
         )
     blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
     p, _, meta = maximize_concave_over_simplex(_entropy_sum(blocks), xs.n)
-    value = functional(convex_mixture(xs, p)).value
+    value = _signed_entropy_sum(convex_mixture(xs, p), terms)
     return RateReport(quantity, value, weights=tuple(p), metadata={"over": "hull", **meta})
 
 
@@ -235,15 +238,14 @@ def compound_merging_cost(xs: StateSet, hull: bool = False) -> RateReport:
     This is the achievable entanglement cost per copy; callers add their own
     slack.  Over the hull the maximum lies in [value, value + duality_gap].
     """
-    terms = ((("A", "B"), 1.0), (("B",), -1.0))
-    return _compound_cost(xs, hull, "merging-cost", conditional_entropy, terms)
+    return _compound_cost(xs, hull, "merging-cost", ((("A", "B"), 1.0), (("B",), -1.0)))
 
 
 def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
     """Largest I(A;E) = S(A) + S(AB) - S(B) over the set or hull — the
     classical communication rate attached to the merging cost."""
     terms = ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))
-    return _compound_cost(xs, hull, "classical-cost", mutual_info_env, terms)
+    return _compound_cost(xs, hull, "classical-cost", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +277,15 @@ def _hull_rate(xs: StateSet, k: int):
     d_b = arranged[0][1]
     d_a = mats[0].shape[0] // d_b
     n = len(mats)
-    check_word_cap(n**k, "the distillation inner infimum")
+    words = all_words(n, k, "the distillation inner infimum")
 
     def product(a, b):
         # (A1, B1, A2, B2) -> (A1, A2, B1, B2) on both sides of the matrix
         split = np.kron(a, b).reshape((d_a, d_b) * 4)
         return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(a.size, a.size)
 
-    if k == 1:
-        products, diagonal = np.stack(mats), np.arange(n)
-    else:
-        products = np.stack([product(a, b) for a in mats for b in mats])
-        diagonal = np.arange(n) * (n + 1)
+    products = np.stack([functools.reduce(product, [mats[s] for s in w]) for w in words])
+    diagonal = [i for i, w in enumerate(words) if len(set(w)) == 1]
     vertices = products[diagonal]
 
     def rate(kraus, gradient=False):
@@ -368,15 +367,21 @@ def distillation_rate_lower_bound(
     zero outcome is a stationary point), for at most ``maxiter`` steps, along
     the gradient of the smallest vertex rate.  Each point scores all
     vertices in one :func:`entropy.instrument_rates` call.
-    The reported value is the inner infimum over the hull (``inner_infimum``
-    of :func:`_hull_rate`) of the best instrument found.  The single-outcome
-    identity instrument is always a candidate, so the result never falls
-    below that baseline.  The instrument is feasible by construction, so its
-    rate on the hull is a lower bound on the k-letter rate.  At k=1 that rate
-    lies in [value - inner_duality_gap, value] (``inner_certified``), so
-    ``value - inner_duality_gap`` is a certified lower bound; at k=2 the inner
-    infimum is not certified, and the value is only an upper estimate of the
-    instrument's rate on the hull.
+
+    The candidates are the single-outcome identity, the rank-one
+    measure-and-discard instrument (outcome i keeps |0><i|, rate 0 on the
+    whole hull) when ``n_outcomes >= d_A^k``, and each restart's isometry,
+    in that order.  Each is scored by its inner infimum over the hull
+    (``inner_infimum`` of :func:`_hull_rate`), the number reported, and the
+    first best one wins; ``metadata.candidate`` names it (``identity``,
+    ``measure-and-discard`` or ``restart-<i>``) and ``trivial_baseline`` is
+    the identity's score.  So the value is never below the identity's, nor
+    below 0 when measure-and-discard is a candidate.  Every candidate is
+    feasible, so its rate on the hull is a lower bound on the k-letter rate.
+    At k=1 that rate lies in [value - inner_duality_gap, value]
+    (``inner_certified``), so ``value - inner_duality_gap`` is a certified
+    lower bound; at k=2 the inner infimum is not certified, and the value is
+    only an upper estimate of the instrument's rate on the hull.
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
@@ -388,9 +393,6 @@ def distillation_rate_lower_bound(
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
     rate, inner_infimum = _hull_rate(xs, k)
-    trivial = identity_instrument((d_x**k,))
-    baseline, base_p, base_meta = inner_infimum(trivial.kraus_stack())
-
     dim = d_x**k
     shape = (dim * n_outcomes, dim)
     rng = np.random.default_rng(seed)
@@ -400,36 +402,37 @@ def distillation_rate_lower_bound(
         active = int(np.argmin(values))
         return float(values[active]), grads[active].reshape(v.shape)
 
-    best_v, best_guide, runs = None, -np.inf, []
-    for _ in range(restarts):
+    # each candidate is the isometry stacking its outcome operators
+    candidates, runs = {"identity": np.eye(dim, dtype=complex)}, []
+    if n_outcomes >= dim:  # block row i is |0><i|
+        candidates["measure-and-discard"] = np.kron(np.eye(dim), np.eye(dim, 1, dtype=complex))
+    for i in range(restarts):
         start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        v, value, meta = maximize_over_isometries(guide, start, maxiter)
+        v, _, meta = maximize_over_isometries(guide, start, maxiter)
         runs.append(meta)
-        if value > best_guide:
-            best_v, best_guide = v, value
-
-    best_instrument = _block_row_instrument(best_v)
-    value, weights, inner_meta = inner_infimum(best_instrument.kraus_stack())
-    if value < baseline:
-        value, weights, inner_meta = baseline, base_p, base_meta
-        best_instrument = trivial
+        candidates[f"restart-{i}"] = v
+    scores = {name: inner_infimum(v.reshape(-1, 1, dim, dim)) for name, v in candidates.items()}
+    winner = max(scores, key=lambda name: scores[name][0])
+    value, weights, inner_meta = scores[winner]
+    instrument = _block_row_instrument(candidates[winner])
     report = RateReport(
         quantity="distillation-rate-lower-bound",
         value=float(value),
         weights=tuple(np.asarray(weights, dtype=float)),
         metadata={
             "k": k,
-            "n_outcomes": best_instrument.n_outcomes,
+            "n_outcomes": instrument.n_outcomes,
+            "candidate": winner,
             "restarts": len(runs),
             "seed": seed,
             "outer_iterations": sum(m["iterations"] for m in runs),
             "outer_evaluations": sum(m["evaluations"] for m in runs),
             "outer_stop_reasons": [m["stop_reason"] for m in runs],
-            "trivial_baseline": float(baseline),
+            "trivial_baseline": float(scores["identity"][0]),
             **inner_meta,
         },
     )
-    return DistillationResult(report, best_instrument)
+    return DistillationResult(report, instrument)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +457,7 @@ def worst_case_protocol_fidelity(
         rng = np.random.default_rng(seed)
         words = [tuple(int(s) for s in rng.integers(0, xs.n, size=l)) for _ in range(sample)]
     else:
-        check_word_cap(xs.n**l, "worst-case; pass sample=<count> for a seeded sampled search")
-        words = list(itertools.product(range(xs.n), repeat=l))
+        words = all_words(xs.n, l, "worst-case; pass sample=<count> for a seeded sampled search")
     values = word_fidelities(protocol, xs, words)
     best = int(np.argmin(values))
     return float(values[best]), words[best]

@@ -4,13 +4,12 @@ permutation average at least 1 - (l+1)^{|S|} gamma at every single word."""
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import Frozen
+from .config import Frozen, all_words
 
 Word = tuple[int, ...]
 
@@ -62,7 +61,7 @@ def word_type(word: Sequence[int], n_symbols: int) -> TypeDistribution:
 @lru_cache(maxsize=None)
 def _word_table(n_symbols: int, l: int):
     """All words, their type ids, and the per-type product probabilities."""
-    words = list(itertools.product(range(n_symbols), repeat=l))
+    words = all_words(n_symbols, l, "check_robustification")
     types = enumerate_types(n_symbols, l)
     type_index = {t.counts: i for i, t in enumerate(types)}
     word_arr = np.array(words, dtype=np.int64)
@@ -137,7 +136,8 @@ def check_robustification(
     When ``gamma`` is not supplied it is derived exactly from the hypothesis
     side as 1 minus the smallest i.i.d. type average.  The permutation
     average of f at a word depends only on the word's type, so the check is
-    exhaustive over words while costing one pass per type.
+    exhaustive over words while costing one pass per type.  More words than
+    ``config.WORD_CAP`` raise ``DimensionCapError`` before any is made.
     """
     words, types, type_of_word, probs = _word_table(n_symbols, l)
     values = evaluate_on_words(f, n_symbols, l)

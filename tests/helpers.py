@@ -16,6 +16,8 @@ import numpy as np
 
 from avqsbench.channels import CpMap, Instrument, instrument_statistics
 from avqsbench.entropy import coherent_information
+from avqsbench.linalg import state
+from avqsbench.rates import StateSet
 from avqsbench.robustify import word_type
 from avqsbench.schur_weyl import YoungFrame, frame_dimension, young_frames
 
@@ -268,3 +270,17 @@ def schur_ratio(parts: tuple[int, ...], x: tuple[float, ...]) -> float:
             term *= r ** (p - m)
         total += term
     return total
+
+
+def distill_bench_set(seed: int) -> StateSet:
+    """The qubit-pair set of the distillation benchmark at CLI seed ``seed``:
+    a seeded random full-rank state and the Werner state of weight 0.9, in
+    the order of the benchmark's input file (member names sorted)."""
+    rng = np.random.default_rng([seed, 1])
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    random = g @ g.conj().T
+    phi = np.zeros(4)
+    phi[[0, 3]] = 1 / np.sqrt(2)
+    werner = 0.9 * np.outer(phi, phi) + 0.1 * np.eye(4) / 4
+    members = (random / np.trace(random).real, werner)
+    return StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in members), ("random", "werner"))

@@ -313,6 +313,42 @@ class TestMergingFidelity:
         assert out.dims == t_dims
         assert fast == pytest.approx(slow, abs=1e-9)
 
+    def test_rank_two_resource_against_matrix_fidelity_path(self):
+        # phi_in = Phi_2 puts K0_B inside the receiving block (K0_B, B_1, B_2);
+        # several Kraus operators per outcome on both sides, and an
+        # environment larger than the source's rank
+        l, d, n_outcomes = 2, 2, 2
+        d_in, d_out = 2 * d**l, 2 * d ** (2 * l)
+        copies = (d,) * l
+        sending = random_kraus_channel(rng, d_in, 2, 2 * n_outcomes)
+        instrument = Instrument(
+            tuple(CpMap(tuple(sending[2 * j : 2 * j + 2]), (2,) + copies, (2,)) for j in range(n_outcomes))
+        )
+        b_channels = tuple(
+            CpMap(tuple(random_kraus_channel(rng, d_in, d_out, 3)), (2,) + copies, (2,) + (d, d) * l)
+            for _ in range(n_outcomes)
+        )
+        phi = maximally_entangled(2)
+        protocol = MergingProtocol(OneWayLoccChannel(instrument, b_channels), phi, phi, l)
+        rho = random_density([d, d] * l, rng, rank=3, parties=("A", "B") * l)
+        psi = purify(rho)
+        r = psi.dims[-1]
+        iso = random_unitary(r + 2, rng)[:, :r]
+        enlarged = PureState(
+            (psi.vector.reshape(-1, r) @ iso.T).reshape(-1), psi.dims[:-1] + (r + 2,), psi.parties
+        )
+        fast = merging_fidelity(protocol, rho, purification=enlarged)
+
+        # input factors (K0_A, K0_B, A_1, B_1, A_2, B_2, E); output factors
+        # (K1_A, K1_B, B'_1, B_1, B'_2, B_2, E), the order of phi_out x psi'
+        inp = tensor_product(phi.density(), enlarged.density())
+        out = apply_one_way_locc(protocol.locc, inp)
+        target = np.kron(phi.vector, enlarged.vector)
+        slow = fidelity(out.matrix, np.outer(target, target.conj()))
+        assert out.dims == phi.dims + enlarged.dims
+        assert 1e-3 < fast < 1 - 1e-3
+        assert fast == pytest.approx(slow, abs=1e-10)
+
     def test_rejects_non_purification(self):
         protocol = _reprepare_protocol(np.array([1.0, 0.0]))
         rho = random_density([2, 2], rng, parties=("A", "B"))

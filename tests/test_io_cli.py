@@ -44,6 +44,8 @@ from avqsbench.rate_gap import (
     known_pure_state_merging,
 )
 
+from helpers import distill_bench_set
+
 rng = np.random.default_rng(61)
 
 
@@ -359,6 +361,15 @@ class TestCliCommands:
         assert payload["report"]["quantity"] == "distillation-rate-lower-bound"
         assert "identity" not in payload["report"]["metadata"]
 
+    def test_distill_capacity_never_below_the_free_zero(self, tmp_path, capsys):
+        path = str(tmp_path / "set.json")
+        save_json(path, state_set_to_dict(distill_bench_set(52000)))
+        argv = ["distill-capacity", "--set", path, "--k", "1", "--outcomes", "2"]
+        assert main(argv + ["--restarts", "2", "--seed", "52000"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["value"] >= -1e-12
+        assert report["metadata"]["candidate"] == "measure-and-discard"
+
 
 class TestCliExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
@@ -381,6 +392,11 @@ class TestCliExitCodes:
         argv = ["worst-case", "--protocol", bell_protocol_file, "--set", two_state_file]
         assert main(argv + ["--blocklength", "13"]) == 3
         assert "enumeration cap" in capsys.readouterr().err
+
+    def test_robustify_word_cap_message(self, two_state_file, capsys):
+        assert main(["robustify-check", "--set", two_state_file, "--blocklength", "13"]) == 3
+        err = capsys.readouterr().err
+        assert err == "resource cap: 8192 words exceed the enumeration cap of 4096 in robustify-check\n"
 
     def test_schur_demo_frame_work_cap_exit_code(self, bell_state_file, capsys):
         # passes every other cap; without the frame-work cap it ran for minutes

@@ -53,6 +53,7 @@ from avqsbench.rates import (
 from avqsbench.rate_gap import known_pure_state_merging
 
 from helpers import (
+    distill_bench_set,
     haar_isometry,
     random_instrument_kraus,
     random_kraus_channel,
@@ -367,6 +368,41 @@ class TestDistillation:
         assert meta["outer_evaluations"] >= meta["outer_iterations"] + 2
         assert meta["inner_stop_reason"] == "gap" and meta["inner_certified"]
         assert meta["inner_duality_gap"] <= 1e-9
+
+    def test_never_below_the_free_zero(self):
+        # the ascent's best vertex rates lose to measure-and-discard on this
+        # hull: its infimum is about -0.105, at an interior point
+        result = distillation_rate_lower_bound(
+            distill_bench_set(52000), k=1, n_outcomes=2, restarts=2, seed=52000
+        )
+        meta = result.report.metadata
+        assert result.report.value >= -1e-12
+        assert meta["candidate"] == "measure-and-discard"
+        assert meta["n_outcomes"] == result.instrument.n_outcomes == 2
+        assert meta["inner_certified"]
+
+    def test_reported_value_beats_every_candidate(self, monkeypatch):
+        xs = distill_bench_set(52000)
+        found = []
+        original = avqsbench.rates.maximize_over_isometries
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            found.append(out[0])
+            return out
+
+        monkeypatch.setattr(avqsbench.rates, "maximize_over_isometries", recorded)
+        result = distillation_rate_lower_bound(xs, k=1, n_outcomes=2, restarts=2, seed=52000)
+        _, inner_infimum = _hull_rate(xs, 1)
+        discard = np.zeros((2, 1, 2, 2), dtype=complex)
+        discard[0, 0, 0, 0] = discard[1, 0, 0, 1] = 1.0
+        stacks = [np.eye(2, dtype=complex).reshape(1, 1, 2, 2), discard]
+        stacks += [v.reshape(2, 1, 2, 2) for v in found]
+        assert len(found) == 2
+        scores = [inner_infimum(kraus)[0] for kraus in stacks]
+        assert scores[0] == result.report.metadata["trivial_baseline"]
+        assert max(scores[2:]) < -0.1  # selecting among the restarts alone stays below zero
+        assert result.report.value >= max(scores)
 
     def test_rejects_unsupported_k(self):
         with pytest.raises(ValueError, match="k in"):

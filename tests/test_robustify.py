@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from avqsbench.config import DimensionCapError
 from avqsbench.linalg import state, tensor_product
 from avqsbench.rates import StateSet
 from avqsbench.robustify import (
@@ -126,3 +127,12 @@ class TestCheckRobustification:
         table = {w: (1.0 if w == (0, 0) else 0.0) for w in words}
         report = check_robustification(table.__getitem__, 2, 2, gamma=0.01)
         assert not report.passed
+
+    def test_word_cap_before_any_word(self, monkeypatch):
+        # 4^12 = 16.7M words would need a 455 x 16.7M table of type probabilities
+        def no_words(*args, **kwargs):
+            raise AssertionError("a word was made")
+
+        monkeypatch.setattr(itertools, "product", no_words)
+        with pytest.raises(DimensionCapError, match="16777216 words exceed the enumeration cap"):
+            check_robustification(no_words, 4, 12)
