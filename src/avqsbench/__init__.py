@@ -16,11 +16,9 @@ from .linalg import (
     pure_state,
     purify,
     random_density,
-    random_pure,
     random_unitary,
     schmidt_decomposition,
     state,
-    tensor_power,
     tensor_product,
     trace_distance,
     trace_norm,
@@ -62,7 +60,6 @@ from .schur_weyl import (
     make_binning,
     misbin_probability,
     symmetric_group_character,
-    weyl_dimension,
     young_frames,
 )
 from .robustify import (

@@ -366,11 +366,6 @@ class MergingProtocol(Frozen):
         return self.locc.message_count
 
     @property
-    def resource_ratio(self) -> float:
-        """Schmidt-rank ratio consumed/produced."""
-        return self.phi_in.dims[0] / self.phi_out.dims[0]
-
-    @property
     def entanglement_rate(self) -> float:
         """log2 of the reduced resource ratio per source copy (negative = net gain)."""
         k_in, k_out = self.phi_in.dims[0], self.phi_out.dims[0]

@@ -1,10 +1,10 @@
 """JSON file formats for states, state sets, instruments and protocols.
 
 Complex entries are stored as [re, im] pairs; matrices are flat row-major
-lists.  Parsing is strict: wrong lengths, entries that are not JSON numbers
-(strings, booleans) or not finite floats, non-square matrices, or dims that
-are not positive integers or do not multiply up are rejected with the
-offending field named.
+lists.  Parsing is strict: every field is read through ``_get``/``_typed``,
+which check its JSON type; wrong lengths, entries that are not JSON numbers
+or not finite floats, non-square matrices, or dims that are not positive
+integers or do not multiply up are rejected with the offending field named.
 """
 
 from __future__ import annotations
@@ -25,9 +25,22 @@ class ParseError(Exception):
     """Malformed input file; the message names the offending field."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ParseError(message)
+_KINDS = {dict: "object", list: "list", str: "string"}
+
+
+def _typed(value: Any, kind: type, field: str, nonempty: bool = False) -> Any:
+    """``value`` if it has the JSON type ``kind`` (any type for ``object``)."""
+    if not isinstance(value, kind) or nonempty and not value:
+        what = "a nonempty " if nonempty else "an " if kind is dict else "a "
+        raise ParseError(f"{field}: expected {what}{_KINDS[kind]}")
+    return value
+
+
+def _get(doc: Any, key: str, kind: type, field: str, nonempty: bool = False) -> Any:
+    """Field ``key`` of the object ``doc``, checked by ``_typed``."""
+    if key not in _typed(doc, dict, field):
+        raise ParseError(f"{field}: missing '{key}'")
+    return _typed(doc[key], kind, f"{field}.{key}", nonempty)
 
 
 @contextmanager
@@ -49,22 +62,20 @@ def _is_positive_int(x: Any) -> bool:
 
 
 def _positive_ints(raw: Any, field: str) -> tuple[int, ...]:
-    _require(
-        isinstance(raw, list) and all(_is_positive_int(d) for d in raw),
-        f"{field}: expected a list of positive integers",
-    )
+    if not (isinstance(raw, list) and all(_is_positive_int(d) for d in raw)):
+        raise ParseError(f"{field}: expected a list of positive integers")
     return tuple(raw)
 
 
 def _complex_list(raw: Any, field: str) -> np.ndarray:
-    _require(isinstance(raw, list), f"{field}: expected a list of [re, im] pairs")
+    if not isinstance(raw, list):
+        raise ParseError(f"{field}: expected a list of [re, im] pairs")
     out = np.empty(len(raw), dtype=complex)
     for i, pair in enumerate(raw):
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"{field}[{i}]: expected a [re, im] pair",
-        )
-        _require(_is_number(pair[0]) and _is_number(pair[1]), f"{field}[{i}]: entries must be numbers")
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ParseError(f"{field}[{i}]: expected a [re, im] pair")
+        if not (_is_number(pair[0]) and _is_number(pair[1])):
+            raise ParseError(f"{field}[{i}]: entries must be numbers")
         try:
             out[i] = complex(float(pair[0]), float(pair[1]))
         except OverflowError:  # an integer entry too large for a float
@@ -76,23 +87,28 @@ def _complex_list(raw: Any, field: str) -> np.ndarray:
     return out
 
 
-def _square_matrix(raw: Any, field: str) -> np.ndarray:
+def _square_matrix(raw: Any, field: str, dim: int) -> np.ndarray:
+    """A ``dim`` x ``dim`` matrix from a flat row-major list of pairs."""
     flat = _complex_list(raw, field)
     d = isqrt(flat.size)
-    _require(d * d == flat.size, f"{field}: {flat.size} entries do not form a square matrix")
+    if d * d != flat.size:
+        raise ParseError(f"{field}: {flat.size} entries do not form a square matrix")
+    if d != dim:
+        raise ParseError(f"{field}: dimension {d} does not match dims product {dim}")
     return flat.reshape(d, d)
 
 
-def _dims_parties(doc: dict, field: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    _require("dims" in doc, f"{field}: missing 'dims'")
-    _require("parties" in doc, f"{field}: missing 'parties'")
-    dims = _positive_ints(doc["dims"], f"{field}.dims")
-    parties = doc["parties"]
-    _require(
-        isinstance(parties, list) and len(parties) == len(dims),
-        f"{field}.parties: need one party label per factor",
-    )
-    return dims, tuple(str(p) for p in parties)
+def _dims_parties(doc: Any, field: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    dims = _positive_ints(_get(doc, "dims", object, field), f"{field}.dims")
+    parties = _get(doc, "parties", list, field)
+    if len(parties) != len(dims):
+        raise ParseError(f"{field}.parties: need one party label per factor")
+    return dims, tuple(_typed(p, str, f"{field}.parties[{i}]") for i, p in enumerate(parties))
+
+
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    """[re, im] pairs of an array's entries in row-major order."""
+    return [[float(z.real), float(z.imag)] for z in values.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,33 +116,22 @@ def _dims_parties(doc: dict, field: str) -> tuple[tuple[int, ...], tuple[str, ..
 
 def state_from_dict(doc: dict, field: str = "state") -> State:
     dims, parties = _dims_parties(doc, field)
-    _require("matrix" in doc, f"{field}: missing 'matrix'")
-    mat = _square_matrix(doc["matrix"], f"{field}.matrix")
-    _require(
-        mat.shape[0] == prod(dims),
-        f"{field}: matrix dimension {mat.shape[0]} does not match dims product {prod(dims)}",
-    )
+    mat = _square_matrix(_get(doc, "matrix", object, field), f"{field}.matrix", prod(dims))
     with _field(field):
         return state(mat, dims, parties)
 
 
 def state_to_dict(s: State) -> dict:
-    flat = s.matrix.reshape(-1)
     return {
         "dims": list(s.dims),
         "parties": list(s.parties),
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": _pairs(s.matrix),
     }
 
 
 def pure_state_from_dict(doc: dict, field: str = "pure_state") -> PureState:
     dims, parties = _dims_parties(doc, field)
-    _require("amplitudes" in doc, f"{field}: missing 'amplitudes'")
-    vec = _complex_list(doc["amplitudes"], f"{field}.amplitudes")
-    _require(
-        vec.size == prod(dims),
-        f"{field}: {vec.size} amplitudes do not match dims product {prod(dims)}",
-    )
+    vec = _complex_list(_get(doc, "amplitudes", object, field), f"{field}.amplitudes")
     with _field(field):
         return PureState(vec, dims, parties)
 
@@ -135,38 +140,26 @@ def pure_state_to_dict(p: PureState) -> dict:
     return {
         "dims": list(p.dims),
         "parties": list(p.parties),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in p.vector],
+        "amplitudes": _pairs(p.vector),
     }
 
 
 def state_set_from_dict(doc: dict, field: str = "state_set") -> StateSet:
     dims, parties = _dims_parties(doc, field)
-    _require(
-        "members" in doc and isinstance(doc["members"], dict) and doc["members"],
-        f"{field}: missing nonempty 'members' object",
-    )
-    members = []
-    labels = []
-    for name, raw in doc["members"].items():
-        mat = _square_matrix(raw, f"{field}.members.{name}")
-        _require(
-            mat.shape[0] == prod(dims),
-            f"{field}.members.{name}: dimension {mat.shape[0]} does not match dims product",
-        )
+    members = _get(doc, "members", dict, field, nonempty=True)
+    states = []
+    for name, raw in members.items():
+        mat = _square_matrix(raw, f"{field}.members.{name}", prod(dims))
         with _field(f"{field}.members.{name}"):
-            members.append(state(mat, dims, parties))
-        labels.append(str(name))
-    return StateSet(tuple(members), tuple(labels))
+            states.append(state(mat, dims, parties))
+    return StateSet(tuple(states), tuple(members))
 
 
 def state_set_to_dict(xs: StateSet) -> dict:
     return {
         "dims": list(xs.dims),
         "parties": list(xs.parties),
-        "members": {
-            label: [[float(z.real), float(z.imag)] for z in m.matrix.reshape(-1)]
-            for label, m in zip(xs.labels, xs.members)
-        },
+        "members": {label: _pairs(m.matrix) for label, m in zip(xs.labels, xs.members)},
     }
 
 
@@ -174,24 +167,15 @@ def state_set_to_dict(xs: StateSet) -> dict:
 # maps, instruments, protocols
 
 def cp_map_from_dict(doc: dict, field: str = "cp_map") -> CpMap:
-    _require(isinstance(doc, dict) and "kraus" in doc, f"{field}: missing 'kraus'")
     kraus = []
-    for i, kdoc in enumerate(doc["kraus"]):
+    for i, kdoc in enumerate(_get(doc, "kraus", list, field)):
         kfield = f"{field}.kraus[{i}]"
-        _require(
-            isinstance(kdoc, dict) and "rows" in kdoc and "cols" in kdoc and "entries" in kdoc,
-            f"{kfield}: expected an object with rows, cols, entries",
-        )
-        rows, cols = kdoc["rows"], kdoc["cols"]
-        _require(
-            _is_positive_int(rows) and _is_positive_int(cols),
-            f"{kfield}: rows/cols must be positive integers",
-        )
-        flat = _complex_list(kdoc["entries"], f"{kfield}.entries")
-        _require(
-            flat.size == rows * cols,
-            f"{kfield}: {flat.size} entries do not fill {rows}x{cols}",
-        )
+        rows, cols = _get(kdoc, "rows", object, kfield), _get(kdoc, "cols", object, kfield)
+        if not (_is_positive_int(rows) and _is_positive_int(cols)):
+            raise ParseError(f"{kfield}: rows/cols must be positive integers")
+        flat = _complex_list(_get(kdoc, "entries", object, kfield), f"{kfield}.entries")
+        if flat.size != rows * cols:
+            raise ParseError(f"{kfield}: {flat.size} entries do not fill {rows}x{cols}")
         kraus.append(flat.reshape(rows, cols))
     in_dims = _positive_ints(doc.get("in_dims", []), f"{field}.in_dims")
     out_dims = _positive_ints(doc.get("out_dims", []), f"{field}.out_dims")
@@ -205,7 +189,7 @@ def cp_map_to_dict(m: CpMap) -> dict:
             {
                 "rows": k.shape[0],
                 "cols": k.shape[1],
-                "entries": [[float(z.real), float(z.imag)] for z in k.reshape(-1)],
+                "entries": _pairs(k),
             }
             for k in m.kraus
         ],
@@ -215,13 +199,8 @@ def cp_map_to_dict(m: CpMap) -> dict:
 
 
 def instrument_from_dict(doc: dict, field: str = "instrument") -> Instrument:
-    _require(
-        isinstance(doc, dict) and isinstance(doc.get("outcomes"), list) and doc["outcomes"],
-        f"{field}: missing nonempty 'outcomes' list",
-    )
-    outcomes = tuple(
-        cp_map_from_dict(o, f"{field}.outcomes[{i}]") for i, o in enumerate(doc["outcomes"])
-    )
+    docs = _get(doc, "outcomes", list, field, nonempty=True)
+    outcomes = tuple(cp_map_from_dict(o, f"{field}.outcomes[{i}]") for i, o in enumerate(docs))
     with _field(field):
         return Instrument(outcomes)
 
@@ -231,12 +210,10 @@ def instrument_to_dict(e: Instrument) -> dict:
 
 
 def locc_from_dict(doc: dict, field: str = "locc") -> OneWayLoccChannel:
-    _require(isinstance(doc, dict) and "a_instrument" in doc, f"{field}: missing 'a_instrument'")
-    _require(isinstance(doc.get("b_channels"), list), f"{field}: missing 'b_channels' list")
-    instrument = instrument_from_dict(doc["a_instrument"], f"{field}.a_instrument")
-    b = tuple(
-        cp_map_from_dict(c, f"{field}.b_channels[{i}]") for i, c in enumerate(doc["b_channels"])
-    )
+    a_doc = _get(doc, "a_instrument", object, field)
+    instrument = instrument_from_dict(a_doc, f"{field}.a_instrument")
+    docs = _get(doc, "b_channels", list, field)
+    b = tuple(cp_map_from_dict(c, f"{field}.b_channels[{i}]") for i, c in enumerate(docs))
     with _field(field):
         return OneWayLoccChannel(instrument, b)
 
@@ -249,19 +226,14 @@ def locc_to_dict(n: OneWayLoccChannel) -> dict:
 
 
 def protocol_from_dict(doc: dict, field: str = "protocol") -> MergingProtocol:
-    for key in ("blocklength", "phi_in", "phi_out", "locc"):
-        _require(key in doc, f"{field}: missing '{key}'")
-    _require(
-        _is_positive_int(doc["blocklength"]),
-        f"{field}.blocklength: must be a positive integer",
-    )
+    blocklength = _get(doc, "blocklength", object, field)
+    if not _is_positive_int(blocklength):
+        raise ParseError(f"{field}.blocklength: must be a positive integer")
+    locc = locc_from_dict(_get(doc, "locc", object, field), f"{field}.locc")
+    phi_in = pure_state_from_dict(_get(doc, "phi_in", object, field), f"{field}.phi_in")
+    phi_out = pure_state_from_dict(_get(doc, "phi_out", object, field), f"{field}.phi_out")
     with _field(field):
-        return MergingProtocol(
-            locc=locc_from_dict(doc["locc"], f"{field}.locc"),
-            phi_in=pure_state_from_dict(doc["phi_in"], f"{field}.phi_in"),
-            phi_out=pure_state_from_dict(doc["phi_out"], f"{field}.phi_out"),
-            blocklength=doc["blocklength"],
-        )
+        return MergingProtocol(locc, phi_in, phi_out, blocklength)
 
 
 def protocol_to_dict(p: MergingProtocol) -> dict:
@@ -281,10 +253,13 @@ def load_json(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except RecursionError:  # the reader recurses once per nesting level
+        raise ParseError(f"{path}: nested too deeply") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    _require(isinstance(doc, dict), f"{path}: top-level value must be an object")
-    return doc
+    return _typed(doc, dict, path)
 
 
 def save_json(path: str, doc: dict) -> None:

@@ -186,15 +186,6 @@ def tensor_product(a: State, b: State) -> State:
     return State(np.kron(a.matrix, b.matrix), a.dims + b.dims, a.parties + b.parties)
 
 
-def tensor_power(s: State, copies: int) -> State:
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    out = s
-    for _ in range(copies - 1):
-        out = tensor_product(out, s)
-    return out
-
-
 def partial_trace(s: State, keep: Iterable[int]) -> State:
     """Trace out all factors not listed in ``keep`` (original order retained)."""
     keep = sorted(set(int(i) for i in keep))
@@ -378,13 +369,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_pure(dims: Sequence[int], rng: np.random.Generator, parties: Sequence[Party] | None = None) -> PureState:
-    d = prod(dims)
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    vec /= np.linalg.norm(vec)
-    return pure_state(vec, tuple(dims), None if parties is None else tuple(parties))
 
 
 def random_density(

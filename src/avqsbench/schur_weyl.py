@@ -99,14 +99,6 @@ def frame_entropy(f: YoungFrame) -> float:
     return float(-sum(q * log2(q) for q in f.normalized_rows() if q > 0))
 
 
-def _hook_lengths(parts: tuple[int, ...]) -> list[list[int]]:
-    conj = [sum(1 for p in parts if p > j) for j in range(parts[0])]
-    return [
-        [parts[i] - j + conj[j] - i - 1 for j in range(parts[i])]
-        for i in range(len(parts))
-    ]
-
-
 def frame_dimension(f: YoungFrame) -> int:
     """Dimension of the symmetric-group irrep: l! prod_(i<j) (b_i - b_j) /
     prod_i b_i! over the first-column hook lengths b_i = f_i + rows - i."""
@@ -114,20 +106,6 @@ def frame_dimension(f: YoungFrame) -> int:
     beta = [p + k - 1 - i for i, p in enumerate(f.parts)]
     spread = prod(beta[i] - beta[j] for i in range(k) for j in range(i + 1, k))
     return factorial(f.size) * spread // prod(map(factorial, beta))
-
-
-def weyl_dimension(f: YoungFrame, d: int) -> int:
-    """Dimension of the GL(d) irrep with highest weight ``f``."""
-    if f.rows > d:
-        return 0
-    hooks = _hook_lengths(f.parts)
-    num = 1
-    den = 1
-    for i, row in enumerate(hooks):
-        for j, h in enumerate(row):
-            num *= d + j - i
-            den *= h
-    return num // den
 
 
 @lru_cache(maxsize=None)
@@ -387,26 +365,6 @@ class EntropyInstrument(Frozen):
     @property
     def blocklength(self) -> int:
         return self.binning.blocklength
-
-    def bin_projector(self, b: EntropyBin) -> np.ndarray:
-        d = self.local_dim
-        total = np.zeros((d**self.blocklength,) * 2, dtype=complex)
-        for f in b.frames:
-            total += isotypic_projector(f, d)
-        return total
-
-    def to_instrument(self):
-        """Materialize as a projective instrument on the tensor power."""
-        from .channels import CpMap, Instrument
-
-        dims = (self.local_dim,) * self.blocklength
-        return Instrument(
-            tuple(CpMap((self.bin_projector(b),), dims, dims) for b in self.bins)
-        )
-
-    def bin_probability(self, rho, b: EntropyBin) -> float:
-        """Probability of outcome ``b`` on rho^(x blocklength)."""
-        return float(frame_probabilities(b.frames, rho).sum())
 
     def probabilities(self, rho) -> list[tuple[int, float, float, float]]:
         """(bin index, interval lo, interval hi, probability) per nonempty bin."""

@@ -16,10 +16,18 @@ import numpy as np
 
 from avqsbench.channels import CpMap, Instrument, instrument_statistics
 from avqsbench.entropy import coherent_information
-from avqsbench.linalg import state
+from avqsbench.linalg import PureState, State, pure_state, state, tensor_product
 from avqsbench.rates import StateSet
 from avqsbench.robustify import word_type
-from avqsbench.schur_weyl import YoungFrame, frame_dimension, young_frames
+from avqsbench.schur_weyl import (
+    EntropyBin,
+    EntropyInstrument,
+    YoungFrame,
+    frame_dimension,
+    frame_probabilities,
+    isotypic_projector,
+    young_frames,
+)
 
 
 def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
@@ -91,6 +99,63 @@ def lagrange_projectors(l: int, d: int) -> dict[tuple[int, ...], np.ndarray]:
                 proj = proj @ (t - c_other * eye) / (c - c_other)
         out[f.parts] = proj
     return out
+
+
+def tensor_power(s: State, copies: int) -> State:
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    out = s
+    for _ in range(copies - 1):
+        out = tensor_product(out, s)
+    return out
+
+
+def random_pure(dims, rng, parties=None) -> PureState:
+    d = prod(dims)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    vec /= np.linalg.norm(vec)
+    return pure_state(vec, tuple(dims), None if parties is None else tuple(parties))
+
+
+def weyl_dimension(f: YoungFrame, d: int) -> int:
+    """Dimension of the GL(d) irrep with highest weight ``f``, by the
+    hook-content formula: the product over cells of (d + column - row) / hook."""
+    if f.rows > d:
+        return 0
+    column_heights = [sum(1 for p in f.parts if p > j) for j in range(f.parts[0])]
+    num = 1
+    den = 1
+    for i, row_len in enumerate(f.parts):
+        for j in range(row_len):
+            num *= d + j - i
+            den *= row_len - j + column_heights[j] - i - 1
+    return num // den
+
+
+def bin_projector(inst: EntropyInstrument, b: EntropyBin) -> np.ndarray:
+    """Projector of one entropy bin on the tensor power: the sum of its
+    frames' isotypic projectors."""
+    d = inst.local_dim
+    total = np.zeros((d**inst.blocklength,) * 2, dtype=complex)
+    for f in b.frames:
+        total += isotypic_projector(f, d)
+    return total
+
+
+def to_instrument(inst: EntropyInstrument) -> Instrument:
+    """The entropy instrument as a projective instrument on the tensor power."""
+    dims = (inst.local_dim,) * inst.blocklength
+    return Instrument(tuple(CpMap((bin_projector(inst, b),), dims, dims) for b in inst.bins))
+
+
+def bin_probability(rho, b: EntropyBin) -> float:
+    """Probability of bin ``b`` on rho^(x blocklength)."""
+    return float(frame_probabilities(b.frames, rho).sum())
+
+
+def resource_ratio(protocol) -> float:
+    """Schmidt-rank ratio of a merging protocol's resources, consumed/produced."""
+    return protocol.phi_in.dims[0] / protocol.phi_out.dims[0]
 
 
 def kron_power(mat: np.ndarray, copies: int) -> np.ndarray:

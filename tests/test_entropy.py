@@ -21,7 +21,6 @@ from avqsbench.linalg import (
     random_density,
     random_unitary,
     state,
-    tensor_power,
     tensor_product,
 )
 from avqsbench.rates import _block_row_instrument
@@ -32,6 +31,7 @@ from helpers import (
     random_instrument_kraus,
     random_kraus_channel,
     scalar_instrument_rate,
+    tensor_power,
 )
 
 rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import re
@@ -157,6 +158,19 @@ class TestStrictParsing:
         path.write_text("{\n  \"dims\": [2,,]\n}")
         with pytest.raises(ParseError, match="line 2"):
             load_json(str(path))
+
+    def test_deeply_nested_file_names_the_path(self, tmp_path, capsys):
+        # Python's json reader recurses once per nesting level
+        path = tmp_path / "deep.json"
+        path.write_text('{"dims": ' + "[" * 1000 + "]" * 1000 + "}")
+        assert main(["rates", "--set", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply\n"
+
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dims": [2], "parties": ["\xff"]}')
+        assert main(["rates", "--set", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
     def test_missing_members(self):
         with pytest.raises(ParseError, match="members"):
@@ -530,6 +544,123 @@ class TestCliExitCodes:
         files = {"set": two_state_file, "protocol": bell_protocol_file, "herm": str(herm)}
         assert main([a.format(**files) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_wrong_typed_kraus_list_exits_2_in_a_fresh_process(self, tmp_path, bell_state_file):
+        doc = protocol_to_dict(known_pure_state_merging(bell_pair().density(), 1))
+        doc["locc"]["b_channels"][0]["kraus"] = 5
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "avqsbench.cli", "merge-fidelity", "--protocol", str(path),
+             "--state", bell_state_file],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr == f"error: {path}.locc.b_channels[0].kraus: expected a list\n"
+        assert "Traceback" not in out.stderr
+
+
+# one value of each JSON type, substituted for every node of a valid document
+JSON_VALUES = {"string": "x", "boolean": True, "null": None, "number": 5, "list": [], "object": {}}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}[type(value)]
+
+
+def _nodes(value, keys=()):
+    """(key path, value) of the document and of every container and leaf in it."""
+    yield keys, value
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, keys + (key,))
+
+
+def _replaced(value, keys, new):
+    """A copy of ``value`` with the node at ``keys`` replaced by ``new``."""
+    if not keys:
+        return new
+    out = copy.copy(value)
+    out[keys[0]] = _replaced(value[keys[0]], keys[1:], new)
+    return out
+
+
+def _wrong_typed(doc, root: str):
+    """(field path, document) for every node of ``doc`` replaced by a value
+    of each other JSON type."""
+    for keys, value in list(_nodes(doc)):
+        path = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        for kind, new in JSON_VALUES.items():
+            if kind != _json_type(value):
+                yield path, _replaced(doc, keys, new)
+
+
+def _names_the_field(message: str, path: str) -> bool:
+    """The message starts with the substituted field or one of its containers."""
+    named = message.split(": ", 1)[0]
+    return path.startswith(named) and path[len(named) : len(named) + 1] in ("", ".", "[")
+
+
+class TestWrongTypeSweep:
+    """Every wrong-typed field of a valid document is refused at the file
+    boundary: exit 2, one line naming the file and the field."""
+
+    def test_every_wrong_typed_field_of_a_cli_input_exits_2(
+        self, tmp_path, bell_state_file, bell_protocol_file, capsys
+    ):
+        bell = bell_pair().density()
+        readers = [
+            (state_to_dict(bell), ["merge-fidelity", "--protocol", bell_protocol_file, "--state"]),
+            (state_set_to_dict(StateSet((bell,), ("bell",))), ["rates", "--set"]),
+            (
+                protocol_to_dict(known_pure_state_merging(bell, 1)),
+                ["merge-fidelity", "--state", bell_state_file, "--protocol"],
+            ),
+        ]
+        bad = tmp_path / "bad.json"
+        failures = []
+        cases = 0
+        for doc, argv in readers:
+            for field, changed in _wrong_typed(doc, str(bad)):
+                bad.write_text(json.dumps(changed))
+                cases += 1
+                try:
+                    code = main(argv + [str(bad)])
+                except Exception as exc:  # an escape: a traceback and exit 1 from the shell
+                    code = repr(exc)
+                err = capsys.readouterr().err
+                lines = err.splitlines()
+                ok = code == 2 and len(lines) == 1 and lines[0].startswith(f"error: {bad}")
+                if not (ok and _names_the_field(lines[0][len("error: ") :], field)):
+                    failures.append((field, json.dumps(changed)[:60], code, err[-200:]))
+        assert cases > 1000
+        assert not failures, f"{len(failures)} of {cases} cases: {failures[:5]}"
+
+    def test_every_wrong_typed_field_of_an_instrument_or_cp_map_is_named(self):
+        locc = known_pure_state_merging(bell_pair().density(), 1).locc
+        readers = [
+            (instrument_from_dict, instrument_to_dict(locc.a_instrument), "instrument"),
+            (cp_map_from_dict, cp_map_to_dict(locc.b_channels[0]), "cp_map"),
+        ]
+        failures = []
+        for parse, doc, root in readers:
+            for field, changed in _wrong_typed(doc, root):
+                try:
+                    parse(changed)
+                    failures.append((field, "accepted"))
+                except ParseError as exc:
+                    if not _names_the_field(str(exc), field):
+                        failures.append((field, str(exc)))
+                except Exception as exc:
+                    failures.append((field, repr(exc)))
+        assert not failures, f"{len(failures)} cases: {failures[:5]}"
 
 
 # one argv per subcommand, touching each of its options

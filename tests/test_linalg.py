@@ -14,17 +14,15 @@ from avqsbench.linalg import (
     pure_state,
     purify,
     random_density,
-    random_pure,
     random_unitary,
     schmidt_decomposition,
     state,
-    tensor_power,
     tensor_product,
     trace_distance,
     trace_norm,
 )
 
-from helpers import schmidt_reconstruct
+from helpers import random_pure, schmidt_reconstruct, tensor_power
 
 rng = np.random.default_rng(2024)
 

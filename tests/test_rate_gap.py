@@ -18,7 +18,6 @@ from avqsbench.linalg import (
     maximally_mixed,
     partial_trace,
     state,
-    tensor_power,
     tensor_product,
     trace_distance,
     trace_norm,
@@ -40,7 +39,7 @@ from avqsbench.rate_gap import (
     rate_gap_report,
 )
 
-from helpers import dense_family_receiving_kraus
+from helpers import dense_family_receiving_kraus, resource_ratio, tensor_power
 
 rng = np.random.default_rng(53)
 
@@ -174,7 +173,7 @@ class TestKnownPureStateMerging:
         vec = np.kron([1.0, 0.0], [0.0, 1.0])
         product = state(np.outer(vec, vec), (2, 2), ("A", "B"))
         protocol = known_pure_state_merging(product, 1)
-        assert protocol.resource_ratio == 1
+        assert resource_ratio(protocol) == 1
         assert merging_fidelity(protocol, product) == pytest.approx(1.0, abs=1e-10)
 
     def test_bell_two_copies_rank_four_resource(self):

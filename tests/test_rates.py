@@ -34,7 +34,6 @@ from avqsbench.linalg import (
     purify,
     random_density,
     state,
-    tensor_power,
     tensor_product,
     trace_distance,
 )
@@ -58,6 +57,7 @@ from helpers import (
     random_instrument_kraus,
     random_kraus_channel,
     scalar_instrument_rate,
+    tensor_power,
 )
 
 rng = np.random.default_rng(41)

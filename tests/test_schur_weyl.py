@@ -22,15 +22,19 @@ from avqsbench.schur_weyl import (
     make_binning,
     misbin_probability,
     symmetric_group_character,
-    weyl_dimension,
     young_frames,
 )
 
 from helpers import (
+    bin_probability,
+    bin_projector,
     branching_frame_probability,
     conjugacy_class_size,
     kron_power,
     lagrange_projectors,
+    tensor_power,
+    to_instrument,
+    weyl_dimension,
 )
 
 rng = np.random.default_rng(23)
@@ -368,7 +372,7 @@ class TestEntropyInstrument:
     def test_single_bin_is_identity(self):
         inst = build_entropy_instrument(2, 2, 1.0)
         assert len(inst.bins) == 1
-        assert np.allclose(inst.bin_projector(inst.bins[0]), np.eye(4))
+        assert np.allclose(bin_projector(inst, inst.bins[0]), np.eye(4))
 
     def test_projector_ranks_sum_to_full_dimension(self):
         inst = build_entropy_instrument(6, 2, 0.25)
@@ -383,7 +387,7 @@ class TestEntropyInstrument:
         assert sorted(binned) == sorted(f.parts for f in young_frames(5, 2))
 
     def test_materialized_instrument_is_projective(self):
-        inst = build_entropy_instrument(3, 2, 0.5).to_instrument()
+        inst = to_instrument(build_entropy_instrument(3, 2, 0.5))
         for outcome in inst.outcomes:
             p = outcome.kraus[0]
             assert np.max(np.abs(p @ p - p)) < 1e-10
@@ -455,12 +459,11 @@ def test_instrument_statistics_match_bin_probabilities():
     # the per-bin trace-form probabilities drive the same numbers as actually
     # measuring the materialized instrument on the tensor power
     from avqsbench.channels import instrument_statistics
-    from avqsbench.linalg import tensor_power
 
     inst = build_entropy_instrument(3, 2, 0.4)
     rho = state(np.diag([0.35, 0.15, 0.3, 0.2]), (2, 2), ("A", "B"))
     powered = tensor_power(rho, 3)
-    stats = instrument_statistics(inst.to_instrument(), powered, [0, 2, 4])
+    stats = instrument_statistics(to_instrument(inst), powered, [0, 2, 4])
     marginal = np.diag([0.5, 0.5])  # sending marginal of rho
     for stat, b in zip(stats, inst.bins):
-        assert stat.probability == pytest.approx(inst.bin_probability(marginal, b), abs=1e-10)
+        assert stat.probability == pytest.approx(bin_probability(marginal, b), abs=1e-10)
