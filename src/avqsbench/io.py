@@ -248,9 +248,17 @@ def protocol_to_dict(p: MergingProtocol) -> dict:
 
 
 def load_json(path: str) -> dict:
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):  # json keeps the last value of a repeated key
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ParseError(f"{path}: repeated key '{repeated}'")
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except UnicodeDecodeError:

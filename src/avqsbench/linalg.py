@@ -242,21 +242,6 @@ def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     return w[idx], v[:, idx]
 
 
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root with eigenvalues clipped to [0, inf).
-
-    Eigenvalues below d * machine-eps * ||m||, the scale of the
-    diagonalization's own rounding error, are set to 0.  The threshold moves
-    with the matrix, so the small but resolved eigenvalues of a tensor power
-    are kept and its square root stays the product of the factors' roots.
-    """
-    mat = _as_complex_matrix(m)
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    noise = mat.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    w = np.where(w < noise, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _to_matrix(x) -> np.ndarray:
     if isinstance(x, State):
         return x.matrix
@@ -268,19 +253,28 @@ def _to_matrix(x) -> np.ndarray:
 def fidelity(a, b) -> float:
     """F(a, b) = ||sqrt(a) sqrt(b)||_1^2 for positive semidefinite a, b.
 
-    Accepts states or raw matrices; inputs need not be normalized.
+    Accepts states or raw matrices; inputs need not be normalized.  One
+    ``eigh`` per argument gives both the PSD check and the Hermitian square
+    root.  Eigenvalues below d * machine-eps * ||m||, the scale of the
+    diagonalization's own rounding error, are set to 0 in the root.  The
+    threshold moves with the matrix, so the small but resolved eigenvalues of
+    a tensor power are kept and its square root stays the product of the
+    factors' roots.
     """
     am, bm = _to_matrix(a), _to_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
     cfg = get_config()
+    roots = []
     for name, mat in (("first", am), ("second", bm)):
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
         if w.min(initial=0.0) < -cfg.psd_tol:
             raise ValueError(f"{name} argument is not PSD (min eigenvalue {w.min():.3e})")
+        noise = mat.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+        roots.append((v * np.sqrt(np.where(w < noise, 0.0, w))) @ v.conj().T)
     # singular values need no clip against rounding noise, unlike square roots
     # of the eigenvalues of sqrt(a) b sqrt(a), where a clip biases F low
-    s = np.linalg.svd(sqrt_psd(am) @ sqrt_psd(bm), compute_uv=False)
+    s = np.linalg.svd(roots[0] @ roots[1], compute_uv=False)
     return float(np.sum(s) ** 2)
 
 

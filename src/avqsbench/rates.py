@@ -251,13 +251,6 @@ def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
 # ---------------------------------------------------------------------------
 # distillation rate functional
 
-def _block_row_instrument(v: np.ndarray) -> Instrument:
-    """The validated instrument whose outcome operators are the square block
-    rows of the isometry ``v``."""
-    dim = v.shape[1]
-    return Instrument(tuple(CpMap((k,), (dim,), (dim,)) for k in v.reshape(-1, dim, dim)))
-
-
 def _hull_rate(xs: StateSet, k: int):
     """Per-copy instrument rate on the convex hull, and its infimum there, on
     raw arrays.
@@ -368,20 +361,20 @@ def distillation_rate_lower_bound(
     the gradient of the smallest vertex rate.  Each point scores all
     vertices in one :func:`entropy.instrument_rates` call.
 
-    The candidates are the single-outcome identity, the rank-one
-    measure-and-discard instrument (outcome i keeps |0><i|, rate 0 on the
-    whole hull) when ``n_outcomes >= d_A^k``, and each restart's isometry,
-    in that order.  Each is scored by its inner infimum over the hull
-    (``inner_infimum`` of :func:`_hull_rate`), the number reported, and the
-    first best one wins; ``metadata.candidate`` names it (``identity``,
-    ``measure-and-discard`` or ``restart-<i>``) and ``trivial_baseline`` is
-    the identity's score.  So the value is never below the identity's, nor
-    below 0 when measure-and-discard is a candidate.  Every candidate is
-    feasible, so its rate on the hull is a lower bound on the k-letter rate.
-    At k=1 that rate lies in [value - inner_duality_gap, value]
-    (``inner_certified``), so ``value - inner_duality_gap`` is a certified
-    lower bound; at k=2 the inner infimum is not certified, and the value is
-    only an upper estimate of the instrument's rate on the hull.
+    The candidates are the single-outcome identity, the single-outcome
+    trace-and-replace channel (Kraus operators |0><i| for every i, rate 0 on
+    the whole hull) and each restart's isometry, in that order.  Each is
+    scored by its inner infimum over the hull (``inner_infimum`` of
+    :func:`_hull_rate`), the number reported, and the first best one wins;
+    ``metadata.candidate`` names it (``identity``, ``trace-and-replace`` or
+    ``restart-<i>``), ``metadata.n_outcomes`` is its outcome count and
+    ``trivial_baseline`` is the identity's score.  So the value is never
+    below the identity's, nor below 0, at any ``n_outcomes``.  Every
+    candidate is feasible, so its rate on the hull is a lower bound on the
+    k-letter rate.  At k=1 that rate lies in [value - inner_duality_gap,
+    value] (``inner_certified``), so ``value - inner_duality_gap`` is a
+    certified lower bound; at k=2 the inner infimum is not certified, and
+    the value is only an upper estimate of the instrument's rate on the hull.
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
@@ -402,19 +395,20 @@ def distillation_rate_lower_bound(
         active = int(np.argmin(values))
         return float(values[active]), grads[active].reshape(v.shape)
 
-    # each candidate is the isometry stacking its outcome operators
-    candidates, runs = {"identity": np.eye(dim, dtype=complex)}, []
-    if n_outcomes >= dim:  # block row i is |0><i|
-        candidates["measure-and-discard"] = np.kron(np.eye(dim), np.eye(dim, 1, dtype=complex))
+    # each candidate is a Kraus stack (outcomes, operators, dim, dim); the
+    # one outcome of trace-and-replace holds |0><i| for every i
+    identity = np.eye(dim, dtype=complex).reshape(1, 1, dim, dim)
+    replace = np.kron(np.eye(dim), np.eye(dim, 1, dtype=complex)).reshape(1, dim, dim, dim)
+    candidates, runs = {"identity": identity, "trace-and-replace": replace}, []
     for i in range(restarts):
         start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         v, _, meta = maximize_over_isometries(guide, start, maxiter)
         runs.append(meta)
-        candidates[f"restart-{i}"] = v
-    scores = {name: inner_infimum(v.reshape(-1, 1, dim, dim)) for name, v in candidates.items()}
+        candidates[f"restart-{i}"] = v.reshape(n_outcomes, 1, dim, dim)
+    scores = {name: inner_infimum(kraus) for name, kraus in candidates.items()}
     winner = max(scores, key=lambda name: scores[name][0])
     value, weights, inner_meta = scores[winner]
-    instrument = _block_row_instrument(candidates[winner])
+    instrument = Instrument(tuple(CpMap(tuple(ops)) for ops in candidates[winner]))
     report = RateReport(
         quantity="distillation-rate-lower-bound",
         value=float(value),

@@ -14,6 +14,7 @@ memory is the number of frames and of the smaller partitions they reach.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
 from math import ceil, factorial, log, log2, prod
 from typing import NamedTuple
@@ -76,7 +77,9 @@ def _partitions(n: int, max_part: int | None = None, max_rows: int | None = None
     if max_rows is not None and max_rows <= 0:
         return
     top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
+    # the first part is the largest, so at least n / max_rows
+    low = 1 if max_rows is None else -(-n // max_rows)
+    for first in range(top, low - 1, -1):
         rows_left = None if max_rows is None else max_rows - 1
         for rest in _partitions(n - first, first, rows_left):
             yield (first,) + rest
@@ -99,13 +102,20 @@ def frame_entropy(f: YoungFrame) -> float:
     return float(-sum(q * log2(q) for q in f.normalized_rows() if q > 0))
 
 
+@lru_cache(maxsize=4)
+def _factorials(n: int) -> tuple[int, ...]:
+    """0!, 1!, ..., n! as exact integers."""
+    return (1, *itertools.accumulate(range(1, n + 1), operator.mul))
+
+
 def frame_dimension(f: YoungFrame) -> int:
     """Dimension of the symmetric-group irrep: l! prod_(i<j) (b_i - b_j) /
     prod_i b_i! over the first-column hook lengths b_i = f_i + rows - i."""
     k = f.rows
     beta = [p + k - 1 - i for i, p in enumerate(f.parts)]
     spread = prod(beta[i] - beta[j] for i in range(k) for j in range(i + 1, k))
-    return factorial(f.size) * spread // prod(map(factorial, beta))
+    table = _factorials(f.size)  # b_1 = f_1 + rows - 1 <= l
+    return table[-1] * spread // prod(table[b] for b in beta)
 
 
 @lru_cache(maxsize=None)

@@ -196,6 +196,12 @@ def unitary_channel(u) -> CpMap:
     return CpMap((np.asarray(u, dtype=complex),))
 
 
+def stack_instrument(kraus: np.ndarray) -> Instrument:
+    """Instrument with one outcome per entry of an (outcomes, operators,
+    rows, cols) Kraus stack."""
+    return Instrument(tuple(CpMap(tuple(ops)) for ops in kraus))
+
+
 def projective_instrument(projectors) -> Instrument:
     """Instrument with one projector per outcome on a single factor."""
     return Instrument(tuple(CpMap((np.asarray(p, dtype=complex),)) for p in projectors))

@@ -23,7 +23,6 @@ from avqsbench.linalg import (
     state,
     tensor_product,
 )
-from avqsbench.rates import _block_row_instrument
 
 from helpers import (
     haar_isometry,
@@ -31,6 +30,7 @@ from helpers import (
     random_instrument_kraus,
     random_kraus_channel,
     scalar_instrument_rate,
+    stack_instrument,
     tensor_power,
 )
 
@@ -194,7 +194,8 @@ class TestInstrumentRateKernel:
         case_rng = np.random.default_rng(100 + k)
         dim = 2**k
         for n_outcomes in (2, 3):
-            inst = _block_row_instrument(haar_isometry(case_rng, dim * n_outcomes, dim))
+            v = haar_isometry(case_rng, dim * n_outcomes, dim)
+            inst = stack_instrument(v.reshape(-1, 1, dim, dim))
             rho = tensor_power(random_density([2, 2], case_rng, parties=("A", "B")), k)
             got = instrument_coherent_info(rho, inst).value
             assert got == pytest.approx(scalar_instrument_rate(rho, inst), abs=1e-12)

@@ -172,6 +172,15 @@ class TestStrictParsing:
         assert main(["rates", "--set", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
+    def test_repeated_key_is_refused(self, tmp_path, capsys):
+        # json would keep the second "x" member and drop the Bell pair
+        zero = state(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2), ("A", "B"))
+        doc = state_set_to_dict(StateSet((bell_pair().density(), zero), ("x", "y")))
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc, sort_keys=True).replace('"y":', '"x":'))
+        assert main(["rates", "--set", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: repeated key 'x'\n"
+
     def test_missing_members(self):
         with pytest.raises(ParseError, match="members"):
             state_set_from_dict({"dims": [2], "parties": ["A"], "members": {}})
@@ -382,7 +391,16 @@ class TestCliCommands:
         assert main(argv + ["--restarts", "2", "--seed", "52000"]) == 0
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["value"] >= -1e-12
-        assert report["metadata"]["candidate"] == "measure-and-discard"
+        assert report["metadata"]["candidate"] == "trace-and-replace"
+
+    def test_distill_capacity_k2_with_fewer_outcomes_than_d_a_squared(self, tmp_path, capsys):
+        path = str(tmp_path / "set.json")
+        save_json(path, state_set_to_dict(distill_bench_set(52000)))
+        argv = ["distill-capacity", "--set", path, "--k", "2", "--outcomes", "2"]
+        assert main(argv + ["--restarts", "2", "--seed", "1", "--maxiter", "50"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["value"] >= -1e-12
+        assert instrument_from_dict(payload["instrument"]).n_outcomes == 1
 
 
 class TestCliExitCodes:

@@ -39,7 +39,6 @@ from avqsbench.linalg import (
 )
 from avqsbench.rates import (
     StateSet,
-    _block_row_instrument,
     _hull_rate,
     compound_classical_cost,
     compound_merging_cost,
@@ -57,6 +56,7 @@ from helpers import (
     random_instrument_kraus,
     random_kraus_channel,
     scalar_instrument_rate,
+    stack_instrument,
     tensor_power,
 )
 
@@ -370,16 +370,25 @@ class TestDistillation:
         assert meta["inner_duality_gap"] <= 1e-9
 
     def test_never_below_the_free_zero(self):
-        # the ascent's best vertex rates lose to measure-and-discard on this
+        # the ascent's best vertex rates lose to trace-and-replace on this
         # hull: its infimum is about -0.105, at an interior point
         result = distillation_rate_lower_bound(
             distill_bench_set(52000), k=1, n_outcomes=2, restarts=2, seed=52000
         )
         meta = result.report.metadata
         assert result.report.value >= -1e-12
-        assert meta["candidate"] == "measure-and-discard"
-        assert meta["n_outcomes"] == result.instrument.n_outcomes == 2
+        assert meta["candidate"] == "trace-and-replace"
+        assert meta["n_outcomes"] == result.instrument.n_outcomes == 1
         assert meta["inner_certified"]
+
+    @pytest.mark.parametrize("set_seed", [7000, 52000])
+    @pytest.mark.parametrize("k, n_outcomes", [(1, 1), (2, 1), (2, 2), (2, 3)])
+    def test_never_below_zero_at_any_outcome_count(self, set_seed, k, n_outcomes):
+        # fewer outcomes than d_A^k: trace-and-replace still scores 0
+        result = distillation_rate_lower_bound(
+            distill_bench_set(set_seed), k, n_outcomes, restarts=2, seed=1, maxiter=50
+        )
+        assert result.report.value >= -1e-12
 
     def test_reported_value_beats_every_candidate(self, monkeypatch):
         xs = distill_bench_set(52000)
@@ -419,7 +428,8 @@ class TestDistillation:
         xs = StateSet(
             tuple(random_density([2, 2], case_rng, parties=("A", "B")) for _ in range(2))
         )
-        inst = _block_row_instrument(haar_isometry(case_rng, 2 * 2**k, 2**k))
+        d = 2**k
+        inst = stack_instrument(haar_isometry(case_rng, 2 * d, d).reshape(-1, 1, d, d))
         rate, inner_infimum = _hull_rate(xs, k)
 
         def oracle(p):
@@ -440,7 +450,7 @@ class TestDistillation:
         xs = StateSet(
             tuple(random_density([2, 2], seeded, parties=("A", "B")) for _ in range(3))
         )
-        kraus = _block_row_instrument(haar_isometry(seeded, 4, 2)).kraus_stack()
+        kraus = stack_instrument(haar_isometry(seeded, 4, 2).reshape(-1, 1, 2, 2)).kraus_stack()
         _, inner_infimum = _hull_rate(xs, 1)
         value, _, meta = inner_infimum(kraus)
         grid_min = instrument_rates(_grid_mixtures(xs), kraus, 2).min()
@@ -451,7 +461,8 @@ class TestDistillation:
 
     def test_search_work_does_not_grow_with_its_length(self, monkeypatch):
         # the objective runs on raw arrays, so longer searches build no more
-        # validated states or maps
+        # validated states or maps; only the winner, which may differ between
+        # the two lengths, is built, one map per outcome
         counts = {}
         for cls in (State, CpMap):
             original = cls.__post_init__
@@ -468,6 +479,7 @@ class TestDistillation:
         for maxiter in (3, 200):
             counts.clear()
             result = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=maxiter)
+            counts["CpMap"] -= result.report.metadata["n_outcomes"]
             seen.append(dict(counts))
             iterations.append(result.report.metadata["outer_iterations"])
         assert iterations[1] > iterations[0]

@@ -59,6 +59,13 @@ class TestYoungFrames:
         assert len({f.parts for f in frames}) == len(frames)
         assert all(f.rows <= 3 for f in frames)
 
+    def test_row_capped_frames_are_the_partitions_in_order(self):
+        for l in range(1, 31):
+            partitions = cycle_types(l)
+            for d in range(2, 5):
+                expected = [p for p in partitions if len(p) <= d]
+                assert [f.parts for f in young_frames(l, d)] == expected
+
 
 class TestFrameEntropy:
     def test_single_row_is_zero(self):
