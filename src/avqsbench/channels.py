@@ -25,6 +25,7 @@ from .linalg import (
     PureState,
     State,
     check_purification,
+    kron,
     permute_factors,
     purify,
 )
@@ -75,14 +76,10 @@ class CpMap(Frozen):
             raise ValueError(f"map increases trace (largest Gram eigenvalue {top:.12f})")
         vars(self).update(kraus=kraus, in_dims=in_dims, out_dims=out_dims)
 
-    @staticmethod
-    def gram_with(kraus) -> np.ndarray:
-        return sum(k.conj().T @ k for k in kraus)
-
     @property
     def gram(self) -> np.ndarray:
         """Sum of K^dagger K over the Kraus operators."""
-        return self.gram_with(self.kraus)
+        return _stacked_gram(self.kraus)
 
     @property
     def dim_in(self) -> int:
@@ -96,6 +93,12 @@ class CpMap(Frozen):
     def is_trace_preserving(self) -> bool:
         dev = np.max(np.abs(self.gram - np.eye(self.dim_in)))
         return float(dev) <= get_config().tp_tol
+
+
+def _stacked_gram(kraus) -> np.ndarray:
+    """sum_i K_i^dagger K_i as one product S^dagger S of the stacked S."""
+    stacked = np.concatenate(kraus)
+    return stacked.conj().T @ stacked
 
 
 def identity_channel(dims: Sequence[int]) -> CpMap:
@@ -121,7 +124,7 @@ class Instrument(Frozen):
         for m in outcomes[1:]:
             if m.in_dims != first.in_dims or m.out_dims != first.out_dims:
                 raise ValueError("all outcomes must share input and output factor dims")
-        total = sum((m.gram for m in outcomes), np.zeros((first.dim_in, first.dim_in), dtype=complex))
+        total = _stacked_gram([k for m in outcomes for k in m.kraus])
         dev = float(np.max(np.abs(total - np.eye(first.dim_in))))
         if dev > get_config().tp_tol:
             raise ValueError(f"outcome maps do not sum to a channel (deviation {dev:.3e})")
@@ -437,7 +440,7 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     a_targets = [0] + [2 + 2 * i for i in range(l)]
     rest = [i for i in range(len(in_dims)) if i not in a_targets]
     arranged = (
-        np.kron(p.phi_in.vector, psi.vector)
+        kron(p.phi_in.vector, psi.vector)
         .reshape(in_dims)
         .transpose(a_targets + rest)
         .reshape(p.locc.a_instrument.dim_in, -1)
@@ -454,7 +457,7 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
             v = psi.vector.reshape(psi.dims)
             for i, op in enumerate(ops):
                 v = np.moveaxis(np.tensordot(op.conj().T, v, axes=(1, 2 * i)), 0, 2 * i)
-            target = np.kron(p.phi_out.vector, v.reshape(-1))
+            target = kron(p.phi_out.vector, v.reshape(-1))
             targets.append(target.reshape(p.phi_out.dims + v.shape).transpose(order).reshape(-1))
         return targets
 
@@ -536,7 +539,7 @@ def compose_instrument_with_protocols(
     eye = np.eye(k0a, dtype=complex)
     outcomes, b_channels, routed = [], [], []
     for i, (p_i, sub) in enumerate(zip(e.outcomes, subs)):
-        lifted = [np.kron(eye, kp) for kp in p_i.kraus]
+        lifted = [kron(eye, kp) for kp in p_i.kraus]
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
             kraus = tuple(kt @ kp for kt in t_k.kraus for kp in lifted)
             outcomes.append(CpMap(kraus, (k0a,) + e.in_dims, t_k.out_dims))

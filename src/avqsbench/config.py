@@ -92,10 +92,17 @@ def check_dim_cap(dim: int, context: str = "") -> None:
         )
 
 
+def check_blocklength(l: int, context: str) -> None:
+    if l < 1:
+        raise ValueError(f"blocklength must be >= 1, got {l} in {context}")
+
+
 def all_words(n: int, l: int, context: str) -> list[tuple[int, ...]]:
     """Every word of length ``l`` over the symbols ``range(n)``, in
-    lexicographic order.  More than ``WORD_CAP`` words raise
-    ``DimensionCapError``, naming ``context``, before any word is made."""
+    lexicographic order.  A length below 1 raises ``ValueError``; more than
+    ``WORD_CAP`` words raise ``DimensionCapError``, naming ``context``,
+    before any word is made."""
+    check_blocklength(l, context)
     if n**l > WORD_CAP:
         raise DimensionCapError(f"{n**l} words exceed the enumeration cap of {WORD_CAP} in {context}")
     return list(itertools.product(range(n), repeat=l))

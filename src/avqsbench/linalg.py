@@ -180,10 +180,26 @@ def bell_pair() -> PureState:
     return maximally_entangled(2)
 
 
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two vectors or of two matrices.
+
+    Forms a[i, j] * b[k, l] by broadcasting and reshapes it: the same
+    multiplications as ``np.kron``, so the same bits, without its
+    general-rank bookkeeping, which dominates on small operands.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim or a.ndim not in (1, 2):
+        raise ValueError(f"kron needs two vectors or two matrices, got shapes {a.shape} and {b.shape}")
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[:, None, :]).reshape(rows, cols)
+
+
 def tensor_product(a: State, b: State) -> State:
     """Kronecker product of two states; factor metadata is concatenated."""
     check_dim_cap(a.dim * b.dim, "tensor_product")
-    return State(np.kron(a.matrix, b.matrix), a.dims + b.dims, a.parties + b.parties)
+    return State(kron(a.matrix, b.matrix), a.dims + b.dims, a.parties + b.parties)
 
 
 def partial_trace(s: State, keep: Iterable[int]) -> State:

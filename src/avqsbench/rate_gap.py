@@ -32,6 +32,7 @@ from .linalg import (
     State,
     basis_ket,
     eigensystem,
+    kron,
     maximally_entangled,
     partial_trace,
     schmidt_decomposition,
@@ -101,7 +102,7 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
 
     embed = np.zeros((m, d_a), dtype=complex)
     embed[:rank, :] = v[:, :rank].conj().T
-    lifted = np.kron(embed, np.eye(d_b))
+    lifted = kron(embed, np.eye(d_b))
     base_emb = lifted @ rho1.matrix @ lifted.conj().T
     members = tuple(
         State(_shifted(base_emb, _block_shift(m, rank, s), d_b), (m, d_b), ("A", "B"))
@@ -177,21 +178,21 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     a_basis = sd.left_vectors[:, :r]
     b_basis = sd.right_vectors[:, :r]
 
-    s_a = reduce(np.kron, [a_basis.conj().T] * l)  # (r^l, d_a^l)
-    s_b = reduce(np.kron, [b_basis.conj().T] * l)  # (r^l, d_b^l)
+    s_a = reduce(kron, [a_basis.conj().T] * l)  # (r^l, d_a^l)
+    s_b = reduce(kron, [b_basis.conj().T] * l)  # (r^l, d_b^l)
     first_out = basis_ket(r**l, 0).reshape(-1, 1)
 
     a_kraus = [s_a]
-    for col in _orthonormal_complement(reduce(np.kron, [a_basis] * l)).T:
+    for col in _orthonormal_complement(reduce(kron, [a_basis] * l)).T:
         a_kraus.append(first_out @ col.conj().reshape(1, -1))
     instrument = Instrument(
         (CpMap(tuple(a_kraus), (1,) + (d_a,) * l, (r**l,)),)
     )
 
-    prepared = reduce(np.kron, [psi.vector.reshape(-1, 1)] * l)  # ((d_a d_b)^l, 1)
-    b_kraus = [np.kron(s_b, prepared)]
-    for col in _orthonormal_complement(reduce(np.kron, [b_basis] * l)).T:
-        b_kraus.append(np.kron(first_out @ col.conj().reshape(1, -1), prepared))
+    prepared = reduce(kron, [psi.vector.reshape(-1, 1)] * l)  # ((d_a d_b)^l, 1)
+    b_kraus = [kron(s_b, prepared)]
+    for col in _orthonormal_complement(reduce(kron, [b_basis] * l)).T:
+        b_kraus.append(kron(first_out @ col.conj().reshape(1, -1), prepared))
     b_channel = CpMap(
         tuple(b_kraus),
         (1,) + (d_b,) * l,
@@ -234,7 +235,7 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
     )
     restore = [CpMap((o.kraus[0].conj().T,) + complement, (d_a,), (m,)) for o in disc.outcomes]
 
-    sort = [reduce(np.kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
+    sort = [reduce(kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
     sorting = Instrument(tuple(CpMap((k,), (m,) * l, (d_a,) * l) for k in sort))
     mirrors = [tuple(restore[s] for s in word) for word in words]
     return compose_instrument_with_protocols(sorting, [sub] * len(words), mirrors)

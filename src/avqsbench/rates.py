@@ -18,9 +18,9 @@ from .channels import (
     MergingProtocol,
     purified_merging_fidelity,
 )
-from .config import Frozen, all_words, check_dim_cap, get_config
+from .config import Frozen, all_words, check_blocklength, check_dim_cap, get_config
 from .entropy import instrument_rates, post_measurement_blocks, source_first, von_neumann_entropy
-from .linalg import PureState, State, purify, tensor_product, trace_distance, trace_norm
+from .linalg import PureState, State, kron, purify, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -190,7 +190,8 @@ def _entropy_sum(blocks):
             w, v = w[w > clip], v[:, w > clip]
             log_w = np.log2(w)
             value -= sign * float(w @ log_w)
-            grad -= sign * np.einsum("ik,sij,jk->sk", v.conj(), mats, v).real @ log_w
+            # <v_k|M_s|v_k> for every s and k, from one stacked product
+            grad -= sign * (v.conj() * (mats @ v)).sum(axis=1).real @ log_w
         return value, grad
 
     return value_and_grad
@@ -274,7 +275,7 @@ def _hull_rate(xs: StateSet, k: int):
 
     def product(a, b):
         # (A1, B1, A2, B2) -> (A1, A2, B1, B2) on both sides of the matrix
-        split = np.kron(a, b).reshape((d_a, d_b) * 4)
+        split = kron(a, b).reshape((d_a, d_b) * 4)
         return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(a.size, a.size)
 
     products = np.stack([functools.reduce(product, [mats[s] for s in w]) for w in words])
@@ -385,9 +386,11 @@ def distillation_rate_lower_bound(
     d_x = prod(xs.members[0].marginal("A").dims)
     check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
 
-    rate, inner_infimum = _hull_rate(xs, k)
     dim = d_x**k
     shape = (dim * n_outcomes, dim)
+    # the searched isometry has one row block per outcome
+    check_dim_cap(shape[0], "the distillation instrument search")
+    rate, inner_infimum = _hull_rate(xs, k)
     rng = np.random.default_rng(seed)
 
     def guide(v):
@@ -398,7 +401,7 @@ def distillation_rate_lower_bound(
     # each candidate is a Kraus stack (outcomes, operators, dim, dim); the
     # one outcome of trace-and-replace holds |0><i| for every i
     identity = np.eye(dim, dtype=complex).reshape(1, 1, dim, dim)
-    replace = np.kron(np.eye(dim), np.eye(dim, 1, dtype=complex)).reshape(1, dim, dim, dim)
+    replace = kron(np.eye(dim), np.eye(dim, 1, dtype=complex)).reshape(1, dim, dim, dim)
     candidates, runs = {"identity": identity, "trace-and-replace": replace}, []
     for i in range(restarts):
         start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -445,6 +448,7 @@ def worst_case_protocol_fidelity(
     up to the word cap; beyond it a seeded sample of words must be requested
     explicitly.
     """
+    check_blocklength(l, "worst-case")
     if sample is not None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1 word, got {sample}")
@@ -493,7 +497,7 @@ def _word_purification(purifications: Sequence[PureState], word: Sequence[int]) 
     dims = tuple(d for psi in letters for d in psi.dims)
     parties = tuple(q for psi in letters for q in psi.parties)
     check_dim_cap(prod(dims), "word purification")
-    vec = functools.reduce(np.kron, (psi.vector for psi in letters))
+    vec = functools.reduce(kron, (psi.vector for psi in letters))
     width = len(letters[0].dims)  # source factors plus the environment
     order = [i * width + j for i in range(len(word)) for j in range(width - 1)]
     order += [i * width + width - 1 for i in range(len(word))]

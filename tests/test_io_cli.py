@@ -269,6 +269,14 @@ class TestCliCommands:
         assert payload["report"]["gaps"]["merging"] == pytest.approx(1.0, abs=1e-6)
         assert payload["report"]["gaps"]["classical"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_example_gap_needs_no_numpy_kron(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.kron called on the example-gap path")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        assert main(["example-gap", "--N", "2", "--blocklength", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
     def test_robustify_check_passes(self, two_state_file, capsys):
         code = main(
             ["robustify-check", "--set", two_state_file, "--blocklength", "4", "--exhaustive"]
@@ -468,6 +476,29 @@ class TestCliExitCodes:
         for extra in ([], ["--sample", "3"]):
             assert main(argv + ["2", "--set", bell_set_file] + extra) == 2
             assert "source state" in capsys.readouterr().err
+
+    def test_distill_outcome_count_is_capped(self, two_state_file, capsys):
+        # 9 outcomes on a qubit sending side search an isometry of 18 rows,
+        # over --dim-cap 16, though every state fits
+        argv = ["distill-capacity", "--set", two_state_file, "--outcomes", "9", "--dim-cap", "16"]
+        assert main(argv + ["--restarts", "1", "--maxiter", "10"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: ") and err.count("\n") == 1
+        assert "distillation instrument search" in err
+
+    @pytest.mark.parametrize("l", ["-2", "0"])
+    def test_robustify_blocklength_below_one_is_usage_error(self, l, two_state_file, capsys):
+        assert main(["robustify-check", "--set", two_state_file, "--blocklength", l]) == 2
+        assert capsys.readouterr().err == f"error: blocklength must be >= 1, got {l} in robustify-check\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--sample", "3"]], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("l", ["-1", "0"])
+    def test_worst_case_blocklength_below_one_is_usage_error(
+        self, l, extra, bell_protocol_file, bell_set_file, capsys
+    ):
+        argv = ["worst-case", "--protocol", bell_protocol_file, "--set", bell_set_file]
+        assert main(argv + ["--blocklength", l] + extra) == 2
+        assert capsys.readouterr().err == f"error: blocklength must be >= 1, got {l} in worst-case\n"
 
     @pytest.mark.parametrize("outcomes", ["0", "-1"])
     def test_outcomes_below_one_are_usage_errors(self, outcomes, two_state_file, capsys):

@@ -7,6 +7,7 @@ from avqsbench.linalg import (
     bell_pair,
     eigensystem,
     fidelity,
+    kron,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
@@ -98,6 +99,35 @@ class TestTensorProduct:
             b = random_density([3], rng)
             back = partial_trace(tensor_product(a, b), [0, 1])
             assert trace_distance(back, a) < 1e-8
+
+
+class TestKron:
+    @staticmethod
+    def _complex(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3,), (4,)), ((3, 2), (4, 5)), ((3, 1), (4, 1)), ((1, 4), (2, 3))],
+        ids=["vectors", "matrices", "columns", "row-by-matrix"],
+    )
+    def test_bit_identical_to_numpy(self, shapes):
+        a, b = (self._complex(*shape) for shape in shapes)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    @pytest.mark.parametrize("complex_first", [True, False])
+    def test_mixed_dtypes_bit_identical_to_numpy(self, complex_first):
+        a, b = self._complex(3, 3), rng.standard_normal((2, 2))
+        if not complex_first:
+            a, b = b, a
+        out = kron(a, b)
+        assert out.dtype == np.kron(a, b).dtype
+        assert np.array_equal(out, np.kron(a, b))
+
+    @pytest.mark.parametrize("shapes", [((3,), (2, 2)), ((2, 2), (3,)), ((2, 2, 2), (2, 2, 2)), ((), ())])
+    def test_mixed_or_unsupported_ranks_raise(self, shapes):
+        with pytest.raises(ValueError, match="two vectors or two matrices"):
+            kron(np.ones(shapes[0]), np.ones(shapes[1]))
 
 
 class TestPartialTrace:

@@ -39,6 +39,7 @@ from avqsbench.linalg import (
 )
 from avqsbench.rates import (
     StateSet,
+    _entropy_sum,
     _hull_rate,
     compound_classical_cost,
     compound_merging_cost,
@@ -48,7 +49,7 @@ from avqsbench.rates import (
     word_fidelities,
     worst_case_protocol_fidelity,
 )
-from avqsbench.rate_gap import known_pure_state_merging
+from avqsbench.rate_gap import build_orthogonal_family, known_pure_state_merging
 
 from helpers import (
     distill_bench_set,
@@ -278,6 +279,39 @@ class TestCompoundCosts:
         if seed == "face":
             assert report.weights[2] == 0.0
 
+    @pytest.mark.parametrize("source", ["family", "seeded"])
+    @pytest.mark.parametrize(
+        "terms",
+        [((("A", "B"), 1.0), (("B",), -1.0)), ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))],
+        ids=["merging", "classical"],
+    )
+    def test_hull_gradient_against_einsum_and_central_difference(self, source, terms):
+        if source == "family":
+            xs = build_orthogonal_family(bell_pair().density(), 6).members
+        else:
+            seeded = np.random.default_rng(7)
+            xs = StateSet(tuple(random_density([2, 2], seeded, parties=("A", "B")) for _ in range(3)))
+        blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
+        objective = _entropy_sum(blocks)
+        p = np.random.default_rng(3).dirichlet(np.ones(xs.n))
+        _, grad = objective(p)
+        # the three-operand einsum the gradient was first written as
+        clip = get_config().eig_clip
+        reference = np.zeros(xs.n)
+        for sign, mats in blocks:
+            w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
+            w, v = w[w > clip], v[:, w > clip]
+            reference -= sign * np.einsum("ik,sij,jk->sk", v.conj(), mats, v).real @ np.log2(w)
+        assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
+        # the left-out trace terms are the same for every s, so the slope
+        # along e_s - e_0, which stays on the simplex, is grad_s - grad_0
+        h = 1e-6
+        for s_idx in range(1, xs.n):
+            step = np.zeros(xs.n)
+            step[s_idx], step[0] = h, -h
+            slope = (objective(p + step)[0] - objective(p - step)[0]) / (2 * h)
+            assert slope == pytest.approx(grad[s_idx] - grad[0], abs=1e-6)
+
     def test_hull_keeps_a_member_whose_support_leaves_the_rest(self):
         # the derivative in the weight of |00><00| is -inf where it is emptied,
         # but a log clipped to the support reads it finite there; the maximum
@@ -403,9 +437,10 @@ class TestDistillation:
         monkeypatch.setattr(avqsbench.rates, "maximize_over_isometries", recorded)
         result = distillation_rate_lower_bound(xs, k=1, n_outcomes=2, restarts=2, seed=52000)
         _, inner_infimum = _hull_rate(xs, 1)
-        discard = np.zeros((2, 1, 2, 2), dtype=complex)
-        discard[0, 0, 0, 0] = discard[1, 0, 0, 1] = 1.0
-        stacks = [np.eye(2, dtype=complex).reshape(1, 1, 2, 2), discard]
+        # trace-and-replace: one outcome holding |0><i| for every i
+        replace = np.zeros((1, 2, 2, 2), dtype=complex)
+        replace[0, 0, 0, 0] = replace[0, 1, 0, 1] = 1.0
+        stacks = [np.eye(2, dtype=complex).reshape(1, 1, 2, 2), replace]
         stacks += [v.reshape(2, 1, 2, 2) for v in found]
         assert len(found) == 2
         scores = [inner_infimum(kraus)[0] for kraus in stacks]
