@@ -8,10 +8,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import prod
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .rate_gap import build_orthogonal_family, rate_gap_report
 from .robustify import check_robustification
 from .schur_weyl import build_entropy_instrument, sending_marginal
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
@@ -47,40 +51,46 @@ EXIT_CAP = 3
 _CONFIG_FIELDS = set(Config._fields)
 
 
-def _add_common_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
-    p.add_argument("--format", choices=("json", "csv"), default=None, help="report format")
-    p.add_argument(
-        "--csv",
-        action="store_const",
-        const="csv",
-        dest="format",
-        help="shorthand for --format csv",
-    )
-    p.add_argument("--dim-cap", type=int, default=None, help="override the dimension cap")
-    p.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a tolerance, e.g. --tol close_tol=1e-7 (repeatable)",
-    )
-
-
 def _count(text: str) -> int:
     """argparse type: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"must be >= 0, got {value}"
+    # imported here so that a run whose flags all convert never loads argparse
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
+
+
+# Every flag is declared once, as (flag, keyword arguments of argparse's
+# add_argument); build_parser and _read_plain both read these entries.
+_COMMON_FLAGS = (
+    ("--seed", {"type": _count, "default": 0, "help": "deterministic seed (default 0)"}),
+    ("--format", {"choices": ("json", "csv"), "default": None, "help": "report format"}),
+    (
+        "--csv",
+        {"action": "store_const", "const": "csv", "dest": "format",
+         "help": "shorthand for --format csv"},
+    ),
+    ("--dim-cap", {"type": int, "default": None, "help": "override the dimension cap"}),
+    (
+        "--tol",
+        {"action": "append", "default": [], "metavar": "NAME=VALUE",
+         "help": "override a tolerance, e.g. --tol close_tol=1e-7 (repeatable)"},
+    ),
+)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser with every subcommand, or with ``command``'s
     alone; the top-level usage lists every subcommand either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="avqsbench",
         description=__doc__,
@@ -92,11 +102,70 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, add_arguments, _ = _COMMANDS[name]
+        help_text, flags, _, exclusive = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _add_common_arguments(p)
-        add_arguments(p)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for flag, kwargs in _COMMON_FLAGS + flags:
+            (group if flag in exclusive else p).add_argument(flag, **kwargs)
     return parser
+
+
+def _dest(flag: str, spec: dict) -> str:
+    return spec.get("dest", flag[2:].replace("-", "_"))
+
+
+def _read_plain(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read straight
+    from the command table, or None unless ``argv`` is a plain command line.
+
+    Plain means: a known command, then exact long flags of that command, each
+    bare (store_true, store_const) or followed by one value that does not
+    start with '-'.  Values go through the flag's ``type`` and ``choices``;
+    every required flag must be given, at most one of an exclusive group, the
+    last repeat wins and ``append`` accumulates.  On anything else -- help,
+    version, '--flag=value', abbreviations, unknown flags, bad values, a
+    missing flag, a conflict -- the caller parses with argparse, which
+    reports it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, _, exclusive = _COMMANDS[argv[0]]
+    table = dict(_COMMON_FLAGS + flags)
+    values, given = {}, set()
+    args = iter(argv[1:])
+    for flag in args:
+        spec = table.get(flag)
+        if spec is None:
+            return None
+        action = spec.get("action", "store")
+        dest = _dest(flag, spec)
+        if action == "store_true":
+            value = True
+        elif action == "store_const":
+            value = spec["const"]
+        else:
+            value = next(args, "-")  # a missing value reads as "-", not plain
+            if value.startswith("-"):
+                return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except Exception:  # argparse converts it again and reports the failure
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            if action == "append":
+                value = [*values.get(dest, spec.get("default") or ()), value]
+        values[dest] = value
+        given.add(flag)
+    if len(given.intersection(exclusive)) > 1:
+        return None
+    for flag, spec in table.items():
+        if spec.get("required") and flag not in given:
+            return None
+        dest = _dest(flag, spec)
+        default = False if spec.get("action") == "store_true" else None
+        values.setdefault(dest, spec.get("default", default))
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _apply_overrides(args) -> None:
@@ -152,9 +221,10 @@ def _emit(payload: dict, fmt: str) -> None:
 # subcommand handlers: each returns (payload, exit_code, default_format);
 # main adds the command name and the seed to the payload
 
-def _rates_args(p):
-    p.add_argument("--set", required=True, dest="set_path", help="state-set JSON file")
-    p.add_argument("--hull", action="store_true", help="maximize over the convex hull")
+_RATES_FLAGS = (
+    ("--set", {"required": True, "dest": "set_path", "help": "state-set JSON file"}),
+    ("--hull", {"action": "store_true", "help": "maximize over the convex hull"}),
+)
 
 
 def _cmd_rates(args):
@@ -170,12 +240,13 @@ def _cmd_rates(args):
     return payload, EXIT_OK, "json"
 
 
-def _distill_args(p):
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--k", type=int, default=1, choices=(1, 2))
-    p.add_argument("--outcomes", type=int, default=2, help="instrument outcomes to search over")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=500, help="ascent iterations per restart")
+_DISTILL_FLAGS = (
+    ("--set", {"required": True, "dest": "set_path"}),
+    ("--k", {"type": int, "default": 1, "choices": (1, 2)}),
+    ("--outcomes", {"type": int, "default": 2, "help": "instrument outcomes to search over"}),
+    ("--restarts", {"type": int, "default": 8}),
+    ("--maxiter", {"type": int, "default": 500, "help": "ascent iterations per restart"}),
+)
 
 
 def _cmd_distill(args):
@@ -196,11 +267,12 @@ def _cmd_distill(args):
     return payload, EXIT_OK, "json"
 
 
-def _worst_case_args(p):
-    p.add_argument("--protocol", required=True, dest="protocol_path", help="protocol JSON file")
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--blocklength", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None, help="sample this many words instead")
+_WORST_CASE_FLAGS = (
+    ("--protocol", {"required": True, "dest": "protocol_path", "help": "protocol JSON file"}),
+    ("--set", {"required": True, "dest": "set_path"}),
+    ("--blocklength", {"type": int, "required": True}),
+    ("--sample", {"type": int, "default": None, "help": "sample this many words instead"}),
+)
 
 
 def _cmd_worst_case(args):
@@ -220,9 +292,10 @@ def _cmd_worst_case(args):
     return payload, EXIT_OK, "json"
 
 
-def _merge_fidelity_args(p):
-    p.add_argument("--protocol", required=True, dest="protocol_path")
-    p.add_argument("--state", required=True, dest="state_path", help="source state JSON file")
+_MERGE_FIDELITY_FLAGS = (
+    ("--protocol", {"required": True, "dest": "protocol_path"}),
+    ("--state", {"required": True, "dest": "state_path", "help": "source state JSON file"}),
+)
 
 
 def _cmd_merge_fidelity(args):
@@ -236,11 +309,12 @@ def _cmd_merge_fidelity(args):
     return payload, EXIT_OK, "json"
 
 
-def _schur_demo_args(p):
-    p.add_argument("--dim", type=int, required=True, help="local dimension of the sending side")
-    p.add_argument("--blocklength", type=int, required=True)
-    p.add_argument("--eta", type=float, required=True, help="entropy bin width in bits")
-    p.add_argument("--state", required=True, dest="state_path")
+_SCHUR_DEMO_FLAGS = (
+    ("--dim", {"type": int, "required": True, "help": "local dimension of the sending side"}),
+    ("--blocklength", {"type": int, "required": True}),
+    ("--eta", {"type": float, "required": True, "help": "entropy bin width in bits"}),
+    ("--state", {"required": True, "dest": "state_path"}),
+)
 
 
 def _cmd_schur_demo(args):
@@ -282,21 +356,20 @@ def _word_fidelity_function(xs: StateSet):
     return f
 
 
-def _robustify_args(p):
-    p.add_argument("--set", required=True, dest="set_path")
-    p.add_argument("--blocklength", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
+_ROBUSTIFY_FLAGS = (
+    ("--set", {"required": True, "dest": "set_path"}),
+    ("--blocklength", {"type": int, "required": True}),
+    (
         "--exhaustive",
-        action="store_true",
-        help="check the set-derived fidelity function over every word (default)",
-    )
-    mode.add_argument(
+        {"action": "store_true",
+         "help": "check the set-derived fidelity function over every word (default)"},
+    ),
+    (
         "--trials",
-        type=_count,
-        default=None,
-        help="additionally stress seeded random word functions, this many tables",
-    )
+        {"type": _count, "default": None,
+         "help": "additionally stress seeded random word functions, this many tables"},
+    ),
+)
 
 
 def _cmd_robustify(args):
@@ -323,12 +396,14 @@ def _cmd_robustify(args):
     return payload, EXIT_OK if passed else EXIT_VERIFICATION, "json"
 
 
-def _example_gap_args(p):
-    p.add_argument("--N", type=int, required=True, dest="n", help="family size")
-    p.add_argument(
-        "--base", default="builtin:bell", help="base state: 'builtin:bell' or a state JSON file"
-    )
-    p.add_argument("--blocklength", type=int, default=1)
+_EXAMPLE_GAP_FLAGS = (
+    ("--N", {"type": int, "required": True, "dest": "n", "help": "family size"}),
+    (
+        "--base",
+        {"default": "builtin:bell", "help": "base state: 'builtin:bell' or a state JSON file"},
+    ),
+    ("--blocklength", {"type": int, "default": 1}),
+)
 
 
 def _cmd_example_gap(args):
@@ -345,37 +420,49 @@ def _cmd_example_gap(args):
     return payload, EXIT_OK if report.passed else EXIT_VERIFICATION, "json"
 
 
-# name -> (help, function adding the command's arguments, handler)
+# name -> (help, flags after the common ones, handler, flags of which at most
+# one may be given)
 _COMMANDS = {
-    "rates": ("merging/classical costs of a state set", _rates_args, _cmd_rates),
+    "rates": ("merging/classical costs of a state set", _RATES_FLAGS, _cmd_rates, ()),
     "distill-capacity": (
-        "distillation rate of a (hull of a) state set", _distill_args, _cmd_distill
+        "distillation rate of a (hull of a) state set", _DISTILL_FLAGS, _cmd_distill, ()
     ),
-    "worst-case": ("minimum merging fidelity over source words", _worst_case_args, _cmd_worst_case),
+    "worst-case": (
+        "minimum merging fidelity over source words", _WORST_CASE_FLAGS, _cmd_worst_case, ()
+    ),
     "merge-fidelity": (
-        "merging fidelity of a protocol on one state", _merge_fidelity_args, _cmd_merge_fidelity
+        "merging fidelity of a protocol on one state",
+        _MERGE_FIDELITY_FLAGS,
+        _cmd_merge_fidelity,
+        (),
     ),
     "schur-demo": (
-        "entropy-bin probabilities of a tensor power", _schur_demo_args, _cmd_schur_demo
+        "entropy-bin probabilities of a tensor power", _SCHUR_DEMO_FLAGS, _cmd_schur_demo, ()
     ),
     "robustify-check": (
         "verify the permutation-average bound on a word-fidelity function",
-        _robustify_args,
+        _ROBUSTIFY_FLAGS,
         _cmd_robustify,
+        ("--exhaustive", "--trials"),
     ),
     "example-gap": (
-        "hull costs vs protocol rates of a block family", _example_gap_args, _cmd_example_gap
+        "hull costs vs protocol rates of a block family",
+        _EXAMPLE_GAP_FLAGS,
+        _cmd_example_gap,
+        (),
     ),
 }
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    args = _read_plain(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     previous = get_config()
     try:
         _apply_overrides(args)

@@ -2,6 +2,7 @@ import argparse
 import copy
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import avqsbench
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, trivial_resource
-from avqsbench.cli import build_parser, main
+from avqsbench.cli import _COMMANDS, _read_plain, build_parser, main
 from avqsbench.io import (
     ParseError,
     cp_map_from_dict,
@@ -727,6 +728,54 @@ REPRESENTATIVE_ARGV = {
 }
 
 
+def _flag_units(command, argv):
+    """``argv`` after the command, split into one list per flag and its value."""
+    bare = {flag for flag, spec in _COMMANDS[command][1] if "action" in spec}
+    bare |= {"--csv"}
+    units, rest = [], list(argv)
+    while rest:
+        take = 1 if rest[0] in bare else 2
+        units.append(rest[:take])
+        rest = rest[take:]
+    return units
+
+
+def _plain_corpus(command):
+    """Plain command lines for ``command``: the representative one, shuffled,
+    with every flag repeated, with tolerances and formats stacked, and with
+    the required flags alone."""
+    argv = REPRESENTATIVE_ARGV[command]
+    units = _flag_units(command, argv)
+    shuffle = random.Random(command)
+    corpus = [argv, argv + argv]
+    for _ in range(3):
+        shuffle.shuffle(units)
+        corpus.append([a for unit in units for a in unit])
+    corpus += [
+        argv + ["--tol", "close_tol=1e-6", "--tol", "psd_tol=1e-9"],
+        argv + ["--csv", "--format", "json"],
+        argv + ["--format", "json", "--csv"],
+        argv + ["--seed", "0", "--seed", "12"],
+    ]
+    required = [flag for flag, spec in _COMMANDS[command][1] if spec.get("required")]
+    corpus.append([a for unit in units if unit[0] in required for a in unit])
+    if command == "robustify-check":
+        plain = [a for unit in units if unit[0] != "--trials" for a in unit]
+        corpus += [plain + ["--exhaustive"], ["--exhaustive", *plain, "--exhaustive"]]
+    return [[command, *a] for a in corpus]
+
+
+def _parse_with_argparse(argv, capsys):
+    """(exit code, stdout, stderr) of parsing ``argv`` with the parser ``main`` builds."""
+    try:
+        build_parser(argv[0] if argv[0] in _COMMANDS else None).parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = 2 if exc.code not in (0, None) else 0
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestCliParser:
     def test_a_subcommand_run_builds_only_its_own_parser(
         self, monkeypatch, bell_state_file, capsys
@@ -742,7 +791,52 @@ class TestCliParser:
         argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", "0.25",
                 "--state", bell_state_file]
         assert main(argv) == 0
-        assert len(built) <= 2, built
+        assert built == []
+        # a usage error goes through argparse, with its own subcommand's parser only
+        assert main(argv + ["--dim", "x"]) == 2
+        assert 1 <= len(built) <= 2, built
+
+    @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
+    def test_plain_reader_agrees_with_argparse(self, command):
+        for argv in _plain_corpus(command):
+            plain = _read_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(build_parser(command).parse_args(argv)), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--set", "s.json", "--block", "2"],
+            ["example-gap", "--N", "1", "--seed=3"],
+            ["example-gap", "-h"],
+            ["example-gap", "--version"],
+            ["-h"],
+            ["--version"],
+            ["merge-fidelity", "--protocol", "p.json", "--state", "r.json", "--bogus"],
+            ["rates", "--hull"],
+            ["rates", "--set", "-s.json"],
+            ["distill-capacity", "--set", "s.json", "--k", "3"],
+            ["example-gap", "--N", "x"],
+            ["robustify-check", "--set", "s.json", "--blocklength", "2", "--exhaustive",
+             "--trials", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_every_other_command_line_goes_through_argparse(self, argv, capsys):
+        assert _read_plain(argv) is None
+        expected = _parse_with_argparse(argv, capsys)
+        if expected == (0, "", ""):
+            # argparse accepts it: the run matches the same line written plainly
+            plain = [a for arg in argv for a in arg.split("=")]
+            assert _read_plain(plain) is not None
+            expected = (main(plain), *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        assert main([command, *REPRESENTATIVE_ARGV[command], "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"avqsbench {command}: error: argument --seed: must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
     def test_one_command_parser_agrees_with_the_full_one(self, command, capsys):
@@ -852,6 +946,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_plain_run_loads_no_argparse():
+    # a plain run is read from the command table: building argparse's parser
+    # and its first message lookup, which imports locale, are per-process costs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, contextlib, io; import avqsbench.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = c.main(['example-gap', '--N', '2'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"
 
 
 def test_example_gap_leaves_numpy_ma_unloaded():
