@@ -258,19 +258,17 @@ class OneWayLoccChannel(Frozen):
         return self.a_instrument.n_outcomes
 
 
-def apply_one_way_locc(
-    n: OneWayLoccChannel, s: State, a_party: Party = "A", b_party: Party = "B"
-) -> State:
+def apply_one_way_locc(n: OneWayLoccChannel, s: State) -> State:
     """Apply the channel, routing factors by party label.
 
-    Factors of ``a_party`` feed the instrument, factors of ``b_party`` the
+    Factors of party A feed the instrument, factors of party B the
     receiving channels; any remaining factors are untouched.  Output factor
     order: sending-side outputs, receiving-side outputs, untouched factors.
     """
-    a_targets = s.factors_of(a_party)
-    b_targets = s.factors_of(b_party)
+    a_targets = s.factors_of("A")
+    b_targets = s.factors_of("B")
     if not a_targets or not b_targets:
-        raise ValueError(f"state lacks factors for parties {a_party!r}/{b_party!r}")
+        raise ValueError("state lacks factors for parties 'A'/'B'")
     if prod(s.dims[i] for i in a_targets) != n.a_instrument.dim_in:
         raise ValueError("sending-side dimension mismatch")
     if prod(s.dims[i] for i in b_targets) != n.b_channels[0].dim_in:
@@ -387,9 +385,9 @@ def _require_flat_schmidt(phi: PureState, name: str) -> None:
         raise ValueError(f"{name} must be maximally entangled with full Schmidt rank")
 
 
-def trivial_resource(party_a: Party = "A", party_b: Party = "B") -> PureState:
-    """Rank-one resource register (no entanglement consumed or produced)."""
-    return PureState(np.ones(1, dtype=complex), (1, 1), (party_a, party_b))
+def trivial_resource() -> PureState:
+    """Rank-one resource register on A and B (no entanglement consumed or produced)."""
+    return PureState(np.ones(1, dtype=complex), (1, 1), ("A", "B"))
 
 
 def merging_fidelity(p: MergingProtocol, rho: State, purification: PureState | None = None) -> float:

@@ -102,11 +102,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, flags, _, exclusive = _COMMANDS[name]
+        help_text, flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        group = p.add_mutually_exclusive_group() if exclusive else p
         for flag, kwargs in _COMMON_FLAGS + flags:
-            (group if flag in exclusive else p).add_argument(flag, **kwargs)
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -121,14 +120,13 @@ def _read_plain(argv):
     Plain means: a known command, then exact long flags of that command, each
     bare (store_true, store_const) or followed by one value that does not
     start with '-'.  Values go through the flag's ``type`` and ``choices``;
-    every required flag must be given, at most one of an exclusive group, the
-    last repeat wins and ``append`` accumulates.  On anything else -- help,
-    version, '--flag=value', abbreviations, unknown flags, bad values, a
-    missing flag, a conflict -- the caller parses with argparse, which
-    reports it."""
+    every required flag must be given, the last repeat wins and ``append``
+    accumulates.  On anything else -- help, version, '--flag=value',
+    abbreviations, unknown flags, bad values, a missing flag -- the caller
+    parses with argparse, which reports it."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, flags, _, exclusive = _COMMANDS[argv[0]]
+    flags = _COMMANDS[argv[0]][1]
     table = dict(_COMMON_FLAGS + flags)
     values, given = {}, set()
     args = iter(argv[1:])
@@ -157,8 +155,6 @@ def _read_plain(argv):
                 value = [*values.get(dest, spec.get("default") or ()), value]
         values[dest] = value
         given.add(flag)
-    if len(given.intersection(exclusive)) > 1:
-        return None
     for flag, spec in table.items():
         if spec.get("required") and flag not in given:
             return None
@@ -420,36 +416,28 @@ def _cmd_example_gap(args):
     return payload, EXIT_OK if report.passed else EXIT_VERIFICATION, "json"
 
 
-# name -> (help, flags after the common ones, handler, flags of which at most
-# one may be given)
+# name -> (help, flags after the common ones, handler)
 _COMMANDS = {
-    "rates": ("merging/classical costs of a state set", _RATES_FLAGS, _cmd_rates, ()),
+    "rates": ("merging/classical costs of a state set", _RATES_FLAGS, _cmd_rates),
     "distill-capacity": (
-        "distillation rate of a (hull of a) state set", _DISTILL_FLAGS, _cmd_distill, ()
+        "distillation rate of a (hull of a) state set", _DISTILL_FLAGS, _cmd_distill
     ),
     "worst-case": (
-        "minimum merging fidelity over source words", _WORST_CASE_FLAGS, _cmd_worst_case, ()
+        "minimum merging fidelity over source words", _WORST_CASE_FLAGS, _cmd_worst_case
     ),
     "merge-fidelity": (
-        "merging fidelity of a protocol on one state",
-        _MERGE_FIDELITY_FLAGS,
-        _cmd_merge_fidelity,
-        (),
+        "merging fidelity of a protocol on one state", _MERGE_FIDELITY_FLAGS, _cmd_merge_fidelity
     ),
     "schur-demo": (
-        "entropy-bin probabilities of a tensor power", _SCHUR_DEMO_FLAGS, _cmd_schur_demo, ()
+        "entropy-bin probabilities of a tensor power", _SCHUR_DEMO_FLAGS, _cmd_schur_demo
     ),
     "robustify-check": (
         "verify the permutation-average bound on a word-fidelity function",
         _ROBUSTIFY_FLAGS,
         _cmd_robustify,
-        ("--exhaustive", "--trials"),
     ),
     "example-gap": (
-        "hull costs vs protocol rates of a block family",
-        _EXAMPLE_GAP_FLAGS,
-        _cmd_example_gap,
-        (),
+        "hull costs vs protocol rates of a block family", _EXAMPLE_GAP_FLAGS, _cmd_example_gap
     ),
 }
 

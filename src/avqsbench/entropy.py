@@ -10,7 +10,7 @@ from math import isfinite, prod
 import numpy as np
 
 from .config import Frozen, get_config
-from .linalg import State, partial_trace, permute_factors
+from .linalg import State, permute_factors
 
 ENTROPY = "entropy"
 CONDITIONAL_ENTROPY = "conditional-entropy"
@@ -28,62 +28,63 @@ class RateValue(Frozen):
         vars(self).update(value=value, kind=kind)
 
 
-def spectrum_entropy(weights) -> float:
-    """Shannon entropy (base 2) of a nonnegative weight vector.
+def spectrum_entropy(weights):
+    """Shannon entropy (base 2) of nonnegative weights along the last axis:
+    a float for one vector, an array for a stack of them.
 
-    Entries below the configured clip threshold are dropped, which absorbs
-    the small negative eigenvalues produced by finite-precision
+    Entries at or below the configured clip threshold count as 0, which
+    absorbs the small negative eigenvalues produced by finite-precision
     diagonalization.
     """
     w = np.asarray(weights, dtype=float)
-    w = w[w > get_config().eig_clip]
-    return float(-np.sum(w * np.log2(w)))
+    w = np.where(w > get_config().eig_clip, w, 1.0)  # a dropped entry adds 1 log 1 = 0
+    return -np.sum(w * np.log2(w), axis=-1)
 
 
 def von_neumann_entropy(s: State) -> RateValue:
     """S(rho) = -sum_i w_i log2 w_i over the clipped spectrum."""
-    w = np.linalg.eigvalsh(s.matrix)
-    return RateValue(spectrum_entropy(w), ENTROPY)
+    return RateValue(float(spectrum_entropy(np.linalg.eigvalsh(s.matrix))), ENTROPY)
 
 
-def _marginal_entropy(s: State, parties: tuple[str, ...]) -> float:
-    keep = s.factors_of(*parties)
-    if not keep:
-        raise ValueError(f"state has no factors for parties {parties}")
-    if len(keep) == s.n_factors:
-        return von_neumann_entropy(s).value
-    return von_neumann_entropy(partial_trace(s, keep)).value
+# Each quantity on the fixed A/B split as a signed sum of marginal
+# entropies, one (parties, sign) pair per term; the compound costs of
+# :mod:`rates` maximize the same tables.
+CONDITIONAL_ENTROPY_TERMS = ((("A", "B"), 1.0), (("B",), -1.0))
+MUTUAL_INFO_ENV_TERMS = ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))
+COHERENT_INFO_TERMS = ((("B",), 1.0), (("A", "B"), -1.0))
 
 
-def conditional_entropy(s: State, target: str = "A", condition: str = "B") -> RateValue:
-    """S(target | condition) = S(rho_TC) - S(rho_C).
+def entropy_sum(s: State, terms) -> float:
+    """sum_b sign_b S(rho_b) over the marginals rho_b of ``s`` named by the
+    terms, added left to right."""
+    value = 0.0
+    for parties, sign in terms:
+        value += sign * von_neumann_entropy(s.marginal(*parties)).value
+    return value
 
-    Lies in [-log2 d_target, log2 d_target]; negative values witness
-    entanglement across the cut.
+
+def conditional_entropy(s: State) -> RateValue:
+    """S(A|B) = S(rho_AB) - S(rho_B).
+
+    Lies in [-log2 d_A, log2 d_A]; negative values witness entanglement
+    across the cut.
     """
-    joint = _marginal_entropy(s, (target, condition))
-    cond = _marginal_entropy(s, (condition,))
-    return RateValue(joint - cond, CONDITIONAL_ENTROPY)
+    return RateValue(entropy_sum(s, CONDITIONAL_ENTROPY_TERMS), CONDITIONAL_ENTROPY)
 
 
-def mutual_info_env(s: State, target: str = "A", condition: str = "B") -> RateValue:
-    """Mutual information between the target system and the purifying
-    environment: S(rho_T) + S(rho_TC) - S(rho_C).
+def mutual_info_env(s: State) -> RateValue:
+    """Mutual information between A and the purifying environment:
+    S(rho_A) + S(rho_AB) - S(rho_B).
 
-    Computed from the bipartite marginals; for a purification psi of rho_TC
-    on a third system E this equals I(T;E).  Always nonnegative.
+    Computed from the bipartite marginals; for a purification psi of rho_AB
+    on a third system E this equals I(A;E).  Always nonnegative.
     """
-    s_t = _marginal_entropy(s, (target,))
-    s_tc = _marginal_entropy(s, (target, condition))
-    s_c = _marginal_entropy(s, (condition,))
-    return RateValue(s_t + s_tc - s_c, MUTUAL_INFO_ENV)
+    return RateValue(entropy_sum(s, MUTUAL_INFO_ENV_TERMS), MUTUAL_INFO_ENV)
 
 
-def coherent_information(s: State, source: str = "A", target: str = "B") -> RateValue:
-    """I_c(source > target) = S(rho_target) - S(rho_joint)."""
-    s_t = _marginal_entropy(s, (target,))
-    s_joint = _marginal_entropy(s, (source, target))
-    return RateValue(s_t - s_joint, COHERENT_INFO)
+def coherent_information(s: State) -> RateValue:
+    """I_c(A > B) = S(rho_B) - S(rho_AB)."""
+    return RateValue(entropy_sum(s, COHERENT_INFO_TERMS), COHERENT_INFO)
 
 
 def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
@@ -97,8 +98,7 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     :func:`post_measurement_blocks`; the outcome weights are read off their
     traces and must sum to each state's trace within ``tp_tol``.  Outcomes of
     weight at most ``prob_tol`` are dropped.  S(AB) and S(B) of the normalized
-    blocks come from two batched ``eigvalsh`` calls with the ``eig_clip`` rule
-    of :func:`spectrum_entropy`.
+    blocks come from two batched ``eigvalsh`` calls and :func:`spectrum_entropy`.
 
     With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
     stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B).
@@ -121,14 +121,17 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     post = post / np.where(kept, weights, 1.0)[:, :, None, None, None, None]
 
     def entropies(mats):
-        w, v = np.linalg.eigh(mats) if gradient else (np.linalg.eigvalsh(mats), None)
+        if not gradient:
+            return spectrum_entropy(np.linalg.eigvalsh(mats)), None
+        # spectrum_entropy's clip rule inline: the logs below need its support mask
+        w, v = np.linalg.eigh(mats)
         on = w > cfg.eig_clip
         w = np.where(on, w, 1.0)
-        if v is not None:  # log2 of the unnormalized block on its support
-            log_weights = np.log2(np.where(kept, weights, 1.0))[:, :, None]
-            logs = np.where(on & kept[:, :, None], np.log2(w) + log_weights, 0.0)
-            v = (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        return -np.sum(w * np.log2(w), axis=-1), v
+        log_w = np.log2(w)
+        # log2 of the unnormalized block on its support
+        log_weights = np.log2(np.where(kept, weights, 1.0))[:, :, None]
+        logs = np.where(on & kept[:, :, None], log_w + log_weights, 0.0)
+        return -np.sum(w * log_w, axis=-1), (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     s_joint, log_joint = entropies(post.reshape(n, -1, size, size))
     s_marginal, log_marginal = entropies(np.trace(post, axis1=2, axis2=4))
@@ -156,37 +159,37 @@ def post_measurement_blocks(rhos, kraus, d_target: int):
     return scaled, np.einsum("sjkaicy,jkdc->sjaidy", scaled, kraus.conj())
 
 
-def instrument_coherent_info(s: State, instrument, source: str = "A", target: str = "B") -> RateValue:
+def instrument_coherent_info(s: State, instrument) -> RateValue:
     """Outcome-probability-weighted coherent information after measuring the
-    source side with an instrument.
+    A side with an instrument.
 
     For outcome weights w_j and normalized post-measurement states t_j this
-    is sum_j w_j I_c(source > target, t_j); the instrument's outputs stay on
-    the source side, factors of other parties are traced out, and outcomes
-    with weight below the configured probability threshold are dropped.  One
-    call of :func:`instrument_rates` on the (source, target) marginal.
+    is sum_j w_j I_c(A > B, t_j); the instrument's outputs stay on the A
+    side, factors of other parties are traced out, and outcomes with weight
+    below the configured probability threshold are dropped.  One call of
+    :func:`instrument_rates` on the (A, B) marginal.
     """
-    sources = s.factors_of(source)
+    sources = s.factors_of("A")
     if not sources:
-        raise ValueError(f"state has no factors for party {source!r}")
+        raise ValueError("state has no factors for party 'A'")
     if prod(s.dims[i] for i in sources) != instrument.dim_in:
         raise ValueError(
             f"instrument input dimension {instrument.dim_in} does not match "
-            f"the {source!r} side of the state"
+            "the 'A' side of the state"
         )
-    rho, d_target = source_first(s, source, target)
+    rho, d_target = source_first(s)
     value = instrument_rates(rho[None], instrument.kraus_stack(), d_target)[0]
     return RateValue(float(value), INSTRUMENT_RATE)
 
 
-def source_first(s: State, source: str = "A", target: str = "B") -> tuple[np.ndarray, int]:
-    """Matrix of the (source, target) marginal of ``s`` with the source
-    factors in front, and the dimension of the target side."""
-    sources, targets = s.factors_of(source), s.factors_of(target)
+def source_first(s: State) -> tuple[np.ndarray, int]:
+    """Matrix of the (A, B) marginal of ``s`` with the A factors in front,
+    and the dimension of the B side."""
+    sources, targets = s.factors_of("A"), s.factors_of("B")
     if not targets:
-        raise ValueError(f"state has no factors for parties {(target,)}")
+        raise ValueError("state has no factors for parties ('B',)")
+    reduced = s.marginal("A", "B")
     keep = sorted(sources + targets)
-    reduced = s if len(keep) == s.n_factors else partial_trace(s, keep)
     order = [keep.index(i) for i in sources + targets]
     if order != list(range(len(order))):
         reduced = permute_factors(reduced, order)

@@ -78,11 +78,12 @@ class State(Frozen):
         return tuple(i for i, p in enumerate(self.parties) if p in wanted)
 
     def marginal(self, *parties: Party) -> "State":
-        """Reduced state on the factors of the given parties."""
+        """Reduced state on the factors of the given parties; the state
+        itself when they name every factor."""
         keep = self.factors_of(*parties)
         if not keep:
             raise ValueError(f"state has no factors for parties {parties}")
-        return partial_trace(self, keep)
+        return self if len(keep) == self.n_factors else partial_trace(self, keep)
 
     def validate(self, normalized: bool = True) -> "State":
         """Check positivity (and unit trace unless ``normalized=False``)."""
@@ -168,11 +169,11 @@ def maximally_mixed(dim: int, party: Party = "A") -> State:
     return State(np.eye(dim) / dim, (dim,), (party,))
 
 
-def maximally_entangled(rank: int, party_a: Party = "A", party_b: Party = "B") -> PureState:
-    """Rank-``rank`` maximally entangled pure state across two factors."""
+def maximally_entangled(rank: int) -> PureState:
+    """Rank-``rank`` maximally entangled pure state across factors A and B."""
     vec = np.zeros(rank * rank, dtype=complex)
     vec[:: rank + 1] = 1.0 / np.sqrt(rank)
-    return PureState(vec, (rank, rank), (party_a, party_b))
+    return PureState(vec, (rank, rank), ("A", "B"))
 
 
 def bell_pair() -> PureState:

@@ -19,7 +19,15 @@ from .channels import (
     purified_merging_fidelity,
 )
 from .config import Frozen, all_words, check_blocklength, check_dim_cap, get_config
-from .entropy import instrument_rates, post_measurement_blocks, source_first, von_neumann_entropy
+from .entropy import (
+    CONDITIONAL_ENTROPY_TERMS,
+    MUTUAL_INFO_ENV_TERMS,
+    entropy_sum,
+    instrument_rates,
+    post_measurement_blocks,
+    source_first,
+    spectrum_entropy,
+)
 from .linalg import PureState, State, kron, purify, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
@@ -187,6 +195,7 @@ def _entropy_sum(blocks):
         value, grad = 0.0, np.zeros(len(p))
         for sign, mats in blocks:
             w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
+            # kept pairs only: the gradient needs just their (few, if rank deficient) eigenvectors
             w, v = w[w > clip], v[:, w > clip]
             log_w = np.log2(w)
             value -= sign * float(w @ log_w)
@@ -197,39 +206,18 @@ def _entropy_sum(blocks):
     return value_and_grad
 
 
-def _vertex_entropy_sums(blocks):
-    """sum_b sign_b S~(M_{b,s}) at every vertex s of :func:`_entropy_sum`'s
-    blocks, from one batched ``eigvalsh`` per block."""
-    clip = get_config().eig_clip
-    total = 0.0
-    for sign, mats in blocks:
-        w = np.linalg.eigvalsh(mats)
-        w = np.where(w > clip, w, 1.0)  # a dropped eigenvalue adds 1 log 1 = 0
-        total = total - sign * np.sum(w * np.log2(w), axis=-1)
-    return total
-
-
-def _signed_entropy_sum(s: State, terms) -> float:
-    """sum_b sign_b S(rho_b) over the marginals rho_b of ``s`` named by the
-    terms, added left to right."""
-    value = 0.0
-    for parties, sign in terms:
-        value += sign * von_neumann_entropy(s.marginal(*parties)).value
-    return value
-
-
 def _compound_cost(xs: StateSet, hull: bool, quantity: str, terms) -> RateReport:
     """Largest signed entropy sum of ``terms``, each a (parties, sign) pair,
     over the members or, by a certified ascent, over the hull."""
     if not hull:
-        values = [_signed_entropy_sum(m, terms) for m in xs.members]
+        values = [entropy_sum(m, terms) for m in xs.members]
         idx = int(np.argmax(values))
         return RateReport(
             quantity, float(values[idx]), attained_by=xs.labels[idx], metadata={"over": "members"}
         )
     blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
     p, _, meta = maximize_concave_over_simplex(_entropy_sum(blocks), xs.n)
-    value = _signed_entropy_sum(convex_mixture(xs, p), terms)
+    value = entropy_sum(convex_mixture(xs, p), terms)
     return RateReport(quantity, value, weights=tuple(p), metadata={"over": "hull", **meta})
 
 
@@ -239,14 +227,13 @@ def compound_merging_cost(xs: StateSet, hull: bool = False) -> RateReport:
     This is the achievable entanglement cost per copy; callers add their own
     slack.  Over the hull the maximum lies in [value, value + duality_gap].
     """
-    return _compound_cost(xs, hull, "merging-cost", ((("A", "B"), 1.0), (("B",), -1.0)))
+    return _compound_cost(xs, hull, "merging-cost", CONDITIONAL_ENTROPY_TERMS)
 
 
 def compound_classical_cost(xs: StateSet, hull: bool = False) -> RateReport:
     """Largest I(A;E) = S(A) + S(AB) - S(B) over the set or hull — the
     classical communication rate attached to the merging cost."""
-    terms = ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))
-    return _compound_cost(xs, hull, "classical-cost", terms)
+    return _compound_cost(xs, hull, "classical-cost", MUTUAL_INFO_ENV_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +308,8 @@ def _hull_rate(xs: StateSet, k: int):
 
         p, top, meta = maximize_concave_over_simplex(objective, n)
         value = -top / k
-        values = -_vertex_entropy_sums([(sign, m[diagonal]) for sign, m in blocks]) / k
+        vertex = [sign * spectrum_entropy(np.linalg.eigvalsh(m[diagonal])) for sign, m in blocks]
+        values = -sum(vertex) / k
         best = int(np.argmin(values))
         if values[best] < value:
             value, p = float(values[best]), np.eye(n)[best]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property, lru_cache
-from math import ceil, factorial, log, log2, prod
+from math import ceil, factorial, inf, log, log2, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -346,9 +346,16 @@ class EntropyBinning(NamedTuple):
         return i
 
 
+# narrowest bin width, in bits: bin_of's 1e-12 boundary slack must stay a
+# small part of one bin, as it walks through the slack one bin per step
+MIN_BIN_WIDTH = 1e-9
+
+
 def make_binning(l: int, d: int, eta: float) -> EntropyBinning:
     if not eta > 0:  # also refuses NaN
         raise ValueError(f"bin width must be positive, got {eta}")
+    if not MIN_BIN_WIDTH <= eta < inf:
+        raise ValueError(f"bin width must be finite and at least {MIN_BIN_WIDTH} bits, got {eta}")
     top = log2(d)
     return EntropyBinning(l, d, eta, 1 if eta >= top else int(ceil(top / eta - 1e-12)))
 
@@ -400,9 +407,8 @@ def build_entropy_instrument(l: int, d: int, eta: float) -> EntropyInstrument:
 
 def sending_marginal(rho: State) -> State:
     """The part of a source copy that the entropy instrument measures: the
-    A marginal when rho has an A party and others, rho itself otherwise."""
-    parties = set(rho.parties)
-    return rho.marginal("A") if "A" in parties and len(parties) > 1 else rho
+    A marginal when rho has an A party, rho itself otherwise."""
+    return rho.marginal("A") if "A" in rho.parties else rho
 
 
 def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None = None) -> float:

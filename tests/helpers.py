@@ -257,13 +257,13 @@ def dense_family_receiving_kraus(fam, sub, l: int) -> list[list[np.ndarray]]:
     return out
 
 
-def scalar_instrument_rate(s, instrument, source: str = "A", target: str = "B") -> float:
+def scalar_instrument_rate(s, instrument) -> float:
     """Instrument-weighted coherent information, one outcome at a time:
-    sum_j w_j I_c(source > target) of the normalized post-measurement
-    states, over the outcomes that ``instrument_statistics`` keeps."""
+    sum_j w_j I_c(A > B) of the normalized post-measurement states, over the
+    outcomes that ``instrument_statistics`` keeps."""
     total = 0.0
-    for outcome in instrument_statistics(instrument, s, s.factors_of(source)):
-        total += outcome.probability * coherent_information(outcome.state, source, target).value
+    for outcome in instrument_statistics(instrument, s, s.factors_of("A")):
+        total += outcome.probability * coherent_information(outcome.state).value
     return total
 
 

@@ -4,12 +4,17 @@ import pytest
 from avqsbench.channels import CpMap, Instrument, identity_instrument
 from avqsbench.config import local_config
 from avqsbench.entropy import (
+    COHERENT_INFO_TERMS,
+    CONDITIONAL_ENTROPY_TERMS,
+    MUTUAL_INFO_ENV_TERMS,
     coherent_information,
     conditional_entropy,
+    entropy_sum,
     instrument_coherent_info,
     instrument_rates,
     mutual_info_env,
     source_first,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from avqsbench.linalg import (
@@ -62,6 +67,50 @@ class TestVonNeumannEntropy:
 
     def test_kind_tag(self):
         assert von_neumann_entropy(maximally_mixed(2)).kind == "entropy"
+
+
+class TestOneFormulaEach:
+    """Each entropy formula is written once; the callers agree with it to the bit."""
+
+    @pytest.mark.parametrize(
+        "quantity, terms",
+        [
+            (conditional_entropy, CONDITIONAL_ENTROPY_TERMS),
+            (mutual_info_env, MUTUAL_INFO_ENV_TERMS),
+            (coherent_information, COHERENT_INFO_TERMS),
+        ],
+        ids=["conditional_entropy", "mutual_info_env", "coherent_information"],
+    )
+    def test_named_quantity_is_the_sum_of_its_table(self, quantity, terms):
+        case_rng = np.random.default_rng(11)
+        states = [random_density([2, 3], case_rng, parties=("A", "B")) for _ in range(3)]
+        states += [
+            bell_pair().density(),
+            random_density([3, 2, 2], case_rng, parties=("B", "E", "A")),
+            tensor_product(maximally_mixed(2, "B"), random_density([3], case_rng)),
+        ]
+        for rho in states:
+            assert quantity(rho).value == entropy_sum(rho, terms)
+
+    def test_a_stack_scores_like_its_rows(self):
+        # rank-deficient rows of 3 to 12 eigenvalues, some of them clipped
+        case_rng = np.random.default_rng(12)
+        for d in (3, 8, 12):
+            w = case_rng.random((5, d))
+            w[:, : d // 3] = case_rng.choice([0.0, -1e-15, 1e-13], size=(5, d // 3))
+            w = np.sort(w / w.sum(axis=1, keepdims=True), axis=1)
+            stacked = spectrum_entropy(w)
+            assert stacked.shape == (5,)
+            assert list(stacked) == [spectrum_entropy(row) for row in w]
+            stacked = spectrum_entropy(w.reshape(5, 1, d))
+            assert stacked.shape == (5, 1)
+
+    def test_von_neumann_entropy_is_the_spectrum_entropy(self):
+        case_rng = np.random.default_rng(13)
+        for dims in ([2], [3, 3], [2, 2, 2]):
+            rho = random_density(dims, case_rng, rank=2)
+            value = von_neumann_entropy(rho).value
+            assert value == spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 class TestConditionalEntropy:

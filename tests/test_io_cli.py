@@ -294,6 +294,16 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["random_tables"] == {"trials": 5, "failures": 0}
 
+    def test_robustify_check_exhaustive_with_trials(self, two_state_file, capsys):
+        # --exhaustive names the default check; --trials adds random tables to it
+        argv = ["robustify-check", "--set", two_state_file, "--blocklength", "3", "--trials", "5"]
+        assert main(argv) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert main(argv[:5] + ["--exhaustive"] + argv[5:]) == 0
+        both = json.loads(capsys.readouterr().out)
+        assert both["random_tables"] == {"trials": 5, "failures": 0}
+        assert both == alone
+
     def test_merge_fidelity(self, bell_protocol_file, bell_state_file, capsys):
         assert main(
             ["merge-fidelity", "--protocol", bell_protocol_file, "--state", bell_state_file]
@@ -370,6 +380,17 @@ class TestCliCommands:
         assert time.perf_counter() - start < 0.5
         payload = json.loads(capsys.readouterr().out)
         assert sum(row["probability"] for row in payload["bins"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", ["inf", "1e-300", "1e-320", "5e-324"])
+    def test_schur_demo_refuses_infinite_and_sub_slack_bins(self, bell_state_file, capsys, eta):
+        # below the 1e-9 floor a bin lookup would walk ~1e-12 / eta bins of boundary slack
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", eta]
+        start = time.perf_counter()
+        assert main(argv + ["--state", bell_state_file]) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bin width must be finite and at least 1e-09 bits, got {float(eta)}\n"
 
     def test_distill_capacity(self, bell_set_file, capsys):
         code = main(
@@ -761,7 +782,11 @@ def _plain_corpus(command):
     corpus.append([a for unit in units if unit[0] in required for a in unit])
     if command == "robustify-check":
         plain = [a for unit in units if unit[0] != "--trials" for a in unit]
-        corpus += [plain + ["--exhaustive"], ["--exhaustive", *plain, "--exhaustive"]]
+        corpus += [
+            plain + ["--exhaustive"],
+            ["--exhaustive", *plain, "--exhaustive"],
+            plain + ["--exhaustive", "--trials", "2"],
+        ]
     return [[command, *a] for a in corpus]
 
 
@@ -817,8 +842,7 @@ class TestCliParser:
             ["rates", "--set", "-s.json"],
             ["distill-capacity", "--set", "s.json", "--k", "3"],
             ["example-gap", "--N", "x"],
-            ["robustify-check", "--set", "s.json", "--blocklength", "2", "--exhaustive",
-             "--trials", "2"],
+            ["robustify-check", "--set", "s.json", "--blocklength", "2", "--exhaustive=yes"],
         ],
         ids=" ".join,
     )

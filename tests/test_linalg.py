@@ -161,6 +161,16 @@ class TestPartialTrace:
         rhs = 0.3 * partial_trace(a, [0]).matrix + 0.7 * partial_trace(b, [0]).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_marginal_on_every_party_is_the_state_itself(self):
+        ab = random_density([2, 3], rng, parties=("A", "B"))
+        ba = random_density([3, 2], rng, parties=("B", "A"))
+        abe = random_density([2, 2, 2], rng, parties=("A", "B", "E"))
+        for rho in (ab, ba):
+            assert rho.marginal("A", "B") is rho
+            assert rho.marginal("B", "A") is rho
+        assert abe.marginal("A", "B", "E") is abe
+        assert abe.marginal("A", "B") is not abe
+
     def test_rejects_empty_or_out_of_range(self):
         full = random_density([2, 2], rng)
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from avqsbench.channels import (
 )
 from avqsbench.config import DimensionCapError, get_config, local_config
 from avqsbench.entropy import (
+    CONDITIONAL_ENTROPY_TERMS,
+    MUTUAL_INFO_ENV_TERMS,
     coherent_information,
     conditional_entropy,
     instrument_coherent_info,
@@ -223,6 +225,13 @@ class TestCompoundCosts:
         assert compound_merging_cost(xs).value == pytest.approx(s_a, abs=1e-8)
         assert compound_classical_cost(xs).value == pytest.approx(2 * s_a, abs=1e-8)
 
+    def test_member_costs_are_the_largest_named_quantity(self):
+        # the costs sum the same term tables as the named quantities, so bit for bit
+        for xs in (_random_set(3), build_orthogonal_family(bell_pair().density(), 3).members):
+            merging, classical = compound_merging_cost(xs), compound_classical_cost(xs)
+            assert merging.value == max(conditional_entropy(m).value for m in xs.members)
+            assert classical.value == max(mutual_info_env(m).value for m in xs.members)
+
     def test_monotone_under_inclusion(self):
         members = tuple(random_density([2, 2], rng, parties=("A", "B")) for _ in range(3))
         small = StateSet(members[:2])
@@ -282,7 +291,7 @@ class TestCompoundCosts:
     @pytest.mark.parametrize("source", ["family", "seeded"])
     @pytest.mark.parametrize(
         "terms",
-        [((("A", "B"), 1.0), (("B",), -1.0)), ((("A",), 1.0), (("A", "B"), 1.0), (("B",), -1.0))],
+        [CONDITIONAL_ENTROPY_TERMS, MUTUAL_INFO_ENV_TERMS],
         ids=["merging", "classical"],
     )
     def test_hull_gradient_against_einsum_and_central_difference(self, source, terms):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from avqsbench.channels import permutation_channel
 from avqsbench.config import DimensionCapError, local_config
 from avqsbench.linalg import random_unitary, state
 from avqsbench.schur_weyl import (
+    MIN_BIN_WIDTH,
     EntropyInstrument,
     YoungFrame,
     build_entropy_instrument,
@@ -261,6 +263,18 @@ class TestBinning:
     def test_rejects_non_positive_width(self, eta):
         with pytest.raises(ValueError, match="bin width must be positive"):
             make_binning(3, 2, eta)
+
+    @pytest.mark.parametrize("eta", [float("inf"), 1e-300, 1e-320, 5e-324, 9.99e-10])
+    def test_rejects_infinite_and_sub_slack_widths(self, eta):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be finite and at least 1e-09 bits"):
+            make_binning(3, 2, eta)
+        assert time.perf_counter() - start < 0.5
+
+    def test_narrowest_width_is_accepted(self):
+        binning = make_binning(3, 2, MIN_BIN_WIDTH)
+        assert binning.n_bins == 10**9
+        assert binning.bin_of(1.0) == binning.n_bins
 
     def test_ragged_last_bin(self):
         binning = make_binning(2, 3, 0.6)
