@@ -13,6 +13,7 @@ Factor conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd, prod
 from typing import NamedTuple, Sequence
@@ -78,8 +79,9 @@ class CpMap(Frozen):
 
     @property
     def gram(self) -> np.ndarray:
-        """Sum of K^dagger K over the Kraus operators."""
-        return _stacked_gram(self.kraus)
+        """Sum of K^dagger K over the Kraus operators, as S^dagger S for the stacked S."""
+        stacked = np.concatenate(self.kraus)
+        return stacked.conj().T @ stacked
 
     @property
     def dim_in(self) -> int:
@@ -93,12 +95,6 @@ class CpMap(Frozen):
     def is_trace_preserving(self) -> bool:
         dev = np.max(np.abs(self.gram - np.eye(self.dim_in)))
         return float(dev) <= get_config().tp_tol
-
-
-def _stacked_gram(kraus) -> np.ndarray:
-    """sum_i K_i^dagger K_i as one product S^dagger S of the stacked S."""
-    stacked = np.concatenate(kraus)
-    return stacked.conj().T @ stacked
 
 
 def identity_channel(dims: Sequence[int]) -> CpMap:
@@ -124,11 +120,11 @@ class Instrument(Frozen):
         for m in outcomes[1:]:
             if m.in_dims != first.in_dims or m.out_dims != first.out_dims:
                 raise ValueError("all outcomes must share input and output factor dims")
-        total = _stacked_gram([k for m in outcomes for k in m.kraus])
-        dev = float(np.max(np.abs(total - np.eye(first.dim_in))))
+        vars(self).update(outcomes=outcomes)
+        rows = self.kraus_stack().reshape(-1, first.dim_in)
+        dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(first.dim_in))))
         if dev > get_config().tp_tol:
             raise ValueError(f"outcome maps do not sum to a channel (deviation {dev:.3e})")
-        vars(self).update(outcomes=outcomes)
 
     @property
     def n_outcomes(self) -> int:
@@ -148,12 +144,18 @@ class Instrument(Frozen):
 
     def kraus_stack(self) -> np.ndarray:
         """(outcomes, operators, dim_out, dim_in) array of the Kraus
-        operators, zero-padded where an outcome has fewer than the most."""
+        operators, zero-padded where an outcome has fewer than the most;
+        read-only, formed once."""
+        return self._kraus_stack
+
+    @functools.cached_property
+    def _kraus_stack(self) -> np.ndarray:
         first = self.outcomes[0]
         width = max(len(m.kraus) for m in self.outcomes)
         out = np.zeros((self.n_outcomes, width, first.dim_out, first.dim_in), dtype=complex)
         for j, m in enumerate(self.outcomes):
             out[j, : len(m.kraus)] = m.kraus
+        out.setflags(write=False)
         return out
 
 
@@ -327,9 +329,16 @@ class MergingProtocol(Frozen):
             if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
                 raise ValueError(f"{name} must live on two factors of equal dimension")
             _require_flat_schmidt(phi, name)
+        mirrors = tuple(tuple(maps) for maps in mirrors)
+        self._check_fit(locc, phi_in, phi_out, blocklength, mirrors)
+        vars(self).update(locc=locc, phi_in=phi_in, phi_out=phi_out, blocklength=blocklength, mirrors=mirrors)
+
+    @staticmethod
+    def _check_fit(locc, phi_in, phi_out, l, mirrors) -> None:
+        """Check that the channel, resources, blocklength and mirror maps fit
+        together and each distinct mirror map is a channel."""
         ins = locc.a_instrument
         recv = locc.b_channels[0]
-        l = blocklength
         if len(ins.in_dims) != l + 1 or len(recv.in_dims) != l + 1:
             raise ValueError("instrument/receiver must expose (resource, copies...) factor dims")
         if ins.in_dims[0] != phi_in.dims[0] or recv.in_dims[0] != phi_in.dims[1]:
@@ -340,7 +349,6 @@ class MergingProtocol(Frozen):
         d_b = recv.in_dims[1]
         if ins.in_dims[1:] != (d_a,) * l or recv.in_dims[1:] != (d_b,) * l:
             raise ValueError("copy factors must all share one dimension per side")
-        mirrors = tuple(tuple(maps) for maps in mirrors)
         if mirrors and (
             len(mirrors) != locc.message_count or any(len(maps) != l for maps in mirrors)
         ):
@@ -355,7 +363,6 @@ class MergingProtocol(Frozen):
             raise ValueError(
                 f"receiving channels must output {expected_out}, got {recv.out_dims}"
             )
-        vars(self).update(locc=locc, phi_in=phi_in, phi_out=phi_out, blocklength=l, mirrors=mirrors)
 
     @property
     def copy_dims(self) -> tuple[int, int]:
@@ -447,6 +454,7 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     # output factor order: (K1_B, B'_1, B_1, ..., B'_l, B_l), K1_A, env
     order = [1] + list(range(2, 2 * l + 2)) + [0] + list(range(2 * l + 2, 2 * l + 2 + n_env))
 
+    @functools.cache
     def pulled_targets(maps):
         """phi_out x (R_1^dagger x ... x R_l^dagger) psi in output factor
         order, one per choice of mirror Kraus operators."""
@@ -459,23 +467,22 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
             targets.append(target.reshape(p.phi_out.dims + v.shape).transpose(order).reshape(-1))
         return targets
 
-    cache: dict[tuple[CpMap, ...], list[np.ndarray]] = {}
+    # every sending-side Kraus operator in one product, factors (K1_A, K0_B,
+    # B_1, ..., B_l, env) per operator; padding operators have weight 0
+    stack = p.locc.a_instrument.kraus_stack()
+    width, d_out, d_in = stack.shape[1:]
+    sent = (stack.reshape(-1, d_in) @ arranged).reshape(-1, d_out, d_recv, arranged.shape[1] // d_recv)
+    weights = (sent.real**2 + sent.imag**2).sum(axis=(1, 2, 3))
     total = 0.0
-    for k, (t_k, r_k) in enumerate(zip(p.locc.a_instrument.outcomes, p.locc.b_channels)):
+    for a in np.flatnonzero(weights > prob_tol):
+        k = a // width
         maps = p.mirrors[k] if p.mirrors else ()
-        for ka in t_k.kraus:
-            # factors (K1_A, K0_B, B_1, ..., B_l, env): the receiving ones form
-            # one block, swapped in front of K1_A
-            mid = (ka @ arranged).reshape(ka.shape[0], d_recv, -1)
-            if np.vdot(mid, mid).real <= prob_tol:
-                continue
-            block = mid.transpose(1, 0, 2).reshape(d_recv, -1)
-            outs = [(kb @ block).reshape(-1) for kb in r_k.kraus]
-            if maps not in cache:
-                cache[maps] = pulled_targets(maps)
-            for t in cache[maps]:
-                for out in outs:
-                    total += abs(np.vdot(t, out)) ** 2
+        # the receiving factors form one block, swapped in front of K1_A
+        block = sent[a].transpose(1, 0, 2).reshape(d_recv, -1)
+        outs = [(kb @ block).reshape(-1) for kb in p.locc.b_channels[k].kraus]
+        for t in pulled_targets(maps):
+            for out in outs:
+                total += abs(np.vdot(t, out)) ** 2
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -540,9 +547,16 @@ def compose_instrument_with_protocols(
         lifted = [kron(eye, kp) for kp in p_i.kraus]
         for t_k, r_k in zip(sub.locc.a_instrument.outcomes, sub.locc.b_channels):
             kraus = tuple(kt @ kp for kt in t_k.kraus for kp in lifted)
-            outcomes.append(CpMap(kraus, (k0a,) + e.in_dims, t_k.out_dims))
+            outcomes.append(CpMap._derived(kraus=kraus, in_dims=(k0a,) + e.in_dims, out_dims=t_k.out_dims))
             b_channels.append(r_k)
             if mirrors:
-                routed.append(mirrors[i])
-    locc = OneWayLoccChannel(Instrument(tuple(outcomes)), tuple(b_channels))
-    return MergingProtocol(locc, first.phi_in, first.phi_out, l, tuple(routed))
+                routed.append(tuple(mirrors[i]))
+    # the completeness check also bounds each outcome map; the receiving
+    # channels and resources were checked in the subprotocols
+    instrument = Instrument(tuple(outcomes))
+    locc = OneWayLoccChannel._derived(a_instrument=instrument, b_channels=tuple(b_channels))
+    routed = tuple(routed)
+    MergingProtocol._check_fit(locc, first.phi_in, first.phi_out, l, routed)
+    return MergingProtocol._derived(
+        locc=locc, phi_in=first.phi_in, phi_out=first.phi_out, blocklength=l, mirrors=routed
+    )

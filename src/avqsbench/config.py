@@ -8,6 +8,8 @@ from contextlib import contextmanager
 from math import log2
 from typing import NamedTuple
 
+import numpy as np
+
 
 class DimensionCapError(Exception):
     """Raised when an operation would exceed a dimension, word or frame-work cap."""
@@ -26,9 +28,22 @@ class Frozen:
     """Immutable base: ``__init__`` stores the fields with ``vars(self).update``;
     assigning or deleting an attribute raises ``AttributeError``.  ``State``,
     ``CpMap`` and ``Instrument`` validate in ``__post_init__``, the name that
-    ``perfbench/tracer.py`` wraps to count constructions."""
+    ``perfbench/tracer.py`` wraps to count validated constructions; values
+    built by :meth:`_derived` are not counted."""
 
     __slots__ = ()
+
+    @classmethod
+    def _derived(cls, **fields):
+        """An instance of values derived from validated ones, stored as given
+        with their arrays made read-only; no check runs."""
+        obj = object.__new__(cls)
+        for value in fields.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        vars(obj).update(fields)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

@@ -37,6 +37,11 @@ class State(Frozen):
     and safe to share between threads.  Channel intermediates may be
     subnormalized (trace < 1); use :func:`state` for fully validated
     unit-trace construction.
+
+    The constructor checks the shape, the factor dims and Hermiticity.  The
+    states the package derives from validated ones (marginals, permutations,
+    products, mixtures, relabelings) hold those by construction and are
+    built by ``_derived``, which checks nothing.
     """
 
     def __init__(self, matrix: np.ndarray, dims: tuple[int, ...], parties: tuple[Party, ...]):
@@ -97,7 +102,8 @@ class State(Frozen):
 
     def relabel(self, mapping: dict[Party, Party]) -> "State":
         """Return the same matrix with party labels renamed."""
-        return State(self.matrix, self.dims, tuple(mapping.get(p, p) for p in self.parties))
+        parties = tuple(str(mapping.get(p, p)) for p in self.parties)
+        return State._derived(matrix=self.matrix, dims=self.dims, parties=parties)
 
 
 class PureState(Frozen):
@@ -124,7 +130,8 @@ class PureState(Frozen):
         return self.vector.size
 
     def density(self) -> State:
-        return State(np.outer(self.vector, self.vector.conj()), self.dims, self.parties)
+        matrix = np.outer(self.vector, self.vector.conj())
+        return State._derived(matrix=matrix, dims=self.dims, parties=self.parties)
 
     def factors_of(self, *parties: Party) -> tuple[int, ...]:
         wanted = set(parties)
@@ -200,7 +207,8 @@ def kron(a, b) -> np.ndarray:
 def tensor_product(a: State, b: State) -> State:
     """Kronecker product of two states; factor metadata is concatenated."""
     check_dim_cap(a.dim * b.dim, "tensor_product")
-    return State(kron(a.matrix, b.matrix), a.dims + b.dims, a.parties + b.parties)
+    matrix = kron(a.matrix, b.matrix)
+    return State._derived(matrix=matrix, dims=a.dims + b.dims, parties=a.parties + b.parties)
 
 
 def partial_trace(s: State, keep: Iterable[int]) -> State:
@@ -218,10 +226,10 @@ def partial_trace(s: State, keep: Iterable[int]) -> State:
         tensor = np.trace(tensor, axis1=idx, axis2=idx + len(dims))
         del dims[idx]
     d = prod(dims)
-    return State(
-        tensor.reshape(d, d),
-        tuple(s.dims[i] for i in keep),
-        tuple(s.parties[i] for i in keep),
+    return State._derived(
+        matrix=tensor.reshape(d, d),
+        dims=tuple(s.dims[i] for i in keep),
+        parties=tuple(s.parties[i] for i in keep),
     )
 
 
@@ -237,7 +245,9 @@ def permute_factors(s: State, order: Sequence[int]) -> State:
         .transpose(order + [n + i for i in order])
         .reshape(s.dim, s.dim)
     )
-    return State(mat, tuple(s.dims[i] for i in order), tuple(s.parties[i] for i in order))
+    return State._derived(
+        matrix=mat, dims=tuple(s.dims[i] for i in order), parties=tuple(s.parties[i] for i in order)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +331,7 @@ def purify(s: State) -> PureState:
         amps[:, i] = np.sqrt(max(w[i], 0.0)) * v[:, i]
     vec = amps.reshape(-1)
     vec = vec / np.linalg.norm(vec)
-    return PureState(vec, s.dims + (rank,), s.parties + ("E",))
+    return PureState._derived(vector=vec, dims=s.dims + (rank,), parties=s.parties + ("E",))
 
 
 def check_purification(psi: PureState, s: State) -> None:

@@ -104,10 +104,8 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     embed[:rank, :] = v[:, :rank].conj().T
     lifted = kron(embed, np.eye(d_b))
     base_emb = lifted @ rho1.matrix @ lifted.conj().T
-    members = tuple(
-        State(_shifted(base_emb, _block_shift(m, rank, s), d_b), (m, d_b), ("A", "B"))
-        for s in range(n)
-    )
+    shifted = (_shifted(base_emb, _block_shift(m, rank, s), d_b) for s in range(n))
+    members = tuple(State._derived(matrix=mat, dims=(m, d_b), parties=("A", "B")) for mat in shifted)
     return OrthogonalFamily(rho1, n, embed, StateSet(members, tuple(str(s + 1) for s in range(n))))
 
 
@@ -133,7 +131,7 @@ def discriminating_instrument(fam: OrthogonalFamily) -> Instrument:
         k = np.zeros((d_a, m), dtype=complex)
         k[:, fam.shift(s)[:r]] = fam.embed[:r].conj().T  # embed vanishes below row r
         kraus.append(k)
-    return Instrument(tuple(CpMap((k,), (m,), (d_a,)) for k in kraus))
+    return Instrument(tuple(CpMap._derived(kraus=(k,), in_dims=(m,), out_dims=(d_a,)) for k in kraus))
 
 
 def _orthonormal_complement(basis: np.ndarray) -> np.ndarray:
@@ -185,21 +183,20 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     a_kraus = [s_a]
     for col in _orthonormal_complement(reduce(kron, [a_basis] * l)).T:
         a_kraus.append(first_out @ col.conj().reshape(1, -1))
-    instrument = Instrument(
-        (CpMap(tuple(a_kraus), (1,) + (d_a,) * l, (r**l,)),)
-    )
+    a_map = CpMap._derived(kraus=tuple(a_kraus), in_dims=(1,) + (d_a,) * l, out_dims=(r**l,))
 
     prepared = reduce(kron, [psi.vector.reshape(-1, 1)] * l)  # ((d_a d_b)^l, 1)
     b_kraus = [kron(s_b, prepared)]
     for col in _orthonormal_complement(reduce(kron, [b_basis] * l)).T:
         b_kraus.append(kron(first_out @ col.conj().reshape(1, -1), prepared))
-    b_channel = CpMap(
-        tuple(b_kraus),
-        (1,) + (d_b,) * l,
-        (r**l,) + (d_a, d_b) * l,
+    b_out = (r**l,) + (d_a, d_b) * l
+    b_channel = CpMap._derived(kraus=tuple(b_kraus), in_dims=(1,) + (d_b,) * l, out_dims=b_out)
+    # both maps are checked once, by the Instrument and OneWayLoccChannel
+    # constructors; the resources are flat by construction and fit the maps
+    locc = OneWayLoccChannel(Instrument((a_map,)), (b_channel,))
+    return MergingProtocol._derived(
+        locc=locc, phi_in=trivial_resource(), phi_out=maximally_entangled(r**l), blocklength=l, mirrors=()
     )
-    locc = OneWayLoccChannel(instrument, (b_channel,))
-    return MergingProtocol(locc, trivial_resource(), maximally_entangled(r**l), l)
 
 
 def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> MergingProtocol:
@@ -233,10 +230,16 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
         first_enlarged @ col.conj().reshape(1, -1)
         for col in _orthonormal_complement(fam.embed.conj().T).T
     )
-    restore = [CpMap((o.kraus[0].conj().T,) + complement, (d_a,), (m,)) for o in disc.outcomes]
-
+    # the restore maps are checked as mirror maps, the sorting maps by the
+    # sorting instrument's completeness check
+    restore = [
+        CpMap._derived(kraus=(o.kraus[0].conj().T,) + complement, in_dims=(d_a,), out_dims=(m,))
+        for o in disc.outcomes
+    ]
     sort = [reduce(kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
-    sorting = Instrument(tuple(CpMap((k,), (m,) * l, (d_a,) * l) for k in sort))
+    sorting = Instrument(
+        tuple(CpMap._derived(kraus=(k,), in_dims=(m,) * l, out_dims=(d_a,) * l) for k in sort)
+    )
     mirrors = [tuple(restore[s] for s in word) for word in words]
     return compose_instrument_with_protocols(sorting, [sub] * len(words), mirrors)
 

@@ -52,16 +52,22 @@ class StateSet(Frozen):
             if m.dims != first.dims or m.parties != first.parties:
                 raise ValueError("all members must share dims and party structure")
         close = get_config().close_tol
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                diff = members[i].matrix - members[j].matrix
-                # the trace norm is at least the Frobenius norm: skip the SVD
-                # of pairs that are already too far apart by the latter
-                if np.linalg.norm(diff) <= close and trace_norm(diff) <= close:
-                    warnings.warn(
-                        f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
-                        stacklevel=2,
-                    )
+        # trace norm >= Frobenius norm, screened for all pairs by one Gram
+        # product: ||a - b||_F^2 = ||a||^2 + ||b||^2 - 2 Re tr(a^dagger b).  Pairs
+        # within its rounding bound, length * eps * (||a||^2 + ||b||^2), of
+        # close_tol^2 or below get the exact test
+        flat = np.stack([m.matrix.reshape(-1) for m in members]).view(float)
+        gram = flat @ flat.T
+        norms = np.diag(gram)
+        both = norms[:, None] + norms
+        near = both - 2 * gram <= close**2 + flat.shape[1] * np.finfo(float).eps * both
+        for i, j in zip(*np.nonzero(np.triu(near, 1))):
+            diff = members[i].matrix - members[j].matrix
+            if np.linalg.norm(diff) <= close and trace_norm(diff) <= close:
+                warnings.warn(
+                    f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
+                    stacklevel=2,
+                )
         vars(self).update(members=members, labels=labels)
 
     @property
@@ -130,7 +136,8 @@ def _mixture_matrix(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarra
 
 def convex_mixture(xs: StateSet, p: Sequence[float]) -> State:
     """Mixture sum_s p_s rho_s of the set members."""
-    return State(_mixture_matrix([m.matrix for m in xs.members], p), xs.dims, xs.parties)
+    matrix = _mixture_matrix([m.matrix for m in xs.members], p)
+    return State._derived(matrix=matrix, dims=xs.dims, parties=xs.parties)
 
 
 def _distance_to_hull(sigma: State, xs: StateSet) -> float:
@@ -489,8 +496,8 @@ def _word_purification(purifications: Sequence[PureState], word: Sequence[int]) 
     width = len(letters[0].dims)  # source factors plus the environment
     order = [i * width + j for i in range(len(word)) for j in range(width - 1)]
     order += [i * width + width - 1 for i in range(len(word))]
-    return PureState(
-        vec.reshape(dims).transpose(order).reshape(-1),
-        tuple(dims[i] for i in order),
-        tuple(parties[i] for i in order),
+    return PureState._derived(
+        vector=vec.reshape(dims).transpose(order).reshape(-1),
+        dims=tuple(dims[i] for i in order),
+        parties=tuple(parties[i] for i in order),
     )

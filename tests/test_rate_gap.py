@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import avqsbench.channels
 from avqsbench.channels import (
     CpMap,
+    Instrument,
     MergingProtocol,
     OneWayLoccChannel,
     apply_cp_map,
@@ -14,9 +16,14 @@ from avqsbench.cli import main
 from avqsbench.config import DimensionCapError, local_config
 from avqsbench.entropy import conditional_entropy, von_neumann_entropy
 from avqsbench.linalg import (
+    PureState,
+    State,
     bell_pair,
+    check_purification,
     maximally_mixed,
     partial_trace,
+    pure_state,
+    purify,
     state,
     tensor_product,
     trace_distance,
@@ -360,3 +367,66 @@ class TestRateGapReport:
         assert report.merging_gap == pytest.approx(2.0, abs=1e-6)
         assert report.classical_gap == pytest.approx(2.0, abs=1e-6)
         assert report.passed
+
+
+class TestValidatedOnce:
+    """Values derived from validated ones skip the constructors' checks; the
+    checks stay at the boundary, and the derived values keep the invariants."""
+
+    def test_validation_work_does_not_grow_with_the_family(self, monkeypatch):
+        # members, marginals, mixtures, purifications and the protocol's Kraus
+        # stacks are derived; what is left is one completeness check per
+        # instrument built, the same for every family size
+        counts = {}
+
+        def counter(name, original):
+            def counted(*args, _original=original):
+                counts[name] = counts.get(name, 0) + 1
+                return _original(*args)
+
+            return counted
+
+        for cls in (State, CpMap, Instrument):
+            monkeypatch.setattr(cls, "__post_init__", counter(cls.__name__, cls.__post_init__))
+        flat = avqsbench.channels._require_flat_schmidt
+        monkeypatch.setattr(avqsbench.channels, "_require_flat_schmidt", counter("flat", flat))
+        seen = []
+        for n in (2, 6):
+            counts.clear()
+            assert rate_gap_report(build_orthogonal_family(bell_pair().density(), n), l=1).passed
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("n, l", [(2, 1), (6, 1), (2, 3)])
+    def test_derived_values_pass_the_public_checks(self, n, l):
+        fam = build_orthogonal_family(bell_pair().density(), n)
+        report = rate_gap_report(fam, l=l)
+        xs = fam.members
+        weights = (report.hull_merging_weights, report.hull_classical_weights)
+        for s in list(xs.members) + [convex_mixture(xs, p) for p in weights]:
+            for parties in (("A", "B"), ("A",), ("B",)):
+                part = s.marginal(*parties)
+                state(part.matrix, part.dims, part.parties)
+        protocol = family_merging_protocol(fam, known_pure_state_merging(fam.base, l))
+
+        def rebuilt(m):
+            return CpMap(m.kraus, m.in_dims, m.out_dims)
+
+        locc = protocol.locc
+        instrument = Instrument(tuple(rebuilt(m) for m in locc.a_instrument.outcomes))
+        channel = OneWayLoccChannel(instrument, tuple(rebuilt(c) for c in locc.b_channels))
+        mirrors = tuple(tuple(rebuilt(x) for x in maps) for maps in protocol.mirrors)
+        MergingProtocol(channel, protocol.phi_in, protocol.phi_out, l, mirrors)
+        for member in xs.members:
+            psi = purify(member)
+            check_purification(PureState(psi.vector, psi.dims, psi.parties), member)
+
+    def test_outside_input_is_still_refused(self):
+        with pytest.raises(ValueError, match=r"matrix is not Hermitian \(max deviation 1\.000e\+00\)"):
+            State(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,), ("A",))
+        with pytest.raises(ValueError, match=r"map increases trace \(largest Gram eigenvalue 4\.000000000000\)"):
+            CpMap((2 * np.eye(2),))
+        sub = known_pure_state_merging(bell_pair().density(), 1)
+        skewed = pure_state([0.6, 0, 0, 0.8], (2, 2), ("A", "B"))
+        with pytest.raises(ValueError, match="phi_out must be maximally entangled with full Schmidt rank"):
+            MergingProtocol(sub.locc, sub.phi_in, skewed, 1)

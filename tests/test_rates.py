@@ -38,6 +38,7 @@ from avqsbench.linalg import (
     state,
     tensor_product,
     trace_distance,
+    trace_norm,
 )
 from avqsbench.rates import (
     StateSet,
@@ -141,6 +142,42 @@ class TestStateSet:
             warnings.simplefilter("always")
             StateSet((a, b))
         assert any("coincide" in str(w.message) for w in caught) == warns
+
+    @pytest.mark.parametrize("scale, warns", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_pair_at_the_threshold_of_the_gram_screen(self, scale, warns):
+        # a rank-one difference has equal Frobenius and trace norms, so the
+        # pair sits at the screen's threshold as well as at the exact test's
+        close = get_config().close_tol
+        a = random_density([2, 3], rng, parties=("A", "B"))
+        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        v /= np.linalg.norm(v)
+        b = State(a.matrix + scale * close * np.outer(v, v.conj()), a.dims, a.parties)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            StateSet((a, b))
+        assert any("coincide" in str(w.message) for w in caught) == warns
+
+    def test_gram_screen_warns_as_the_pairwise_loop(self):
+        # reference: every pair's Frobenius norm, then its trace norm
+        close = get_config().close_tol
+        base = random_density([2, 3], rng, parties=("A", "B")).matrix
+        members, factors = [], (0.0, 0.3, 0.98, 0.999, 1.001, 1.02, 2.0, 1e3)
+        for f in factors:
+            v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            v /= np.linalg.norm(v)
+            members.append(State(base + f * close * np.outer(v, v.conj()), (2, 3), ("A", "B")))
+        labels = tuple(f"m{f}" for f in factors)
+        expected = [
+            f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance"
+            for i, j in itertools.combinations(range(len(members)), 2)
+            if np.linalg.norm(members[i].matrix - members[j].matrix) <= close
+            and trace_norm(members[i].matrix - members[j].matrix) <= close
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            StateSet(tuple(members), labels)
+        assert [str(w.message) for w in caught] == expected
+        assert 0 < len(expected) < len(factors) * (len(factors) - 1) // 2
 
     def test_default_labels(self):
         xs = _random_set(3)

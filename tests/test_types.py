@@ -11,7 +11,7 @@ import pytest
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, OutcomeStat
 from avqsbench.config import Config, get_config, local_config, update_config
 from avqsbench.entropy import RateValue
-from avqsbench.linalg import PureState, SchmidtDecomposition, State, bell_pair, maximally_mixed
+from avqsbench.linalg import PureState, SchmidtDecomposition, State, bell_pair, maximally_mixed, purify
 from avqsbench.rate_gap import OrthogonalFamily, RateGapReport
 from avqsbench.rates import DistillationResult, RateReport, StateSet
 from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution
@@ -54,6 +54,17 @@ def test_state_matrix_is_read_only():
     rho = maximally_mixed(2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+
+
+def test_derived_arrays_are_read_only():
+    # built by Frozen._derived or formed once per instrument, without checks
+    rho = bell_pair().density()
+    instrument = Instrument((CpMap((np.eye(2),)),))
+    arrays = (rho.matrix, rho.marginal("A").matrix, purify(rho).vector, instrument.kraus_stack())
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert instrument.kraus_stack() is instrument.kraus_stack()
 
 
 def test_young_frames_with_equal_parts_are_equal():
