@@ -356,11 +356,6 @@ _ROBUSTIFY_FLAGS = (
     ("--set", {"required": True, "dest": "set_path"}),
     ("--blocklength", {"type": int, "required": True}),
     (
-        "--exhaustive",
-        {"action": "store_true",
-         "help": "check the set-derived fidelity function over every word (default)"},
-    ),
-    (
         "--trials",
         {"type": _count, "default": None,
          "help": "additionally stress seeded random word functions, this many tables"},

@@ -65,7 +65,6 @@ class Config(NamedTuple):
     rank_tol: float = 1e-10     # spectral cutoff for rank / Schmidt rank
     tp_tol: float = 1e-9        # deviation from trace preservation
     prob_tol: float = 1e-12     # outcome probabilities below this are dropped
-    eig_clip: float = 1e-12     # eigenvalues at or below this are dropped before log
     dim_cap: int = 4096         # largest dense matrix dimension allowed
 
 

@@ -10,7 +10,7 @@ from math import isfinite, prod
 import numpy as np
 
 from .config import Frozen, get_config
-from .linalg import State, permute_factors
+from .linalg import State, permute_factors, resolved
 
 ENTROPY = "entropy"
 CONDITIONAL_ENTROPY = "conditional-entropy"
@@ -29,20 +29,20 @@ class RateValue(Frozen):
 
 
 def spectrum_entropy(weights):
-    """Shannon entropy (base 2) of nonnegative weights along the last axis:
-    a float for one vector, an array for a stack of them.
+    """-sum_i w_i log2 w_i along the last axis, the Shannon entropy (base 2)
+    of unit-sum weights: a float for one vector, an array for a stack.
 
-    Entries at or below the configured clip threshold count as 0, which
-    absorbs the small negative eigenvalues produced by finite-precision
-    diagonalization.
+    Entries that :func:`linalg.resolved` drops count as 0, negative rounding
+    noise included.  The cutoff scales with each vector, so an unnormalized
+    spectrum keeps the support of its normalization.
     """
     w = np.asarray(weights, dtype=float)
-    w = np.where(w > get_config().eig_clip, w, 1.0)  # a dropped entry adds 1 log 1 = 0
+    w = np.where(resolved(w), w, 1.0)  # a dropped entry adds 1 log 1 = 0
     return -np.sum(w * np.log2(w), axis=-1)
 
 
 def von_neumann_entropy(s: State) -> RateValue:
-    """S(rho) = -sum_i w_i log2 w_i over the clipped spectrum."""
+    """S(rho) = -sum_i w_i log2 w_i over the resolved spectrum."""
     return RateValue(float(spectrum_entropy(np.linalg.eigvalsh(s.matrix))), ENTROPY)
 
 
@@ -94,48 +94,42 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     ``rhos`` is an (n, d, d) stack of states on A x B with the A factors in
     front and B of dimension ``d_target``; ``kraus`` is an (outcomes,
     operators, d_out, d_A) stack, zero-padded where outcomes have fewer
-    operators.  The post-measurement blocks come from
-    :func:`post_measurement_blocks`; the outcome weights are read off their
-    traces and must sum to each state's trace within ``tp_tol``.  Outcomes of
-    weight at most ``prob_tol`` are dropped.  S(AB) and S(B) of the normalized
-    blocks come from two batched ``eigvalsh`` calls and :func:`spectrum_entropy`.
+    operators.  The post-measurement blocks X_j come from
+    :func:`post_measurement_blocks`; the outcome weights are their traces
+    and must sum to each state's trace within ``tp_tol``.  The rate is
+    sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X of the unnormalized
+    blocks: it equals sum_j w_j [S(B) - S(AB)] of the normalized ones, as the
+    -w_j log2 w_j terms cancel.  Both come from two batched ``eigvalsh`` calls
+    and :func:`spectrum_entropy`.
 
     With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
-    stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B).
-    The rate is sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X and X_j
-    the unnormalized block, so the gradient is 2 tr_B[G_j (K_jk x I) rho] with
-    G_j = log2 X_j - I x log2 X_j^B on the support; dropped outcomes get 0.
+    stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B):
+    2 tr_B[G_j (K_jk x I) rho] with G_j = log2 X_j - I x log2 X_j^B on the
+    resolved support.
     """
-    cfg = get_config()
     rhos = np.asarray(rhos)
     n = rhos.shape[0]
     scaled, post = post_measurement_blocks(rhos, kraus, d_target)
     size = kraus.shape[2] * d_target
     weights = np.trace(post.reshape(n, -1, size, size), axis1=2, axis2=3).real
     totals, expected = weights.sum(axis=1), np.trace(rhos, axis1=1, axis2=2).real
-    bad = np.flatnonzero(np.abs(totals - expected) > cfg.tp_tol)
+    bad = np.flatnonzero(np.abs(totals - expected) > get_config().tp_tol)
     if bad.size:
         i = bad[0]
         raise ValueError(f"outcome weights sum to {totals[i]:.12f}, expected {expected[i]:.12f}")
-    kept = weights > cfg.prob_tol
-    post = post / np.where(kept, weights, 1.0)[:, :, None, None, None, None]
 
     def entropies(mats):
         if not gradient:
             return spectrum_entropy(np.linalg.eigvalsh(mats)), None
-        # spectrum_entropy's clip rule inline: the logs below need its support mask
+        # spectrum_entropy inline: the logs below are its terms, 0 off the support
         w, v = np.linalg.eigh(mats)
-        on = w > cfg.eig_clip
-        w = np.where(on, w, 1.0)
-        log_w = np.log2(w)
-        # log2 of the unnormalized block on its support
-        log_weights = np.log2(np.where(kept, weights, 1.0))[:, :, None]
-        logs = np.where(on & kept[:, :, None], log_w + log_weights, 0.0)
-        return -np.sum(w * log_w, axis=-1), (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        w = np.where(resolved(w), w, 1.0)
+        logs = np.log2(w)
+        return -np.sum(w * logs, axis=-1), (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     s_joint, log_joint = entropies(post.reshape(n, -1, size, size))
     s_marginal, log_marginal = entropies(np.trace(post, axis1=2, axis2=4))
-    values = np.where(kept, weights * (s_marginal - s_joint), 0.0).sum(axis=1)
+    values = (s_marginal - s_joint).sum(axis=1)
     if not gradient:
         return values
     eye = np.eye(kraus.shape[2])[:, None, :, None]
@@ -165,8 +159,7 @@ def instrument_coherent_info(s: State, instrument) -> RateValue:
 
     For outcome weights w_j and normalized post-measurement states t_j this
     is sum_j w_j I_c(A > B, t_j); the instrument's outputs stay on the A
-    side, factors of other parties are traced out, and outcomes with weight
-    below the configured probability threshold are dropped.  One call of
+    side and factors of other parties are traced out.  One call of
     :func:`instrument_rates` on the (A, B) marginal.
     """
     sources = s.factors_of("A")

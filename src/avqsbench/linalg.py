@@ -90,13 +90,13 @@ class State(Frozen):
             raise ValueError(f"state has no factors for parties {parties}")
         return self if len(keep) == self.n_factors else partial_trace(self, keep)
 
-    def validate(self, normalized: bool = True) -> "State":
-        """Check positivity (and unit trace unless ``normalized=False``)."""
+    def validate(self) -> "State":
+        """Check positivity and unit trace."""
         cfg = get_config()
         w = np.linalg.eigvalsh(self.matrix)
         if w.min(initial=0.0) < -cfg.psd_tol:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
-        if normalized and abs(self.trace() - 1.0) > cfg.trace_tol:
+        if abs(self.trace() - 1.0) > cfg.trace_tol:
             raise ValueError(f"trace is {self.trace():.12f}, expected 1")
         return self
 
@@ -151,7 +151,7 @@ def state(matrix, dims: Sequence[int] | None = None, parties: Sequence[Party] | 
         dims = (mat.shape[0],)
     if parties is None:
         parties = ("A",) * len(tuple(dims))
-    return State(mat, tuple(dims), tuple(parties)).validate(normalized=True)
+    return State(mat, tuple(dims), tuple(parties)).validate()
 
 
 def pure_state(vector, dims: Sequence[int] | None = None, parties: Sequence[Party] | None = None) -> PureState:
@@ -256,17 +256,30 @@ def permute_factors(s: State, order: Sequence[int]) -> State:
 def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors.
 
-    Rejects non-Hermitian input; the reconstruction V diag(w) V* agrees with
-    the input within the configured residual tolerance.
+    Rejects a non-Hermitian raw matrix; a ``State`` was checked when it was
+    built.  The reconstruction V diag(w) V* agrees with the input within the
+    configured residual tolerance.
     """
-    mat = _as_complex_matrix(h)
-    dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-    if dev > get_config().herm_tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    mat = _to_matrix(h)
+    if not isinstance(h, State):
+        dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
+        if dev > get_config().herm_tol:
+            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     w, v = np.linalg.eigh(mat)
     # stable sort keeps the solver's order within degenerate eigenspaces
     idx = np.argsort(-w, kind="stable")
     return w[idx], v[:, idx]
+
+
+_EPS = float(np.finfo(float).eps)  # looked up once: np.finfo is slow next to a small spectrum
+
+
+def resolved(w) -> np.ndarray:
+    """Mask of the eigenvalues that rounding can tell from zero: those above
+    n * machine-eps * max|w| in each spectrum of n values along the last axis
+    of ``w``, the scale of the diagonalization's own rounding error."""
+    w = np.asarray(w)
+    return w > w.shape[-1] * _EPS * np.abs(w).max(axis=-1, initial=0.0, keepdims=True)
 
 
 def _to_matrix(x) -> np.ndarray:
@@ -282,10 +295,8 @@ def fidelity(a, b) -> float:
 
     Accepts states or raw matrices; inputs need not be normalized.  One
     ``eigh`` per argument gives both the PSD check and the Hermitian square
-    root.  Eigenvalues below d * machine-eps * ||m||, the scale of the
-    diagonalization's own rounding error, are set to 0 in the root.  The
-    threshold moves with the matrix, so the small but resolved eigenvalues of
-    a tensor power are kept and its square root stays the product of the
+    root.  Eigenvalues that :func:`resolved` does not keep are set to 0 in
+    the root, so the square root of a tensor power stays the product of the
     factors' roots.
     """
     am, bm = _to_matrix(a), _to_matrix(b)
@@ -297,8 +308,7 @@ def fidelity(a, b) -> float:
         w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
         if w.min(initial=0.0) < -cfg.psd_tol:
             raise ValueError(f"{name} argument is not PSD (min eigenvalue {w.min():.3e})")
-        noise = mat.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-        roots.append((v * np.sqrt(np.where(w < noise, 0.0, w))) @ v.conj().T)
+        roots.append((v * np.sqrt(np.where(resolved(w), w, 0.0))) @ v.conj().T)
     # singular values need no clip against rounding noise, unlike square roots
     # of the eigenvalues of sqrt(a) b sqrt(a), where a clip biases F low
     s = np.linalg.svd(roots[0] @ roots[1], compute_uv=False)
@@ -322,7 +332,7 @@ def purify(s: State) -> PureState:
     so the appended environment factor, labelled "E", has dimension rank(s)
     and tracing it out recovers ``s``.
     """
-    w, v = eigensystem(s.matrix)
+    w, v = eigensystem(s)
     rank = int(np.sum(w > get_config().rank_tol))
     rank = max(rank, 1)
     check_dim_cap(s.dim * rank, "purify")

@@ -90,7 +90,7 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
         )
     d_a, d_b = rho1.dims
     rho_a = partial_trace(rho1, [0])
-    w, v = eigensystem(rho_a.matrix)
+    w, v = eigensystem(rho_a)
     rank = max(int(np.sum(w > get_config().rank_tol)), 1)
     m = n * rank
     entries, cap = n * (m * d_b) ** 2, get_config().dim_cap
@@ -160,7 +160,7 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
         raise ValueError(f"blocklength must be >= 1, got {l}")
     if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
         raise ValueError("base state must have exactly two factors with parties (A, B)")
-    w, v = eigensystem(rho1.matrix)
+    w, v = eigensystem(rho1)
     if abs(w[0] - 1.0) > get_config().close_tol:
         raise ValueError("base state must be pure; plug in a subprotocol for mixed sources")
     psi = PureState(v[:, 0], rho1.dims, rho1.parties)

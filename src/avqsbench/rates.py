@@ -28,7 +28,7 @@ from .entropy import (
     source_first,
     spectrum_entropy,
 )
-from .linalg import PureState, State, kron, purify, tensor_product, trace_distance, trace_norm
+from .linalg import PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -188,22 +188,22 @@ def _entropy_sum(blocks):
     density matrix and its extension to unnormalized blocks.  d/dp_s S~(X_b(p))
     = -tr[M_s log2 X_b(p)] - tr(M_s)/ln 2; the second terms are left out, as
     the signed traces sum to the same number for every s (the marginals of
-    states, or a block against its own marginal).  The log on eigenvalues above
-    ``eig_clip`` only is exact for vertices inside the mixture's support: those
-    of positive weight, and those dropped to 0, as the line search never
-    empties a vertex whose support leaves the rest's (the derivative in its
-    weight is +inf there).  Exception: if a block's marginal loses support at
-    the same rate, the divergences cancel and the outside part's own
-    conditional entropy, <= 0 if it is pure, is left out.
+    states, or a block against its own marginal).  The log on the eigenvalues
+    that :func:`linalg.resolved` keeps is exact for vertices inside the
+    mixture's support: those of positive weight, and those dropped to 0, as
+    the line search never empties a vertex whose support leaves the rest's
+    (the derivative in its weight is +inf there).  Exception: if a block's
+    marginal loses support at the same rate, the divergences cancel and the
+    outside part's own conditional entropy, <= 0 if it is pure, is left out.
     """
-    clip = get_config().eig_clip
 
     def value_and_grad(p):
         value, grad = 0.0, np.zeros(len(p))
         for sign, mats in blocks:
             w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
             # kept pairs only: the gradient needs just their (few, if rank deficient) eigenvectors
-            w, v = w[w > clip], v[:, w > clip]
+            on = resolved(w)
+            w, v = w[on], v[:, on]
             log_w = np.log2(w)
             value -= sign * float(w @ log_w)
             # <v_k|M_s|v_k> for every s and k, from one stacked product

@@ -25,6 +25,7 @@ from avqsbench.linalg import (
     purify,
     random_density,
     random_unitary,
+    resolved,
     state,
     tensor_product,
 )
@@ -104,6 +105,19 @@ class TestOneFormulaEach:
             assert list(stacked) == [spectrum_entropy(row) for row in w]
             stacked = spectrum_entropy(w.reshape(5, 1, d))
             assert stacked.shape == (5, 1)
+
+    def test_cutoff_follows_each_spectrum(self):
+        # a resolved 1e-13 eigenvalue of a unit-trace spectrum counts, where a
+        # fixed 1e-12 clip would drop it
+        small = 1e-13
+        expected = -(1 - small) * np.log2(1 - small) - small * np.log2(small)
+        assert spectrum_entropy([1 - small, small]) == pytest.approx(expected, rel=1e-12)
+        # the rounding noise of a d=64 diagonalization does not: of a rotated
+        # rank-one projector only the top eigenvalue, 1 within rounding, counts
+        u = random_unitary(64, np.random.default_rng(14))
+        w = np.linalg.eigvalsh(np.outer(u[:, 0], u[:, 0].conj()))
+        assert list(np.flatnonzero(resolved(w))) == [63]
+        assert abs(spectrum_entropy(w)) <= 1e-15
 
     def test_von_neumann_entropy_is_the_spectrum_entropy(self):
         case_rng = np.random.default_rng(13)
@@ -289,7 +303,12 @@ class TestInstrumentRateGradients:
     @staticmethod
     def _case(k, n_outcomes, pure, seed):
         case_rng = np.random.default_rng(seed)
-        if pure:
+        if pure == "faint":
+            # white noise of weight 2e-12 on the Bell pair: the joint blocks
+            # have eigenvalues between the rounding level and 1e-12
+            mixed = (1 - 2e-12) * bell_pair().density().matrix + 2e-12 * np.eye(4) / 4
+            member = state(mixed, (2, 2), ("A", "B"))
+        elif pure:
             member = bell_pair().density()
         else:
             member = random_density([2, 2], case_rng, parties=("A", "B"))
@@ -299,7 +318,7 @@ class TestInstrumentRateGradients:
         kraus = haar_isometry(case_rng, dim * n_outcomes, dim).reshape(n_outcomes, 1, dim, dim)
         return case_rng, rho[None], kraus, d_b
 
-    @pytest.mark.parametrize("pure", [False, True])
+    @pytest.mark.parametrize("pure", [False, True, "faint"])
     @pytest.mark.parametrize("n_outcomes", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
     def test_gradient_matches_central_differences(self, k, n_outcomes, pure):

@@ -280,7 +280,7 @@ class TestCliCommands:
 
     def test_robustify_check_passes(self, two_state_file, capsys):
         code = main(
-            ["robustify-check", "--set", two_state_file, "--blocklength", "4", "--exhaustive"]
+            ["robustify-check", "--set", two_state_file, "--blocklength", "4"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -295,13 +295,13 @@ class TestCliCommands:
         assert payload["random_tables"] == {"trials": 5, "failures": 0}
 
     def test_robustify_check_exhaustive_with_trials(self, two_state_file, capsys):
-        # --exhaustive names the default check; --trials adds random tables to it
-        argv = ["robustify-check", "--set", two_state_file, "--blocklength", "3", "--trials", "5"]
+        # the exhaustive check always runs; --trials adds random tables to it
+        argv = ["robustify-check", "--set", two_state_file, "--blocklength", "3"]
         assert main(argv) == 0
         alone = json.loads(capsys.readouterr().out)
-        assert main(argv[:5] + ["--exhaustive"] + argv[5:]) == 0
+        assert main(argv + ["--trials", "5"]) == 0
         both = json.loads(capsys.readouterr().out)
-        assert both["random_tables"] == {"trials": 5, "failures": 0}
+        assert both.pop("random_tables") == {"trials": 5, "failures": 0}
         assert both == alone
 
     def test_merge_fidelity(self, bell_protocol_file, bell_state_file, capsys):
@@ -583,6 +583,8 @@ class TestCliExitCodes:
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
         assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2
+        # the eigenvalue cutoff is read off each spectrum, not set
+        assert main(["rates", "--set", bell_set_file, "--tol", "eig_clip=1e-12"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -780,13 +782,9 @@ def _plain_corpus(command):
     ]
     required = [flag for flag, spec in _COMMANDS[command][1] if spec.get("required")]
     corpus.append([a for unit in units if unit[0] in required for a in unit])
-    if command == "robustify-check":
-        plain = [a for unit in units if unit[0] != "--trials" for a in unit]
-        corpus += [
-            plain + ["--exhaustive"],
-            ["--exhaustive", *plain, "--exhaustive"],
-            plain + ["--exhaustive", "--trials", "2"],
-        ]
+    if command == "rates":
+        plain = [a for unit in units if unit[0] != "--hull" for a in unit]
+        corpus += [plain, ["--hull", *plain, "--hull"]]
     return [[command, *a] for a in corpus]
 
 
@@ -842,7 +840,8 @@ class TestCliParser:
             ["rates", "--set", "-s.json"],
             ["distill-capacity", "--set", "s.json", "--k", "3"],
             ["example-gap", "--N", "x"],
-            ["robustify-check", "--set", "s.json", "--blocklength", "2", "--exhaustive=yes"],
+            ["rates", "--set", "s.json", "--hull=yes"],
+            ["robustify-check", "--set", "s.json", "--blocklength", "2", "--exhaustive"],
         ],
         ids=" ".join,
     )

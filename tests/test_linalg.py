@@ -236,7 +236,7 @@ class TestFidelity:
 
     def test_multiplicative_on_tensor_powers(self):
         # F(rho^(x4), sigma^(x4)) = F(rho, sigma)^4; the word states' smallest
-        # eigenvalues go down to 5e-12, near the eig_clip scale
+        # eigenvalues go down to 5e-12
         pair_rng = np.random.default_rng(7)
         for _ in range(5):
             rho = random_density([2, 2], pair_rng)

@@ -35,6 +35,7 @@ from avqsbench.linalg import (
     maximally_mixed,
     purify,
     random_density,
+    resolved,
     state,
     tensor_product,
     trace_distance,
@@ -204,7 +205,7 @@ class TestConvexMixture:
         xs = _random_set(3)
         p = rng.dirichlet([1, 1, 1])
         mixed = convex_mixture(xs, p)
-        mixed.validate(normalized=True)
+        mixed.validate()
 
     def test_rejects_off_simplex(self):
         xs = _random_set(2)
@@ -342,11 +343,11 @@ class TestCompoundCosts:
         p = np.random.default_rng(3).dirichlet(np.ones(xs.n))
         _, grad = objective(p)
         # the three-operand einsum the gradient was first written as
-        clip = get_config().eig_clip
         reference = np.zeros(xs.n)
         for sign, mats in blocks:
             w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
-            w, v = w[w > clip], v[:, w > clip]
+            on = resolved(w)
+            w, v = w[on], v[:, on]
             reference -= sign * np.einsum("ik,sij,jk->sk", v.conj(), mats, v).real @ np.log2(w)
         assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
         # the left-out trace terms are the same for every s, so the slope
@@ -460,6 +461,19 @@ class TestDistillation:
         assert meta["candidate"] == "trace-and-replace"
         assert meta["n_outcomes"] == result.instrument.n_outcomes == 1
         assert meta["inner_certified"]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_certified_lower_end_is_not_positive_on_an_extendible_hull(self, seed):
+        # a B-extendible member, tr rho_B^2 >= tr rho_AB^2 - 4 sqrt(det rho_AB)
+        # for two qubits, makes the hull's one-way capacity 0, so the
+        # certified lower end must not be positive
+        xs = distill_bench_set(seed)
+        rho = xs.members[0].matrix
+        rho_b = xs.members[0].marginal("B").matrix
+        purity = np.trace(rho @ rho).real
+        assert np.trace(rho_b @ rho_b).real >= purity - 4 * np.sqrt(np.linalg.det(rho).real)
+        report = distillation_rate_lower_bound(xs, k=1, n_outcomes=2, restarts=2, seed=seed).report
+        assert report.value - report.metadata["inner_duality_gap"] <= 0
 
     @pytest.mark.parametrize("set_seed", [7000, 52000])
     @pytest.mark.parametrize("k, n_outcomes", [(1, 1), (2, 1), (2, 2), (2, 3)])

@@ -100,7 +100,7 @@ def test_rate_report_normalizes_and_checks_weights():
 
 SIGNATURES = {
     Config: "herm_tol=1e-09, psd_tol=1e-09, trace_tol=1e-09, close_tol=1e-08, rank_tol=1e-10, "
-    "tp_tol=1e-09, prob_tol=1e-12, eig_clip=1e-12, dim_cap=4096",
+    "tp_tol=1e-09, prob_tol=1e-12, dim_cap=4096",
     State: "matrix, dims, parties",
     PureState: "vector, dims, parties",
     SchmidtDecomposition: "coefficients, left_vectors, right_vectors, left_factors",
