@@ -29,6 +29,7 @@ from .linalg import (
     kron,
     permute_factors,
     purify,
+    resolved,
 )
 
 
@@ -219,22 +220,20 @@ class OutcomeStat(NamedTuple):
 def instrument_statistics(e: Instrument, s: State, targets) -> list[OutcomeStat]:
     """Outcome probabilities and normalized post-measurement states.
 
-    Outcomes with probability below the configured threshold are omitted;
-    the surviving entries keep their original outcome indices.  The retained
-    probabilities are checked to sum to one.
+    Outcomes whose weight :func:`linalg.resolved` drops from the outcome
+    weights are omitted; the surviving entries keep their original outcome
+    indices.  All weights are checked to sum to the trace of ``s``.
     """
-    stats: list[OutcomeStat] = []
-    total = 0.0
-    for j, m in enumerate(e.outcomes):
-        raw, weight = apply_cp_map(m, s, targets)
-        total += weight
-        if weight <= get_config().prob_tol:
-            continue
-        normalized = State(raw.matrix / weight, raw.dims, raw.parties)
-        stats.append(OutcomeStat(j, weight, normalized))
+    outputs = [apply_cp_map(m, s, targets) for m in e.outcomes]
+    total = sum(weight for _, weight in outputs)
     if abs(total - s.trace()) > get_config().tp_tol:
         raise ValueError(f"outcome weights sum to {total:.12f}, expected {s.trace():.12f}")
-    return stats
+    kept = resolved([weight for _, weight in outputs])
+    return [
+        OutcomeStat(j, weight, State(raw.matrix / weight, raw.dims, raw.parties))
+        for j, (raw, weight) in enumerate(outputs)
+        if kept[j]
+    ]
 
 
 class OneWayLoccChannel(Frozen):
@@ -421,13 +420,12 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     other layout is refused, so no source factor is scored as environment.
     The comparison target phi_out x psi' is pure, so the fidelity equals the
     overlap <t| output |t>; the output never has to be materialized as a
-    matrix.  Sending-side branches of weight ||K_a psi||^2 <= prob_tol are
-    skipped: every receiving channel is trace preserving, so a branch adds
-    at most its weight.  Mirror maps are pulled onto the target,
-    <t|(R x I)x> = <(R^dagger x I)t|x>, by applying R^dagger to the A
-    factors of ``psi``, so every vector keeps the size of the receiving
-    channels' output; a message without mirror maps has one choice, the
-    identity.
+    matrix.  Only sending-side branches of weight ||K_a psi||^2 = 0 exactly,
+    such as the padding of the Kraus stack, are skipped: they add nothing.
+    Mirror maps are pulled onto the target, <t|(R x I)x> = <(R^dagger x I)t|x>,
+    by applying R^dagger to the A factors of ``psi``, so every vector keeps
+    the size of the receiving channels' output; a message without mirror
+    maps has one choice, the identity.
     """
     l = p.blocklength
     d_a, d_b = p.copy_dims
@@ -437,7 +435,6 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
             f"source state must have dims {(d_a, d_b) * l} with alternating A/B parties, "
             "followed only by environment factors labelled E"
         )
-    prob_tol = get_config().prob_tol
 
     # input factors (K0_A, K0_B, A_1, B_1, ..., A_l, B_l, env), sending ones
     # moved in front once for all sending-side Kraus operators
@@ -474,7 +471,7 @@ def purified_merging_fidelity(p: MergingProtocol, psi: PureState) -> float:
     sent = (stack.reshape(-1, d_in) @ arranged).reshape(-1, d_out, d_recv, arranged.shape[1] // d_recv)
     weights = (sent.real**2 + sent.imag**2).sum(axis=(1, 2, 3))
     total = 0.0
-    for a in np.flatnonzero(weights > prob_tol):
+    for a in np.flatnonzero(weights):
         k = a // width
         maps = p.mirrors[k] if p.mirrors else ()
         # the receiving factors form one block, swapped in front of K1_A
@@ -551,9 +548,10 @@ def compose_instrument_with_protocols(
             b_channels.append(r_k)
             if mirrors:
                 routed.append(tuple(mirrors[i]))
-    # the completeness check also bounds each outcome map; the receiving
-    # channels and resources were checked in the subprotocols
-    instrument = Instrument(tuple(outcomes))
+    # complete, as sum_i P_i^dagger (sum_k T_k^dagger T_k) P_i = sum_i P_i^dagger P_i
+    # for the checked instruments; the receiving channels and resources were
+    # checked in the subprotocols
+    instrument = Instrument._derived(outcomes=tuple(outcomes))
     locc = OneWayLoccChannel._derived(a_instrument=instrument, b_channels=tuple(b_channels))
     routed = tuple(routed)
     MergingProtocol._check_fit(locc, first.phi_in, first.phi_out, l, routed)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channels import merging_fidelity
-from .config import Config, DimensionCapError, all_words, get_config, set_config, update_config
+from .config import Config, DimensionCapError, all_words, local_config
 from .io import (
     ParseError,
     instrument_to_dict,
@@ -164,7 +164,8 @@ def _read_plain(argv):
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _apply_overrides(args) -> None:
+def _overrides(args) -> dict:
+    """The config fields that ``--dim-cap`` and ``--tol`` set."""
     overrides = {}
     if args.dim_cap is not None:
         if args.dim_cap <= 0:
@@ -180,8 +181,7 @@ def _apply_overrides(args) -> None:
             raise ParseError(f"--tol {name}: {value!r} is not a number") from None
         if not 0.0 <= overrides[name] < float("inf"):
             raise ParseError(f"--tol {name}: {value!r} is not finite and >= 0")
-    if overrides:
-        update_config(**overrides)
+    return overrides
 
 
 def _flatten(doc, prefix=""):
@@ -446,11 +446,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
-    previous = get_config()
     try:
-        _apply_overrides(args)
-        payload, code, default_fmt = _COMMANDS[args.command][2](args)
-        _emit({"command": args.command, "seed": args.seed, **payload}, args.format or default_fmt)
+        with local_config(**_overrides(args)):
+            payload, code, default_fmt = _COMMANDS[args.command][2](args)
+            _emit({"command": args.command, "seed": args.seed, **payload}, args.format or default_fmt)
         return code
     except DimensionCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
@@ -458,8 +457,6 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    finally:
-        set_config(previous)
 
 
 if __name__ == "__main__":

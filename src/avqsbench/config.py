@@ -53,7 +53,9 @@ class Frozen:
 
 
 class Config(NamedTuple):
-    """Tolerance and cap settings shared by all modules.
+    """Tolerances of the input checks and the dimension cap, shared by all
+    modules.  No cutoff of a spectrum or of weights is a setting: each is
+    read off the values themselves by ``linalg.resolved``.
 
     Entropies and rates are in bits (logarithms base 2) throughout.
     """
@@ -62,9 +64,7 @@ class Config(NamedTuple):
     psd_tol: float = 1e-9       # allowed negativity of eigenvalues
     trace_tol: float = 1e-9     # allowed deviation of trace / norm from 1
     close_tol: float = 1e-8     # trace-norm threshold for "same state"
-    rank_tol: float = 1e-10     # spectral cutoff for rank / Schmidt rank
     tp_tol: float = 1e-9        # deviation from trace preservation
-    prob_tol: float = 1e-12     # outcome probabilities below this are dropped
     dim_cap: int = 4096         # largest dense matrix dimension allowed
 
 
@@ -75,26 +75,17 @@ def get_config() -> Config:
     return _active
 
 
-def set_config(cfg: Config) -> None:
-    global _active
-    _active = cfg
-
-
-def update_config(**overrides) -> Config:
-    """Replace individual fields of the active config; returns the new one."""
-    cfg = _active._replace(**overrides)
-    set_config(cfg)
-    return cfg
-
-
 @contextmanager
 def local_config(**overrides):
-    """Temporarily override config fields within a ``with`` block."""
-    previous = get_config()
+    """Override config fields within a ``with`` block; yields the active
+    config, and the previous one is back in force on leaving the block."""
+    global _active
+    previous = _active
+    _active = previous._replace(**overrides)
     try:
-        yield update_config(**overrides)
+        yield _active
     finally:
-        set_config(previous)
+        _active = previous
 
 
 def check_dim_cap(dim: int, context: str = "") -> None:

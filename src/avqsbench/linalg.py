@@ -328,18 +328,15 @@ def trace_distance(a, b) -> float:
 def purify(s: State) -> PureState:
     """Canonical purification via the eigendecomposition of ``s``.
 
-    With s = sum_i w_i |e_i><e_i| the output is sum_i sqrt(w_i) |e_i>|i>,
-    so the appended environment factor, labelled "E", has dimension rank(s)
-    and tracing it out recovers ``s``.
+    With s = sum_i w_i |e_i><e_i| the output is sum_i sqrt(w_i) |e_i>|i>
+    over the eigenvalues that :func:`resolved` keeps, so the appended
+    environment factor, labelled "E", has dimension rank(s) and tracing it
+    out recovers ``s`` up to rounding.
     """
     w, v = eigensystem(s)
-    rank = int(np.sum(w > get_config().rank_tol))
-    rank = max(rank, 1)
+    rank = int(np.count_nonzero(resolved(w)))
     check_dim_cap(s.dim * rank, "purify")
-    amps = np.zeros((s.dim, rank), dtype=complex)
-    for i in range(rank):
-        amps[:, i] = np.sqrt(max(w[i], 0.0)) * v[:, i]
-    vec = amps.reshape(-1)
+    vec = (v[:, :rank] * np.sqrt(w[:rank])).reshape(-1)
     vec = vec / np.linalg.norm(vec)
     return PureState._derived(vector=vec, dims=s.dims + (rank,), parties=s.parties + ("E",))
 
@@ -360,7 +357,8 @@ class SchmidtDecomposition(NamedTuple):
 
     ``coefficients`` are nonincreasing with squares summing to one;
     ``left_vectors``/``right_vectors`` hold the orthonormal local bases as
-    columns.  ``left_factors`` records the bipartition used.
+    columns.  ``left_factors`` records the bipartition used.  ``rank``
+    counts the coefficients that :func:`resolved` keeps.
     """
 
     coefficients: np.ndarray
@@ -370,7 +368,7 @@ class SchmidtDecomposition(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.coefficients > get_config().rank_tol))
+        return int(np.count_nonzero(resolved(self.coefficients)))
 
 
 def schmidt_decomposition(p: PureState, left_factors: Iterable[int]) -> SchmidtDecomposition:

@@ -35,6 +35,7 @@ from .linalg import (
     kron,
     maximally_entangled,
     partial_trace,
+    resolved,
     schmidt_decomposition,
 )
 from .rates import StateSet, compound_classical_cost, compound_merging_cost, worst_case_protocol_fidelity
@@ -74,10 +75,12 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     """Embed the base state's sending side into n orthogonal blocks.
 
     Requires strictly negative conditional entropy of the base state.  The
-    enlarged sending space has dimension n * rank of the sending marginal;
-    member s is the base state shifted into block s, built by permuting the
-    indices of the embedded base.  A family whose members together hold
-    more than dim_cap^2 entries is refused before anything is built.
+    enlarged sending space has dimension n * rank of the sending marginal,
+    counted by :func:`linalg.resolved`; member s is the base state shifted
+    into block s, built by permuting the indices of the embedded base.  The
+    members have pairwise orthogonal supports, so their set skips the
+    near-duplicate screen of ``StateSet``.  A family whose members together
+    hold more than dim_cap^2 entries is refused before anything is built.
     """
     if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
         raise ValueError("base state must have exactly two factors with parties (A, B)")
@@ -91,7 +94,7 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     d_a, d_b = rho1.dims
     rho_a = partial_trace(rho1, [0])
     w, v = eigensystem(rho_a)
-    rank = max(int(np.sum(w > get_config().rank_tol)), 1)
+    rank = int(np.count_nonzero(resolved(w)))
     m = n * rank
     entries, cap = n * (m * d_b) ** 2, get_config().dim_cap
     if entries > cap**2:  # also refuses members of dimension over the cap
@@ -106,7 +109,8 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     base_emb = lifted @ rho1.matrix @ lifted.conj().T
     shifted = (_shifted(base_emb, _block_shift(m, rank, s), d_b) for s in range(n))
     members = tuple(State._derived(matrix=mat, dims=(m, d_b), parties=("A", "B")) for mat in shifted)
-    return OrthogonalFamily(rho1, n, embed, StateSet(members, tuple(str(s + 1) for s in range(n))))
+    labels = tuple(str(s + 1) for s in range(n))
+    return OrthogonalFamily(rho1, n, embed, StateSet._derived(members=members, labels=labels))
 
 
 def _shifted(mat: np.ndarray, perm: np.ndarray, d_b: int) -> np.ndarray:
@@ -230,15 +234,15 @@ def family_merging_protocol(fam: OrthogonalFamily, sub: MergingProtocol) -> Merg
         first_enlarged @ col.conj().reshape(1, -1)
         for col in _orthonormal_complement(fam.embed.conj().T).T
     )
-    # the restore maps are checked as mirror maps, the sorting maps by the
-    # sorting instrument's completeness check
+    # the restore maps are checked as mirror maps; the sorting instrument is
+    # complete as the l-th tensor power of the checked discriminating one
     restore = [
         CpMap._derived(kraus=(o.kraus[0].conj().T,) + complement, in_dims=(d_a,), out_dims=(m,))
         for o in disc.outcomes
     ]
     sort = [reduce(kron, [disc.outcomes[s].kraus[0] for s in word]) for word in words]
-    sorting = Instrument(
-        tuple(CpMap._derived(kraus=(k,), in_dims=(m,) * l, out_dims=(d_a,) * l) for k in sort)
+    sorting = Instrument._derived(
+        outcomes=tuple(CpMap._derived(kraus=(k,), in_dims=(m,) * l, out_dims=(d_a,) * l) for k in sort)
     )
     mirrors = [tuple(restore[s] for s in word) for word in words]
     return compose_instrument_with_protocols(sorting, [sub] * len(words), mirrors)

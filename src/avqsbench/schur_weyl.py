@@ -30,7 +30,7 @@ from .config import (
     get_config,
 )
 from .entropy import spectrum_entropy
-from .linalg import State
+from .linalg import State, resolved
 
 
 class YoungFrame(Frozen):
@@ -213,13 +213,14 @@ def frame_probabilities(frames, rho) -> np.ndarray:
     """Exact traces of the isotypic projectors of ``frames`` against
     rho^(x l), from one branching table for the spectrum.
 
-    Each is dim(f) * s_f(x) for the spectrum x of rho clipped at 0, so a
-    frame with more rows than positive eigenvalues gets 0.  Agrees with the
-    matrix-form projector wherever both are available.  ``rho`` may be a
-    State, a density matrix, or a spectrum.
+    Each is dim(f) * s_f(x) for the eigenvalues x of rho that
+    :func:`linalg.resolved` keeps, so a frame with more rows than kept
+    eigenvalues gets exactly 0.  Agrees with the matrix-form projector
+    wherever both are available.  ``rho`` may be a State, a density matrix,
+    or a spectrum.
     """
     spectrum = _spectrum_of(rho)
-    x = np.sort(spectrum[spectrum > 0])[::-1]
+    x = np.sort(spectrum[resolved(spectrum)])[::-1]
     n = len(x)
     out = np.zeros(len(frames))
     fit = [i for i, f in enumerate(frames) if f.rows <= n]

@@ -269,6 +269,21 @@ class TestMergingFidelity:
         protocol = _reprepare_protocol(vec)
         assert merging_fidelity(protocol, rho) == pytest.approx(1.0, abs=1e-10)
 
+    def test_faint_sending_branch_counts(self):
+        # the second sending Kraus operator has weight 1e-13 on this source,
+        # and its branch reprepares the source as well as the first: the
+        # fidelity is 1, and a cutoff on branch weights would lose 1e-13
+        vec = np.array([np.sqrt(1 - 1e-13), np.sqrt(1e-13)])
+        protocol = _reprepare_protocol(vec)
+        rho = tensor_product(
+            state(np.outer(vec, vec), (2,), ("A",)), random_density([2], rng, parties=("B",))
+        )
+        psi = purify(rho)
+        out = apply_one_way_locc(protocol.locc, tensor_product(protocol.phi_in.density(), psi.density()))
+        target = np.kron(protocol.phi_out.vector, psi.vector)
+        dense = np.vdot(target, out.matrix @ target).real
+        assert abs(merging_fidelity(protocol, rho, purification=psi) - dense) <= 1e-15
+
     def test_discard_on_correlated_state_stays_below_one(self):
         protocol = _reprepare_protocol(np.array([1.0, 0.0]))
         value = merging_fidelity(protocol, bell_pair().density())

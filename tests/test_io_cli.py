@@ -583,8 +583,9 @@ class TestCliExitCodes:
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
         assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2
-        # the eigenvalue cutoff is read off each spectrum, not set
-        assert main(["rates", "--set", bell_set_file, "--tol", "eig_clip=1e-12"]) == 2
+        # every cutoff of a spectrum or of weights is read off the values, not set
+        for name in ("eig_clip", "rank_tol", "prob_tol"):
+            assert main(["rates", "--set", bell_set_file, "--tol", f"{name}=1e-12"]) == 2
 
     @pytest.mark.parametrize(
         "argv",

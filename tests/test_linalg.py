@@ -197,6 +197,16 @@ class TestPurify:
             back = partial_trace(purify(rho).density(), [0, 1])
             assert trace_distance(back, rho) <= 1e-10
 
+    def test_small_resolved_eigenvalues_are_kept(self):
+        # eigenvalues of 1e-11 are far above the rounding level of a unit
+        # spectrum, so the purification keeps them and traces back to rho
+        u = random_unitary(4, np.random.default_rng(7))
+        w = np.array([0.7, 0.3 - 2e-11, 1e-11, 1e-11])
+        rho = state((u * w) @ u.conj().T, (2, 2), ("A", "B"))
+        psi = purify(rho)
+        assert trace_distance(partial_trace(psi.density(), [0, 1]), rho) <= 1e-14
+        assert psi.dims[-1] == 4
+
     def test_environment_dimension_is_rank(self):
         rho = random_density([4], rng, rank=2)
         assert purify(rho).dims[-1] == 2

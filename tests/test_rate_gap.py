@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import avqsbench.channels
+import avqsbench.rate_gap
 from avqsbench.channels import (
     CpMap,
     Instrument,
@@ -24,6 +25,7 @@ from avqsbench.linalg import (
     partial_trace,
     pure_state,
     purify,
+    random_unitary,
     state,
     tensor_product,
     trace_distance,
@@ -90,6 +92,20 @@ class TestBuildFamily:
                 a_i = partial_trace(fam.members.members[i], [0]).matrix
                 a_j = partial_trace(fam.members.members[j], [0]).matrix
                 assert trace_norm(a_i @ a_j) <= 1e-10
+
+    def test_small_marginal_eigenvalue_keeps_the_members_normalized(self):
+        # a Bell pair on two levels of a rotated qutrit A, plus weight 1e-11
+        # on a third A level: the A marginal's eigenvalue 1e-11 is resolved,
+        # so its direction is embedded and no member loses that weight
+        bell, faint = np.zeros(6), np.zeros(6)
+        bell[[0, 3]] = 1 / np.sqrt(2)  # |00> + |11>
+        faint[4] = 1.0  # |2>_A |0>_B
+        mat = (1 - 1e-11) * np.outer(bell, bell) + 1e-11 * np.outer(faint, faint)
+        lift = np.kron(random_unitary(3, np.random.default_rng(11)), np.eye(2))
+        fam = build_orthogonal_family(state(lift @ mat @ lift.conj().T, (3, 2), ("A", "B")), 3)
+        for member in fam.members.members:
+            assert abs(member.trace() - 1.0) <= 1e-15
+        assert fam.support_rank == 3
 
     def test_receiving_marginals_all_equal(self):
         fam = build_orthogonal_family(bell_pair().density(), 3)
@@ -398,20 +414,32 @@ class TestValidatedOnce:
         assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("n, l", [(2, 1), (6, 1), (2, 3)])
-    def test_derived_values_pass_the_public_checks(self, n, l):
+    def test_derived_values_pass_the_public_checks(self, n, l, monkeypatch):
         fam = build_orthogonal_family(bell_pair().density(), n)
         report = rate_gap_report(fam, l=l)
         xs = fam.members
+        StateSet(xs.members, xs.labels)  # warns, which is an error here, on coinciding members
         weights = (report.hull_merging_weights, report.hull_classical_weights)
         for s in list(xs.members) + [convex_mixture(xs, p) for p in weights]:
             for parties in (("A", "B"), ("A",), ("B",)):
                 part = s.marginal(*parties)
                 state(part.matrix, part.dims, part.parties)
+        sortings = []
+        compose = avqsbench.rate_gap.compose_instrument_with_protocols
+
+        def recording(e, *args):
+            sortings.append(e)
+            return compose(e, *args)
+
+        monkeypatch.setattr(avqsbench.rate_gap, "compose_instrument_with_protocols", recording)
         protocol = family_merging_protocol(fam, known_pure_state_merging(fam.base, l))
 
         def rebuilt(m):
             return CpMap(m.kraus, m.in_dims, m.out_dims)
 
+        (sorting,) = sortings
+        assert sorting.n_outcomes == n**l
+        Instrument(tuple(rebuilt(m) for m in sorting.outcomes))
         locc = protocol.locc
         instrument = Instrument(tuple(rebuilt(m) for m in locc.a_instrument.outcomes))
         channel = OneWayLoccChannel(instrument, tuple(rebuilt(c) for c in locc.b_channels))

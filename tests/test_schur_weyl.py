@@ -234,6 +234,16 @@ class TestFrameProbability:
             expected = 1.0 if f.rows == 1 else 0.0
             assert frame_probability(f, np.array([1.0, 0.0, 0.0])) == expected
 
+    def test_rounding_eigenvalues_of_a_pure_state_weigh_nothing(self):
+        # eigvalsh gives a pure qutrit state eigenvalues of order 1e-17
+        # besides 1; they are not resolved, so every bin past the first
+        # (entropy above 0.1 bits) gets exactly 0
+        inst = build_entropy_instrument(20, 3, 0.1)
+        for seed in range(6):
+            v = random_unitary(3, np.random.default_rng(seed))[:, 0]
+            rows = inst.probabilities(state(np.outer(v, v.conj())))
+            assert [p for *_, p in rows[1:]] == [0.0] * (len(rows) - 1)
+
     def test_accepts_matrix_and_state(self):
         f = YoungFrame((3, 1))
         mat = np.diag([0.6, 0.4])

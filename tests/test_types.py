@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, OutcomeStat
-from avqsbench.config import Config, get_config, local_config, update_config
+from avqsbench.config import Config, get_config, local_config
 from avqsbench.entropy import RateValue
 from avqsbench.linalg import PureState, SchmidtDecomposition, State, bell_pair, maximally_mixed, purify
 from avqsbench.rate_gap import OrthogonalFamily, RateGapReport
@@ -76,14 +76,14 @@ def test_young_frames_with_equal_parts_are_equal():
     assert a.log_dimension == a.log_dimension == log(frame_dimension(a))
 
 
-def test_update_config_returns_a_new_config():
-    with local_config():
-        before = get_config()
-        old = (before.herm_tol, before.tp_tol, before.dim_cap)
-        after = update_config(tp_tol=1e-3)
+def test_local_config_activates_a_new_config():
+    before = get_config()
+    old = (before.herm_tol, before.tp_tol, before.dim_cap)
+    with local_config(tp_tol=1e-3) as after:
         assert get_config() is after and after is not before
         assert (before.herm_tol, before.tp_tol, before.dim_cap) == old
         assert (after.herm_tol, after.tp_tol, after.dim_cap) == (old[0], 1e-3, old[2])
+    assert get_config() is before
 
 
 def test_rate_report_normalizes_and_checks_weights():
@@ -99,8 +99,7 @@ def test_rate_report_normalizes_and_checks_weights():
 
 
 SIGNATURES = {
-    Config: "herm_tol=1e-09, psd_tol=1e-09, trace_tol=1e-09, close_tol=1e-08, rank_tol=1e-10, "
-    "tp_tol=1e-09, prob_tol=1e-12, dim_cap=4096",
+    Config: "herm_tol=1e-09, psd_tol=1e-09, trace_tol=1e-09, close_tol=1e-08, tp_tol=1e-09, dim_cap=4096",
     State: "matrix, dims, parties",
     PureState: "vector, dims, parties",
     SchmidtDecomposition: "coefficients, left_vectors, right_vectors, left_factors",
