@@ -1,7 +1,7 @@
 """Desk-scale workbench for one-way state merging and entanglement
 distillation of compound and arbitrarily varying quantum sources."""
 
-from .config import Config, DimensionCapError, get_config, local_config
+from .config import DimensionCapError, local_config
 from .linalg import (
     PureState,
     SchmidtDecomposition,

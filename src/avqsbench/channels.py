@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import Frozen, check_dim_cap, get_config
+from .config import CHECK_TOL, Frozen, check_dim_cap
 from .linalg import (
     Party,
     PureState,
@@ -74,7 +74,7 @@ class CpMap(Frozen):
         else:
             gram = stacked.conj().T @ stacked
         top = float(np.linalg.eigvalsh(gram).max(initial=0.0))
-        if top > 1.0 + get_config().tp_tol:
+        if top > 1.0 + CHECK_TOL:
             raise ValueError(f"map increases trace (largest Gram eigenvalue {top:.12f})")
         vars(self).update(kraus=kraus, in_dims=in_dims, out_dims=out_dims)
 
@@ -95,7 +95,7 @@ class CpMap(Frozen):
     @property
     def is_trace_preserving(self) -> bool:
         dev = np.max(np.abs(self.gram - np.eye(self.dim_in)))
-        return float(dev) <= get_config().tp_tol
+        return float(dev) <= CHECK_TOL
 
 
 def identity_channel(dims: Sequence[int]) -> CpMap:
@@ -124,7 +124,7 @@ class Instrument(Frozen):
         vars(self).update(outcomes=outcomes)
         rows = self.kraus_stack().reshape(-1, first.dim_in)
         dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(first.dim_in))))
-        if dev > get_config().tp_tol:
+        if dev > CHECK_TOL:
             raise ValueError(f"outcome maps do not sum to a channel (deviation {dev:.3e})")
 
     @property
@@ -226,7 +226,7 @@ def instrument_statistics(e: Instrument, s: State, targets) -> list[OutcomeStat]
     """
     outputs = [apply_cp_map(m, s, targets) for m in e.outcomes]
     total = sum(weight for _, weight in outputs)
-    if abs(total - s.trace()) > get_config().tp_tol:
+    if abs(total - s.trace()) > CHECK_TOL:
         raise ValueError(f"outcome weights sum to {total:.12f}, expected {s.trace():.12f}")
     kept = resolved([weight for _, weight in outputs])
     return [

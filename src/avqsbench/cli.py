@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channels import merging_fidelity
-from .config import Config, DimensionCapError, all_words, local_config
+from .config import DimensionCapError, all_words, local_config
 from .io import (
     ParseError,
     instrument_to_dict,
@@ -48,9 +48,6 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CONFIG_FIELDS = set(Config._fields)
-
-
 def _count(text: str) -> int:
     """argparse type: an integer >= 0."""
     try:
@@ -78,11 +75,6 @@ _COMMON_FLAGS = (
          "help": "shorthand for --format csv"},
     ),
     ("--dim-cap", {"type": int, "default": None, "help": "override the dimension cap"}),
-    (
-        "--tol",
-        {"action": "append", "default": [], "metavar": "NAME=VALUE",
-         "help": "override a tolerance, e.g. --tol close_tol=1e-7 (repeatable)"},
-    ),
 )
 
 
@@ -120,10 +112,10 @@ def _read_plain(argv):
     Plain means: a known command, then exact long flags of that command, each
     bare (store_true, store_const) or followed by one value that does not
     start with '-'.  Values go through the flag's ``type`` and ``choices``;
-    every required flag must be given, the last repeat wins and ``append``
-    accumulates.  On anything else -- help, version, '--flag=value',
-    abbreviations, unknown flags, bad values, a missing flag -- the caller
-    parses with argparse, which reports it."""
+    every required flag must be given and the last repeat wins.  On anything
+    else -- help, version, '--flag=value', abbreviations, unknown flags, bad
+    values, a missing flag -- the caller parses with argparse, which reports
+    it."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags = _COMMANDS[argv[0]][1]
@@ -151,8 +143,6 @@ def _read_plain(argv):
                     return None
             if "choices" in spec and value not in spec["choices"]:
                 return None
-            if action == "append":
-                value = [*values.get(dest, spec.get("default") or ()), value]
         values[dest] = value
         given.add(flag)
     for flag, spec in table.items():
@@ -165,23 +155,12 @@ def _read_plain(argv):
 
 
 def _overrides(args) -> dict:
-    """The config fields that ``--dim-cap`` and ``--tol`` set."""
-    overrides = {}
-    if args.dim_cap is not None:
-        if args.dim_cap <= 0:
-            raise ParseError("--dim-cap must be positive")
-        overrides["dim_cap"] = args.dim_cap
-    for item in args.tol:
-        name, sep, value = item.partition("=")
-        if not sep or name not in _CONFIG_FIELDS or name == "dim_cap":
-            raise ParseError(f"--tol expects NAME=VALUE with a known tolerance, got {item!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise ParseError(f"--tol {name}: {value!r} is not a number") from None
-        if not 0.0 <= overrides[name] < float("inf"):
-            raise ParseError(f"--tol {name}: {value!r} is not finite and >= 0")
-    return overrides
+    """The setting that ``--dim-cap`` overrides."""
+    if args.dim_cap is None:
+        return {}
+    if args.dim_cap <= 0:
+        raise ParseError("--dim-cap must be positive")
+    return {"dim_cap": args.dim_cap}
 
 
 def _flatten(doc, prefix=""):
@@ -198,19 +177,17 @@ def _flatten(doc, prefix=""):
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    doc = {k: v for k, v in payload.items() if k != "csv_rows"}
     if fmt == "json":
-        doc = {k: v for k, v in payload.items() if k != "csv_rows"}
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        if "csv_rows" in payload:
-            header, rows = payload["csv_rows"]
-            sys.stdout.write(",".join(header) + "\n")
-            for row in rows:
-                sys.stdout.write(",".join(str(x) for x in row) + "\n")
-        else:
-            sys.stdout.write("key,value\n")
-            for key, value in _flatten({k: v for k, v in payload.items() if k != "csv_rows"}):
-                sys.stdout.write(f"{key},{value}\n")
+        return
+    import csv  # imported here so that a JSON report never loads it
+
+    header, rows = payload["csv_rows"] if "csv_rows" in payload else (("key", "value"), _flatten(doc))
+    # fields holding ',', '"' or a newline are quoted; str keeps None as "None"
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([str(x) for x in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
-"""Numerical tolerances and resource caps, overridable at runtime, and the
-immutable base that the package's validated types share."""
+"""Input-check tolerances, resource caps and the immutable base that the
+package's validated types share.
+
+The tolerances are constants: ``CHECK_TOL`` is how far an input may miss an
+exact identity, ``CLOSE_TOL`` the trace distance at which two states count
+as the same.  No cutoff of a spectrum or of weights is a constant or a
+setting: each is read off the values themselves by ``linalg.resolved``.
+The dimension cap is the one runtime setting; ``local_config`` and the
+CLI's ``--dim-cap`` set it, and only this module reads it.
+
+Entropies and rates are in bits (logarithms base 2) throughout.
+"""
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
 from math import log2
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,48 +61,42 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
-class Config(NamedTuple):
-    """Tolerances of the input checks and the dimension cap, shared by all
-    modules.  No cutoff of a spectrum or of weights is a setting: each is
-    read off the values themselves by ``linalg.resolved``.
+# how far an input may miss an exact identity: Hermiticity (max entry),
+# positivity (min eigenvalue), unit trace and norm, instrument completeness,
+# trace non-increase and simplex weights
+CHECK_TOL = 1e-9
+CLOSE_TOL = 1e-8  # trace distance within which two states count as the same
 
-    Entropies and rates are in bits (logarithms base 2) throughout.
-    """
-
-    herm_tol: float = 1e-9      # max-entry deviation from Hermiticity
-    psd_tol: float = 1e-9       # allowed negativity of eigenvalues
-    trace_tol: float = 1e-9     # allowed deviation of trace / norm from 1
-    close_tol: float = 1e-8     # trace-norm threshold for "same state"
-    tp_tol: float = 1e-9        # deviation from trace preservation
-    dim_cap: int = 4096         # largest dense matrix dimension allowed
-
-
-_active = Config()
-
-
-def get_config() -> Config:
-    return _active
+_dim_cap = 4096  # largest dense matrix dimension allowed
 
 
 @contextmanager
-def local_config(**overrides):
-    """Override config fields within a ``with`` block; yields the active
-    config, and the previous one is back in force on leaving the block."""
-    global _active
-    previous = _active
-    _active = previous._replace(**overrides)
+def local_config(dim_cap: int | None = None):
+    """Set the dimension cap within a ``with`` block (None keeps the current
+    one); yields the cap in force, and the previous one is back on leaving."""
+    global _dim_cap
+    previous = _dim_cap
+    if dim_cap is not None:
+        _dim_cap = dim_cap
     try:
-        yield _active
+        yield _dim_cap
     finally:
-        _active = previous
+        _dim_cap = previous
 
 
 def check_dim_cap(dim: int, context: str = "") -> None:
-    cap = get_config().dim_cap
-    if dim > cap:
+    if dim > _dim_cap:
         where = f" in {context}" if context else ""
         raise DimensionCapError(
-            f"dimension {dim} exceeds the configured cap of {cap}{where}"
+            f"dimension {dim} exceeds the configured cap of {_dim_cap}{where}"
+        )
+
+
+def check_entries(entries: int, what: str, context: str) -> None:
+    """Refuse ``what`` if it holds more entries than the largest matrix allowed."""
+    if entries > _dim_cap**2:
+        raise DimensionCapError(
+            f"{what} hold {entries} entries, over dim_cap^2 = {_dim_cap**2} in {context}"
         )
 
 

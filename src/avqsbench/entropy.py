@@ -9,7 +9,7 @@ from math import isfinite, prod
 
 import numpy as np
 
-from .config import Frozen, get_config
+from .config import Frozen
 from .linalg import State, permute_factors, resolved
 
 ENTROPY = "entropy"
@@ -94,13 +94,14 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     ``rhos`` is an (n, d, d) stack of states on A x B with the A factors in
     front and B of dimension ``d_target``; ``kraus`` is an (outcomes,
     operators, d_out, d_A) stack, zero-padded where outcomes have fewer
-    operators.  The post-measurement blocks X_j come from
-    :func:`post_measurement_blocks`; the outcome weights are their traces
-    and must sum to each state's trace within ``tp_tol``.  The rate is
-    sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X of the unnormalized
-    blocks: it equals sum_j w_j [S(B) - S(AB)] of the normalized ones, as the
-    -w_j log2 w_j terms cancel.  Both come from two batched ``eigvalsh`` calls
-    and :func:`spectrum_entropy`.
+    operators, and complete: every caller passes the stack of a checked
+    ``Instrument`` or an isometry, so completeness is not checked again.
+    The post-measurement blocks X_j come from
+    :func:`post_measurement_blocks`; the outcome weights are their traces.
+    The rate is sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X of
+    the unnormalized blocks: it equals sum_j w_j [S(B) - S(AB)] of the
+    normalized ones, as the -w_j log2 w_j terms cancel.  Both come from two
+    batched ``eigvalsh`` calls and :func:`spectrum_entropy`.
 
     With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
     stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B):
@@ -111,12 +112,6 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     n = rhos.shape[0]
     scaled, post = post_measurement_blocks(rhos, kraus, d_target)
     size = kraus.shape[2] * d_target
-    weights = np.trace(post.reshape(n, -1, size, size), axis1=2, axis2=3).real
-    totals, expected = weights.sum(axis=1), np.trace(rhos, axis1=1, axis2=2).real
-    bad = np.flatnonzero(np.abs(totals - expected) > get_config().tp_tol)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"outcome weights sum to {totals[i]:.12f}, expected {expected[i]:.12f}")
 
     def entropies(mats):
         if not gradient:

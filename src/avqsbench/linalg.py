@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import Frozen, check_dim_cap, get_config
+from .config import CHECK_TOL, CLOSE_TOL, Frozen, check_dim_cap
 
 Party = str
 
@@ -62,7 +62,7 @@ class State(Frozen):
             raise ValueError("need exactly one party label per factor")
         check_dim_cap(mat.shape[0], "State")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if herm_dev > get_config().herm_tol:
+        if herm_dev > CHECK_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         vars(self).update(matrix=_freeze(mat), dims=dims, parties=parties)
 
@@ -92,11 +92,10 @@ class State(Frozen):
 
     def validate(self) -> "State":
         """Check positivity and unit trace."""
-        cfg = get_config()
         w = np.linalg.eigvalsh(self.matrix)
-        if w.min(initial=0.0) < -cfg.psd_tol:
+        if w.min(initial=0.0) < -CHECK_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
-        if abs(self.trace() - 1.0) > cfg.trace_tol:
+        if abs(self.trace() - 1.0) > CHECK_TOL:
             raise ValueError(f"trace is {self.trace():.12f}, expected 1")
         return self
 
@@ -121,7 +120,7 @@ class PureState(Frozen):
             raise ValueError("need exactly one party label per factor")
         check_dim_cap(vec.size, "PureState")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > get_config().trace_tol:
+        if abs(norm - 1.0) > CHECK_TOL:
             raise ValueError(f"vector norm is {norm:.12f}, expected 1")
         vars(self).update(vector=_freeze(vec), dims=dims, parties=parties)
 
@@ -257,13 +256,13 @@ def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors.
 
     Rejects a non-Hermitian raw matrix; a ``State`` was checked when it was
-    built.  The reconstruction V diag(w) V* agrees with the input within the
-    configured residual tolerance.
+    built.  The reconstruction V diag(w) V* agrees with the input up to the
+    solver's rounding.
     """
     mat = _to_matrix(h)
     if not isinstance(h, State):
         dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if dev > get_config().herm_tol:
+        if dev > CHECK_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     w, v = np.linalg.eigh(mat)
     # stable sort keeps the solver's order within degenerate eigenspaces
@@ -302,11 +301,10 @@ def fidelity(a, b) -> float:
     am, bm = _to_matrix(a), _to_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
-    cfg = get_config()
     roots = []
     for name, mat in (("first", am), ("second", bm)):
         w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-        if w.min(initial=0.0) < -cfg.psd_tol:
+        if w.min(initial=0.0) < -CHECK_TOL:
             raise ValueError(f"{name} argument is not PSD (min eigenvalue {w.min():.3e})")
         roots.append((v * np.sqrt(np.where(resolved(w), w, 0.0))) @ v.conj().T)
     # singular values need no clip against rounding noise, unlike square roots
@@ -343,12 +341,12 @@ def purify(s: State) -> PureState:
 
 def check_purification(psi: PureState, s: State) -> None:
     """Raise ``ValueError`` unless ``psi`` extends the factors of ``s`` and
-    tracing out its remaining factors gives ``s`` within ``close_tol``."""
+    tracing out its remaining factors gives ``s`` within ``CLOSE_TOL``."""
     k = s.n_factors
     if psi.dims[:k] != s.dims:
         raise ValueError("purification must extend the source factors")
     reduced = partial_trace(psi.density(), range(k))
-    if trace_distance(reduced, s) > get_config().close_tol:
+    if trace_distance(reduced, s) > CLOSE_TOL:
         raise ValueError("supplied vector does not purify the source state")
 
 

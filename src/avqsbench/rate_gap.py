@@ -25,7 +25,7 @@ from .channels import (
     compose_instrument_with_protocols,
     trivial_resource,
 )
-from .config import DimensionCapError, Frozen, all_words, check_dim_cap, get_config
+from .config import CLOSE_TOL, Frozen, all_words, check_dim_cap, check_entries
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -96,12 +96,8 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     w, v = eigensystem(rho_a)
     rank = int(np.count_nonzero(resolved(w)))
     m = n * rank
-    entries, cap = n * (m * d_b) ** 2, get_config().dim_cap
-    if entries > cap**2:  # also refuses members of dimension over the cap
-        raise DimensionCapError(
-            f"{n} members of dimension {m * d_b} hold {entries} entries, "
-            f"over dim_cap^2 = {cap**2} in build_orthogonal_family"
-        )
+    # also refuses members of dimension over the cap
+    check_entries(n * (m * d_b) ** 2, f"{n} members of dimension {m * d_b}", "build_orthogonal_family")
 
     embed = np.zeros((m, d_a), dtype=complex)
     embed[:rank, :] = v[:, :rank].conj().T
@@ -165,7 +161,7 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
         raise ValueError("base state must have exactly two factors with parties (A, B)")
     w, v = eigensystem(rho1)
-    if abs(w[0] - 1.0) > get_config().close_tol:
+    if abs(w[0] - 1.0) > CLOSE_TOL:
         raise ValueError("base state must be pure; plug in a subprotocol for mixed sources")
     psi = PureState(v[:, 0], rho1.dims, rho1.parties)
     sd = schmidt_decomposition(psi, [0])

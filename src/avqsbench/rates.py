@@ -18,7 +18,16 @@ from .channels import (
     MergingProtocol,
     purified_merging_fidelity,
 )
-from .config import Frozen, all_words, check_blocklength, check_dim_cap, get_config
+from .config import (
+    CHECK_TOL,
+    CLOSE_TOL,
+    WORD_CAP,
+    DimensionCapError,
+    Frozen,
+    all_words,
+    check_blocklength,
+    check_dim_cap,
+)
 from .entropy import (
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
@@ -28,7 +37,7 @@ from .entropy import (
     source_first,
     spectrum_entropy,
 )
-from .linalg import PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
+from .linalg import _EPS, PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -51,19 +60,18 @@ class StateSet(Frozen):
         for m in members[1:]:
             if m.dims != first.dims or m.parties != first.parties:
                 raise ValueError("all members must share dims and party structure")
-        close = get_config().close_tol
         # trace norm >= Frobenius norm, screened for all pairs by one Gram
         # product: ||a - b||_F^2 = ||a||^2 + ||b||^2 - 2 Re tr(a^dagger b).  Pairs
         # within its rounding bound, length * eps * (||a||^2 + ||b||^2), of
-        # close_tol^2 or below get the exact test
+        # CLOSE_TOL^2 or below get the exact test
         flat = np.stack([m.matrix.reshape(-1) for m in members]).view(float)
         gram = flat @ flat.T
         norms = np.diag(gram)
         both = norms[:, None] + norms
-        near = both - 2 * gram <= close**2 + flat.shape[1] * np.finfo(float).eps * both
+        near = both - 2 * gram <= CLOSE_TOL**2 + flat.shape[1] * _EPS * both
         for i, j in zip(*np.nonzero(np.triu(near, 1))):
             diff = members[i].matrix - members[j].matrix
-            if np.linalg.norm(diff) <= close and trace_norm(diff) <= close:
+            if np.linalg.norm(diff) <= CLOSE_TOL and trace_norm(diff) <= CLOSE_TOL:
                 warnings.warn(
                     f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
                     stacklevel=2,
@@ -93,6 +101,15 @@ class StateSet(Frozen):
         return out
 
 
+def _check_simplex(weights) -> np.ndarray:
+    """``weights`` as a float array, refused unless they sum to 1 and none is
+    negative, each within ``CHECK_TOL``."""
+    w = np.asarray(weights, dtype=float)
+    if abs(w.sum() - 1.0) > CHECK_TOL or w.min() < -CHECK_TOL:
+        raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
+    return w
+
+
 class RateReport(Frozen):
     """A computed rate in bits plus how it was attained."""
 
@@ -105,10 +122,7 @@ class RateReport(Frozen):
         metadata: dict | None = None,
     ):
         if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if abs(w.sum() - 1.0) > 1e-9 or w.min() < -1e-9:
-                raise ValueError(f"weights {weights} are not on the simplex")
-            weights = tuple(float(x) for x in w)
+            weights = tuple(float(x) for x in _check_simplex(weights))
         vars(self).update(quantity=quantity, value=value, attained_by=attained_by, weights=weights)
         vars(self).update(metadata={} if metadata is None else metadata)
 
@@ -128,9 +142,7 @@ def _mixture_matrix(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarra
     w = np.asarray(p, dtype=float)
     if w.size != len(mats):
         raise ValueError(f"need {len(mats)} weights, got {w.size}")
-    if abs(w.sum() - 1.0) > 1e-9 or w.min() < -1e-9:
-        raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
+    w = np.clip(_check_simplex(w), 0.0, None)
     return sum(float(q) * m for q, m in zip(w, mats))
 
 
@@ -441,12 +453,17 @@ def worst_case_protocol_fidelity(
 
     Words are scored by :func:`word_fidelities`.  Enumeration is exhaustive
     up to the word cap; beyond it a seeded sample of words must be requested
-    explicitly.
+    explicitly.  A sample is held to the same cap: more than ``WORD_CAP``
+    words raise ``DimensionCapError`` before any word is drawn.
     """
     check_blocklength(l, "worst-case")
     if sample is not None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1 word, got {sample}")
+        if sample > WORD_CAP:
+            raise DimensionCapError(
+                f"{sample} sampled words exceed the enumeration cap of {WORD_CAP} in worst-case"
+            )
         rng = np.random.default_rng(seed)
         words = [tuple(int(s) for s in rng.integers(0, xs.n, size=l)) for _ in range(sample)]
     else:

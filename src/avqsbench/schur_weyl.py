@@ -22,12 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    DimensionCapError,
     Frozen,
     check_dim_cap,
+    check_entries,
     check_frame_work,
     check_matrix_form_blocklength,
-    get_config,
 )
 from .entropy import spectrum_entropy
 from .linalg import State, resolved
@@ -235,12 +234,6 @@ def frame_probabilities(frames, rho) -> np.ndarray:
 _CHUNK = 1 << 18  # index entries of the interlacing terms gathered at once
 
 
-def _check_table(size: int) -> None:
-    cap = get_config().dim_cap
-    if size > cap * cap:  # the entries of the largest matrix allowed
-        raise DimensionCapError(f"branching table of {size} partitions exceeds dim_cap^2 = {cap * cap}")
-
-
 def _schur_ratios(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """s_f(x) / prod_i x_i^f_i for descending positive x, one frame f per row
     of ``delta``, its row differences f_i - f_(i+1) (i < len(x)).
@@ -257,7 +250,7 @@ def _schur_ratios(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones(len(delta))
     big = max(1, int((delta @ np.arange(1, n)).max()))
-    _check_table(big + 1)
+    check_entries(big + 1, "the partitions of a branching table", "frame_probabilities")
     table = np.cumsum((x[1] / x[0]) ** np.arange(big + 1))
     keys, starts = np.arange(big + 1)[:, None], []
     for k in range(3, n + 1):
@@ -267,7 +260,7 @@ def _schur_ratios(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
         elif k - 1 <= big:
             # append d_(k-1) <= (big - sum_i i*d_i) / (k-1) to each key
             room = (big - keys @ np.arange(1, k - 1)) // (k - 1) + 1
-            _check_table(int(room.sum()))
+            check_entries(int(room.sum()), "the partitions of a branching table", "frame_probabilities")
             starts.append(np.cumsum(room) - room)
             owner = np.repeat(np.arange(len(keys)), room)
             keys = np.column_stack([keys[owner], np.arange(len(owner)) - starts[-1][owner]])

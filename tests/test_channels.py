@@ -16,7 +16,6 @@ from avqsbench.channels import (
     permutation_channel,
     trivial_resource,
 )
-from avqsbench.config import get_config
 from avqsbench.linalg import (
     PureState,
     bell_pair,
@@ -38,7 +37,6 @@ from helpers import (
     bin_probability,
     bin_projector,
     embed_operator,
-    haar_isometry,
     projective_instrument,
     random_instrument_kraus,
     random_kraus_channel,
@@ -73,18 +71,6 @@ class TestCpMapValidation:
         half = CpMap((np.eye(2) / np.sqrt(2),))
         with pytest.raises(ValueError, match="sum to a channel"):
             Instrument((half,))
-
-    @pytest.mark.parametrize("excess, accepted", [(10.0, False), (0.1, True)])
-    def test_completeness_checked_at_tp_tol(self, excess, accepted):
-        # two outcomes split one isometry, scaled so that they sum to (1 + excess tp_tol) I
-        scale = np.sqrt(1.0 + excess * get_config().tp_tol)
-        v = scale * haar_isometry(np.random.default_rng(5), 8, 2)
-        outcomes = (CpMap((v[:2],)), CpMap((v[2:4], v[4:6], v[6:])))
-        if accepted:
-            assert Instrument(outcomes).n_outcomes == 2
-        else:
-            with pytest.raises(ValueError, match="sum to a channel"):
-                Instrument(outcomes)
 
 
 class TestApplyCpMap:

@@ -13,7 +13,7 @@ import pytest
 
 import avqsbench
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, trivial_resource
-from avqsbench.cli import _COMMANDS, _read_plain, build_parser, main
+from avqsbench.cli import _COMMANDS, _flatten, _read_plain, build_parser, main
 from avqsbench.io import (
     ParseError,
     cp_map_from_dict,
@@ -341,9 +341,32 @@ class TestCliCommands:
                 bell_state_file,
             ]
         ) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "bin_index,interval_lo,interval_hi,probability"
-        assert len(out) > 1
+        out = capsys.readouterr().out
+        assert out.startswith("bin_index,interval_lo,interval_hi,probability\n")
+        # no field needs quoting, so each row is its fields joined by commas
+        argv = ["schur-demo", "--dim", "2", "--blocklength", "4", "--eta", "0.25"]
+        assert main(argv + ["--state", bell_state_file, "--format", "json"]) == 0
+        bins = json.loads(capsys.readouterr().out)["bins"]
+        rows = [
+            f"{b['bin_index']},{b['interval_lo']!r},{b['interval_hi']!r},{b['probability']!r}\n"
+            for b in bins
+        ]
+        assert len(rows) > 1
+        assert out == "bin_index,interval_lo,interval_hi,probability\n" + "".join(rows)
+
+    def test_csv_fields_with_commas_and_quotes_round_trip(self, tmp_path, capsys):
+        import csv
+
+        bell = bell_pair().density()
+        noisy = state(0.9 * bell.matrix + 0.1 * np.eye(4) / 4, (2, 2), ("A", "B"))
+        path = str(tmp_path / "comma,set.json")
+        save_json(path, state_set_to_dict(StateSet((bell, noisy), ("bell", 'mixed, "noisy"'))))
+        assert main(["rates", "--set", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 'mixed, "noisy"' in (doc["merging_cost"]["attained_by"], doc["classical_cost"]["attained_by"])
+        assert main(["rates", "--set", path, "--csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows == [["key", "value"]] + [[key, str(value)] for key, value in _flatten(doc)]
 
     def test_schur_demo_json_format(self, bell_state_file, capsys):
         assert main(
@@ -508,6 +531,16 @@ class TestCliExitCodes:
         assert err.startswith("resource cap: ") and err.count("\n") == 1
         assert "distillation instrument search" in err
 
+    def test_worst_case_sample_over_the_word_cap_exits_3(
+        self, bell_protocol_file, bell_set_file, capsys
+    ):
+        argv = ["worst-case", "--protocol", bell_protocol_file, "--set", bell_set_file,
+                "--blocklength", "1", "--sample"]
+        assert main(argv + ["4097"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap: 4097 sampled words exceed the enumeration cap of 4096 in worst-case\n"
+        )
+
     @pytest.mark.parametrize("l", ["-2", "0"])
     def test_robustify_blocklength_below_one_is_usage_error(self, l, two_state_file, capsys):
         assert main(["robustify-check", "--set", two_state_file, "--blocklength", l]) == 2
@@ -582,10 +615,13 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
 
     def test_bad_tolerance_override(self, bell_set_file, capsys):
-        assert main(["rates", "--set", bell_set_file, "--tol", "nonsense=1"]) == 2
-        # every cutoff of a spectrum or of weights is read off the values, not set
-        for name in ("eig_clip", "rank_tol", "prob_tol"):
+        # tolerances are constants and cutoffs are read off the values: no
+        # former setting can be given, nor any other name
+        names = ("herm_tol", "psd_tol", "trace_tol", "close_tol", "tp_tol", "eig_clip",
+                 "rank_tol", "prob_tol", "nonsense")
+        for name in names:
             assert main(["rates", "--set", bell_set_file, "--tol", f"{name}=1e-12"]) == 2
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -594,9 +630,7 @@ class TestCliExitCodes:
             ["example-gap", "--N", "2", "--blocklength", "-1"],
             ["worst-case", "--protocol", "{protocol}", "--set", "{set}", "--blocklength", "1",
              "--sample", "0"],
-            ["rates", "--set", "{herm}", "--tol", "herm_tol=nan"],
-            ["rates", "--set", "{set}", "--tol", "close_tol=inf"],
-            ["rates", "--set", "{set}", "--tol", "close_tol=-1e-9"],
+            ["rates", "--set", "{set}", "--dim-cap", "0"],
             ["distill-capacity", "--set", "{set}", "--restarts", "0"],
             ["distill-capacity", "--set", "{set}", "--maxiter", "0"],
             ["robustify-check", "--set", "{set}", "--blocklength", "2", "--trials", "-1"],
@@ -604,18 +638,9 @@ class TestCliExitCodes:
         ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
     )
     def test_out_of_range_values_are_usage_errors(
-        self, argv, tmp_path, two_state_file, bell_protocol_file, capsys
+        self, argv, two_state_file, bell_protocol_file, capsys
     ):
-        # a Hermiticity defect of 0.3 that only a NaN tolerance would let through
-        defect = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
-        defect[0, 1] = 0.3
-        herm = tmp_path / "defect.json"
-        herm.write_text(json.dumps({
-            "dims": [2, 2],
-            "parties": ["A", "B"],
-            "members": {"x": [[z.real, z.imag] for z in defect.reshape(-1)]},
-        }))
-        files = {"set": two_state_file, "protocol": bell_protocol_file, "herm": str(herm)}
+        files = {"set": two_state_file, "protocol": bell_protocol_file}
         assert main([a.format(**files) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -739,8 +764,7 @@ class TestWrongTypeSweep:
 
 # one argv per subcommand, touching each of its options
 REPRESENTATIVE_ARGV = {
-    "rates": ["--set", "s.json", "--hull", "--csv", "--tol", "close_tol=1e-7",
-              "--tol", "psd_tol=0"],
+    "rates": ["--set", "s.json", "--hull", "--csv", "--dim-cap", "64"],
     "distill-capacity": ["--set", "s.json", "--k", "2", "--outcomes", "3", "--restarts", "2",
                          "--maxiter", "9", "--seed", "4"],
     "worst-case": ["--protocol", "p.json", "--set", "s.json", "--blocklength", "2",
@@ -766,8 +790,8 @@ def _flag_units(command, argv):
 
 def _plain_corpus(command):
     """Plain command lines for ``command``: the representative one, shuffled,
-    with every flag repeated, with tolerances and formats stacked, and with
-    the required flags alone."""
+    with every flag repeated, with the dimension cap and formats stacked, and
+    with the required flags alone."""
     argv = REPRESENTATIVE_ARGV[command]
     units = _flag_units(command, argv)
     shuffle = random.Random(command)
@@ -776,7 +800,7 @@ def _plain_corpus(command):
         shuffle.shuffle(units)
         corpus.append([a for unit in units for a in unit])
     corpus += [
-        argv + ["--tol", "close_tol=1e-6", "--tol", "psd_tol=1e-9"],
+        argv + ["--dim-cap", "64", "--dim-cap", "128"],
         argv + ["--csv", "--format", "json"],
         argv + ["--format", "json", "--csv"],
         argv + ["--seed", "0", "--seed", "12"],

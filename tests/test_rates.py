@@ -16,7 +16,7 @@ from avqsbench.channels import (
     merging_fidelity,
     trivial_resource,
 )
-from avqsbench.config import DimensionCapError, get_config, local_config
+from avqsbench.config import CLOSE_TOL, WORD_CAP, DimensionCapError, local_config
 from avqsbench.entropy import (
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
@@ -133,10 +133,10 @@ class TestStateSet:
 
     @pytest.mark.parametrize("scale, warns", [(0.5, True), (2.0, False)])
     def test_coincidence_warning_follows_the_trace_distance(self, scale, warns):
-        # the difference has trace norm scale * close_tol and Frobenius norm
+        # the difference has trace norm scale * CLOSE_TOL and Frobenius norm
         # a quarter of that, so at scale 2 the Frobenius screen passes the
         # pair on to the trace norm, which decides
-        t = scale * get_config().close_tol
+        t = scale * CLOSE_TOL
         a = state(np.eye(16) / 16, (4, 4), ("A", "B"))
         b = state(np.eye(16) / 16 + t / 16 * np.diag([1.0] * 8 + [-1.0] * 8), (4, 4), ("A", "B"))
         with warnings.catch_warnings(record=True) as caught:
@@ -148,7 +148,7 @@ class TestStateSet:
     def test_pair_at_the_threshold_of_the_gram_screen(self, scale, warns):
         # a rank-one difference has equal Frobenius and trace norms, so the
         # pair sits at the screen's threshold as well as at the exact test's
-        close = get_config().close_tol
+        close = CLOSE_TOL
         a = random_density([2, 3], rng, parties=("A", "B"))
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         v /= np.linalg.norm(v)
@@ -160,7 +160,7 @@ class TestStateSet:
 
     def test_gram_screen_warns_as_the_pairwise_loop(self):
         # reference: every pair's Frobenius norm, then its trace norm
-        close = get_config().close_tol
+        close = CLOSE_TOL
         base = random_density([2, 3], rng, parties=("A", "B")).matrix
         members, factors = [], (0.0, 0.3, 0.98, 0.999, 1.001, 1.02, 2.0, 1e3)
         for f in factors:
@@ -681,3 +681,15 @@ class TestWorstCase:
         xs = _random_set(3)
         with pytest.raises(DimensionCapError, match="enumeration cap"):
             worst_case_protocol_fidelity(None, xs, 9)
+
+    def test_sample_is_held_to_the_word_cap(self, monkeypatch):
+        xs = _random_set(2)
+        monkeypatch.setattr(avqsbench.rates, "word_fidelities", lambda p, xs, words: [1.0] * len(words))
+        assert worst_case_protocol_fidelity(None, xs, 1, sample=WORD_CAP)[0] == 1.0
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a word was drawn")
+
+        monkeypatch.setattr(avqsbench.rates.np.random, "default_rng", no_draw)
+        with pytest.raises(DimensionCapError, match=f"{WORD_CAP + 1} sampled words exceed"):
+            worst_case_protocol_fidelity(None, xs, 1, sample=WORD_CAP + 1)

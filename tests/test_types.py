@@ -1,6 +1,7 @@
 """What callers rely on from the package's types: immutability, value
-equality where it is used, Config replacement, RateReport's weight check,
-and unchanged constructor arguments."""
+equality where it is used, the tolerances of the input checks, the
+dimension cap's scope, RateReport's weight check, and unchanged constructor
+arguments."""
 
 import inspect
 from math import log
@@ -9,9 +10,20 @@ import numpy as np
 import pytest
 
 from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, OutcomeStat
-from avqsbench.config import Config, get_config, local_config
+from avqsbench.config import CHECK_TOL, CLOSE_TOL, DimensionCapError, check_dim_cap, local_config
 from avqsbench.entropy import RateValue
-from avqsbench.linalg import PureState, SchmidtDecomposition, State, bell_pair, maximally_mixed, purify
+from avqsbench.linalg import (
+    PureState,
+    SchmidtDecomposition,
+    State,
+    bell_pair,
+    check_purification,
+    eigensystem,
+    fidelity,
+    maximally_mixed,
+    purify,
+    state,
+)
 from avqsbench.rate_gap import OrthogonalFamily, RateGapReport
 from avqsbench.rates import DistillationResult, RateReport, StateSet
 from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution
@@ -32,7 +44,6 @@ def _frozen_instances():
         "CpMap": (cp, "kraus"),
         "Instrument": (Instrument((cp,)), "outcomes"),
         "StateSet": (StateSet((rho,)), "members"),
-        "Config": (Config(), "dim_cap"),
         "YoungFrame": (YoungFrame((2, 1)), "parts"),
     }
 
@@ -76,14 +87,66 @@ def test_young_frames_with_equal_parts_are_equal():
     assert a.log_dimension == a.log_dimension == log(frame_dimension(a))
 
 
-def test_local_config_activates_a_new_config():
-    before = get_config()
-    old = (before.herm_tol, before.tp_tol, before.dim_cap)
-    with local_config(tp_tol=1e-3) as after:
-        assert get_config() is after and after is not before
-        assert (before.herm_tol, before.tp_tol, before.dim_cap) == old
-        assert (after.herm_tol, after.tp_tol, after.dim_cap) == (old[0], 1e-3, old[2])
-    assert get_config() is before
+def _split_isometry(delta):
+    # two outcomes split one isometry, scaled so that they sum to (1 + delta) I
+    v = np.sqrt(1.0 + delta) * np.linalg.qr(np.random.default_rng(5).standard_normal((8, 2)))[0]
+    return Instrument((CpMap((v[:2],)), CpMap((v[2:4], v[4:6], v[6:]))))
+
+
+# each input misses an exact identity by delta: (tolerance, check, refusal message)
+INPUT_CHECKS = {
+    "State Hermiticity": (
+        CHECK_TOL, lambda d: State(np.array([[0.5, d], [0.0, 0.5]]), (2,), ("A",)), "Hermitian"
+    ),
+    "eigensystem Hermiticity": (
+        CHECK_TOL, lambda d: eigensystem(np.array([[0.5, d], [0.0, 0.5]])), "Hermitian"
+    ),
+    "state() positivity": (CHECK_TOL, lambda d: state(np.diag([1.0 + d, -d])), "positive"),
+    "state() trace": (CHECK_TOL, lambda d: state(np.diag([0.5 + d, 0.5])), "trace"),
+    "PureState norm": (CHECK_TOL, lambda d: PureState([1.0 + d, 0.0], (2,), ("A",)), "norm"),
+    "fidelity positivity": (
+        CHECK_TOL, lambda d: fidelity(np.diag([1.0 + d, -d]), np.eye(2) / 2), "PSD"
+    ),
+    "CpMap trace increase": (
+        CHECK_TOL, lambda d: CpMap((np.sqrt(1.0 + d) * np.eye(2),)), "increases trace"
+    ),
+    "Instrument completeness": (CHECK_TOL, _split_isometry, "sum to a channel"),
+    "simplex weights": (
+        CHECK_TOL, lambda d: RateReport("q", 0.5, weights=(0.5 + d, 0.5)), "simplex"
+    ),
+    "check_purification": (
+        CLOSE_TOL,
+        lambda d: check_purification(
+            purify(maximally_mixed(2)), state(np.diag([0.5 + d / 2, 0.5 - d / 2]))
+        ),
+        "does not purify",
+    ),
+}
+
+
+@pytest.mark.parametrize("excess, accepted", [(0.1, True), (10.0, False)])
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_checks_hold_at_their_tolerance(name, excess, accepted):
+    tol, check, message = INPUT_CHECKS[name]
+    if accepted:
+        check(excess * tol)
+    else:
+        with pytest.raises(ValueError, match=message):
+            check(excess * tol)
+
+
+def test_local_config_sets_the_dimension_cap_within_its_block():
+    check_dim_cap(4096)
+    with local_config(dim_cap=8) as cap:
+        assert cap == 8
+        check_dim_cap(8)
+        with pytest.raises(DimensionCapError, match="cap of 8"):
+            check_dim_cap(9)
+        with local_config() as inner:
+            assert inner == 8
+    check_dim_cap(4096)
+    with pytest.raises(DimensionCapError, match="cap of 4096"):
+        check_dim_cap(4097)
 
 
 def test_rate_report_normalizes_and_checks_weights():
@@ -99,7 +162,6 @@ def test_rate_report_normalizes_and_checks_weights():
 
 
 SIGNATURES = {
-    Config: "herm_tol=1e-09, psd_tol=1e-09, trace_tol=1e-09, close_tol=1e-08, tp_tol=1e-09, dim_cap=4096",
     State: "matrix, dims, parties",
     PureState: "vector, dims, parties",
     SchmidtDecomposition: "coefficients, left_vectors, right_vectors, left_factors",
