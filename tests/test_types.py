@@ -1,15 +1,26 @@
 """What callers rely on from the package's types: immutability, value
 equality where it is used, the tolerances of the input checks, the
-dimension cap's scope, RateReport's weight check, and unchanged constructor
-arguments."""
+refusals of malformed input, the dimension cap's scope, RateReport's weight
+check, and unchanged constructor arguments."""
 
 import inspect
+import re
 from math import log
 
 import numpy as np
 import pytest
 
-from avqsbench.channels import CpMap, Instrument, MergingProtocol, OneWayLoccChannel, OutcomeStat
+from avqsbench.channels import (
+    CpMap,
+    Instrument,
+    MergingProtocol,
+    OneWayLoccChannel,
+    OutcomeStat,
+    compose_instrument_with_protocols,
+    identity_channel,
+    identity_instrument,
+    trivial_resource,
+)
 from avqsbench.config import CHECK_TOL, CLOSE_TOL, DimensionCapError, check_dim_cap, local_config
 from avqsbench.entropy import RateValue
 from avqsbench.linalg import (
@@ -20,12 +31,19 @@ from avqsbench.linalg import (
     check_purification,
     eigensystem,
     fidelity,
+    maximally_entangled,
     maximally_mixed,
+    pure_state,
     purify,
     state,
 )
-from avqsbench.rate_gap import OrthogonalFamily, RateGapReport
-from avqsbench.rates import DistillationResult, RateReport, StateSet
+from avqsbench.rate_gap import (
+    OrthogonalFamily,
+    RateGapReport,
+    build_orthogonal_family,
+    known_pure_state_merging,
+)
+from avqsbench.rates import DistillationResult, RateReport, StateSet, word_fidelities
 from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution
 from avqsbench.schur_weyl import (
     EntropyBin,
@@ -133,6 +151,226 @@ def test_input_checks_hold_at_their_tolerance(name, excess, accepted):
     else:
         with pytest.raises(ValueError, match=message):
             check(excess * tol)
+
+
+def _bell_protocol(l=1):
+    return known_pure_state_merging(bell_pair().density(), l)
+
+
+def _merging(**changes):
+    # the Bell protocol at blocklength 1 with some of its arguments replaced
+    sub = _bell_protocol()
+    args = {"locc": sub.locc, "phi_in": sub.phi_in, "phi_out": sub.phi_out, "blocklength": 1}
+    return MergingProtocol(**{**args, **changes})
+
+
+def _two_outcomes(d=2):
+    # the computational-basis measurement on one qubit, lifted to d = 2 * m
+    halves = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return Instrument(tuple(CpMap((np.kron(h, np.eye(d // 2)),)) for h in halves))
+
+
+def _mixed_copy_dims():
+    # sending copies of dimensions 2 and 3 at blocklength 2
+    sending = Instrument((CpMap((np.eye(6),), (1, 2, 3), (6,)),))
+    locc = OneWayLoccChannel(sending, (identity_channel((1, 2, 2)),))
+    return MergingProtocol(locc, trivial_resource(), maximally_entangled(6), 2)
+
+
+# a 3 -> 2 channel: the mirror maps' input dimension then differs from A's
+_WIDE_CHANNEL = CpMap((np.eye(2, 3), np.eye(2, 3, 2)))
+_HALF = CpMap((np.eye(2) / 2,))
+_BELL = bell_pair().density()
+
+# malformed input: (build, exception, the start of its message)
+REFUSALS = {
+    "State not square": (
+        lambda: State(np.ones((2, 3)), (2,), ("A",)), ValueError, "expected a square matrix, got shape (2, 3)"
+    ),
+    "state() of a vector": (lambda: state(np.ones(4)), ValueError, "expected a square matrix"),
+    "State dims not positive": (
+        lambda: State(np.eye(4) / 4, (-2, -2), ("A", "B")), ValueError, "factor dimensions must be positive"
+    ),
+    "State dims product": (
+        lambda: State(np.eye(4) / 4, (2,), ("A",)),
+        ValueError,
+        "factor dimensions (2,) do not multiply to matrix dimension 4",
+    ),
+    "State parties": (
+        lambda: State(np.eye(4) / 4, (2, 2), ("A",)), ValueError, "need exactly one party label per factor"
+    ),
+    "PureState dims product": (
+        lambda: PureState([1.0, 0.0], (3,), ("A",)),
+        ValueError,
+        "factor dimensions (3,) do not multiply to vector length 2",
+    ),
+    "PureState parties": (
+        lambda: PureState([1.0, 0.0], (2,), ("A", "B")), ValueError, "need exactly one party label per factor"
+    ),
+    "CpMap operator not a matrix": (
+        lambda: CpMap((np.ones(2),)), ValueError, "Kraus operator must be a matrix, got shape (2,)"
+    ),
+    "CpMap no operators": (lambda: CpMap(()), ValueError, "a CP map needs at least one Kraus operator"),
+    "CpMap operator shapes": (
+        lambda: CpMap((np.eye(2) / 2, np.eye(3) / 2)), ValueError, "all Kraus operators must share one shape"
+    ),
+    "CpMap in_dims": (
+        lambda: CpMap((np.eye(2),), in_dims=(3,)), ValueError, "in_dims (3,) do not match Kraus columns 2"
+    ),
+    "CpMap out_dims": (
+        lambda: CpMap((np.eye(2),), out_dims=(3,)), ValueError, "out_dims (3,) do not match Kraus rows 2"
+    ),
+    "Instrument no outcomes": (lambda: Instrument(()), ValueError, "an instrument needs at least one outcome"),
+    "Instrument outcome dims": (
+        lambda: Instrument((CpMap((np.eye(4) / 2,), (2, 2), (4,)), CpMap((np.eye(4) / 2,)))),
+        ValueError,
+        "all outcomes must share input and output factor dims",
+    ),
+    "OneWayLoccChannel channel count": (
+        lambda: OneWayLoccChannel(identity_instrument((2,)), (identity_channel((2,)),) * 2),
+        ValueError,
+        "1 instrument outcomes but 2 receiving channels",
+    ),
+    "OneWayLoccChannel not trace preserving": (
+        lambda: OneWayLoccChannel(identity_instrument((2,)), (_HALF,)),
+        ValueError,
+        "every receiving channel must be trace preserving",
+    ),
+    "OneWayLoccChannel channel dims": (
+        lambda: OneWayLoccChannel(_two_outcomes(), (identity_channel((2,)), identity_channel((3,)))),
+        ValueError,
+        "receiving channels must share input/output factor dims",
+    ),
+    "MergingProtocol blocklength": (
+        lambda: _merging(blocklength=0), ValueError, "blocklength must be >= 1"
+    ),
+    "MergingProtocol resource factors": (
+        lambda: _merging(phi_in=pure_state([1.0])),
+        ValueError,
+        "phi_in must live on two factors of equal dimension",
+    ),
+    "MergingProtocol factor count": (
+        lambda: _merging(blocklength=2),
+        ValueError,
+        "instrument/receiver must expose (resource, copies...) factor dims",
+    ),
+    "MergingProtocol input resource": (
+        lambda: _merging(phi_in=maximally_entangled(2)),
+        ValueError,
+        "input resource dimensions do not match phi_in",
+    ),
+    "MergingProtocol output resource": (
+        lambda: _merging(phi_out=maximally_entangled(3)),
+        ValueError,
+        "instrument output must be the single output resource factor",
+    ),
+    "MergingProtocol copy dims": (
+        _mixed_copy_dims, ValueError, "copy factors must all share one dimension per side"
+    ),
+    "MergingProtocol mirror count": (
+        lambda: _merging(mirrors=((),)),
+        ValueError,
+        "mirror maps must give one channel per copy for every message",
+    ),
+    "MergingProtocol mirror not a channel": (
+        lambda: _merging(mirrors=((_HALF,),)), ValueError, "mirror maps must be channels from dimension 2 to 2"
+    ),
+    "MergingProtocol receiver output": (
+        lambda: _merging(mirrors=((_WIDE_CHANNEL,),)),
+        ValueError,
+        "receiving channels must output (2, 3, 2), got (2, 2, 2)",
+    ),
+    "compose subprotocol count": (
+        lambda: compose_instrument_with_protocols(identity_instrument((2,)), [_bell_protocol()] * 2),
+        ValueError,
+        "need one subprotocol per outcome (1), got 2",
+    ),
+    "compose mirror count": (
+        lambda: compose_instrument_with_protocols(identity_instrument((2,)), [_bell_protocol()], [(), ()]),
+        ValueError,
+        "need mirror maps for every outcome (1), got 2",
+    ),
+    "compose subprotocol with mirrors": (
+        lambda: compose_instrument_with_protocols(
+            identity_instrument((2,)), [_merging(mirrors=((identity_channel((2,)),),))]
+        ),
+        ValueError,
+        "subprotocols with mirror maps cannot be composed",
+    ),
+    "compose blocklengths": (
+        lambda: compose_instrument_with_protocols(_two_outcomes(), [_bell_protocol(1), _bell_protocol(2)]),
+        ValueError,
+        "subprotocols must share blocklength and copy dimensions",
+    ),
+    "compose resources": (
+        lambda: compose_instrument_with_protocols(
+            _two_outcomes(),
+            [
+                _bell_protocol(),
+                known_pure_state_merging(pure_state([1.0, 0, 0, 0], (2, 2), ("A", "B")).density(), 1),
+            ],
+        ),
+        ValueError,
+        "subprotocols must share resource states",
+    ),
+    "compose instrument copies": (
+        lambda: compose_instrument_with_protocols(identity_instrument((2, 2)), [_bell_protocol()]),
+        ValueError,
+        "instrument must map 1 sending copies onto 2^1 dimensions",
+    ),
+    "StateSet no members": (lambda: StateSet(()), ValueError, "a state set needs at least one member"),
+    "StateSet labels": (
+        lambda: StateSet((_BELL,), ("a", "b")), ValueError, "need exactly one label per member"
+    ),
+    "StateSet member dims": (
+        lambda: StateSet((_BELL, maximally_mixed(4))),
+        ValueError,
+        "all members must share dims and party structure",
+    ),
+    "word_state index": (
+        lambda: StateSet((_BELL,)).word_state((1,)),
+        ValueError,
+        "word [1] is not a nonempty sequence of indices into 1 members",
+    ),
+    "word_state empty": (
+        lambda: StateSet((_BELL,)).word_state(()),
+        ValueError,
+        "word [] is not a nonempty sequence of indices into 1 members",
+    ),
+    "word_fidelities index": (
+        lambda: word_fidelities(_bell_protocol(), StateSet((_BELL,)), [(1,)]),
+        ValueError,
+        "word [1] is not a nonempty sequence of indices into 1 members",
+    ),
+    "family base shape": (
+        lambda: build_orthogonal_family(maximally_mixed(4), 2),
+        ValueError,
+        "base state must have exactly two factors with parties (A, B)",
+    ),
+    "family size": (lambda: build_orthogonal_family(_BELL, 0), ValueError, "family size must be >= 1"),
+    "known-state merging base shape": (
+        lambda: known_pure_state_merging(maximally_mixed(4), 1),
+        ValueError,
+        "base state must have exactly two factors with parties (A, B)",
+    ),
+    "known-state merging blocklength": (
+        lambda: known_pure_state_merging(_BELL, 0), ValueError, "blocklength must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_malformed_input_is_refused(name):
+    build, exception, message = REFUSALS[name]
+    with pytest.raises(exception, match="^" + re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("cls", [State, PureState])
+def test_factor_dims_over_the_cap_are_refused(cls):
+    entries = np.eye(4)[0] if cls is PureState else np.eye(4) / 4
+    with local_config(dim_cap=2), pytest.raises(DimensionCapError, match=f"dimension 4 .* in {cls.__name__}$"):
+        cls(entries, (2, 2), ("A", "B"))
 
 
 def test_local_config_sets_the_dimension_cap_within_its_block():
