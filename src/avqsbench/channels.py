@@ -20,25 +20,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import CHECK_TOL, Frozen, check_dim_cap
+from .config import CHECK_TOL, Frozen, check_blocklength, check_dim_cap
 from .linalg import (
     Party,
     PureState,
     State,
+    _entries,
+    _freeze,
     check_purification,
     kron,
     permute_factors,
     purify,
     resolved,
 )
-
-
-def _as_operator(k) -> np.ndarray:
-    arr = np.array(k, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"Kraus operator must be a matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 class CpMap(Frozen):
@@ -54,7 +48,7 @@ class CpMap(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        kraus = tuple(_as_operator(k) for k in self.kraus)
+        kraus = tuple(_freeze(_entries(k, "kraus")) for k in self.kraus)
         if not kraus:
             raise ValueError("a CP map needs at least one Kraus operator")
         rows, cols = kraus[0].shape
@@ -322,8 +316,7 @@ class MergingProtocol(Frozen):
         blocklength: int,
         mirrors: tuple[tuple[CpMap, ...], ...] = (),
     ):
-        if blocklength < 1:
-            raise ValueError("blocklength must be >= 1")
+        check_blocklength(blocklength, "MergingProtocol")
         for name, phi in (("phi_in", phi_in), ("phi_out", phi_out)):
             if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
                 raise ValueError(f"{name} must live on two factors of equal dimension")
@@ -387,7 +380,7 @@ class MergingProtocol(Frozen):
 def _require_flat_schmidt(phi: PureState, name: str) -> None:
     r = phi.dims[0]
     coeffs = np.linalg.svd(phi.vector.reshape(phi.dims), compute_uv=False)
-    if np.max(np.abs(coeffs - 1.0 / np.sqrt(r))) > 1e-8:
+    if np.max(np.abs(coeffs - 1.0 / np.sqrt(r))) > CHECK_TOL:
         raise ValueError(f"{name} must be maximally entangled with full Schmidt rank")
 
 
@@ -529,9 +522,8 @@ def compose_instrument_with_protocols(
             raise ValueError("subprotocols with mirror maps cannot be composed")
         if sub.blocklength != first.blocklength or sub.copy_dims != first.copy_dims:
             raise ValueError("subprotocols must share blocklength and copy dimensions")
-        if not np.allclose(sub.phi_in.vector, first.phi_in.vector) or not np.allclose(
-            sub.phi_out.vector, first.phi_out.vector
-        ):
+        pairs = ((sub.phi_in, first.phi_in), (sub.phi_out, first.phi_out))
+        if any(a.dims != b.dims or np.max(np.abs(a.vector - b.vector)) > CHECK_TOL for a, b in pairs):
             raise ValueError("subprotocols must share resource states")
     l = first.blocklength
     d_a = first.copy_dims[0]

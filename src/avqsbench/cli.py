@@ -83,6 +83,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     alone; the top-level usage lists every subcommand either way."""
     import argparse
 
+    class CommandParser(argparse.ArgumentParser):
+        # argparse hands a subcommand's leftovers to the top-level parser,
+        # whose error would print the usage of every subcommand
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
     parser = argparse.ArgumentParser(
         prog="avqsbench",
         description=__doc__,
@@ -92,7 +101,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # argparse's usage lists the subparsers built unless given a metavar, and
     # its error messages name the action by its metavar, so the full parser has none
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, parser_class=CommandParser)
     for name in _COMMANDS if command is None else (command,):
         help_text, flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)

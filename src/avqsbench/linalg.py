@@ -1,7 +1,7 @@
 """Dense complex linear algebra for multipartite quantum states.
 
 States carry an explicit tensor-factor structure (a dimension and a party
-label per factor) so that marginals, local channels and relabelings can be
+label per factor) so that marginals, local channels and permutations can be
 expressed by factor index rather than by ad-hoc reshaping at call sites.
 """
 
@@ -13,14 +13,48 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import CHECK_TOL, CLOSE_TOL, Frozen, check_dim_cap
+from .optim import retract_qr
 
 Party = str
 
 
-def _as_complex_matrix(m) -> np.ndarray:
-    mat = np.array(m, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+def _entries(x, shape: str = "square") -> np.ndarray:
+    """``x`` as a new complex array with finite entries.  ``shape`` is
+    "square" (a square matrix), "kraus" (a matrix of any shape) or "vector"
+    (any array, flattened); ``ValueError`` on any other shape, or on a NaN or
+    infinite entry."""
+    arr = np.array(x, dtype=complex)
+    if shape == "vector":
+        arr = arr.reshape(-1)
+    elif shape == "kraus" and arr.ndim != 2:
+        raise ValueError(f"Kraus operator must be a matrix, got shape {arr.shape}")
+    elif shape == "square" and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite, got NaN or infinity")
+    return arr
+
+
+def _factors(dims, parties, size: int, length: str, context: str):
+    """``(dims, parties)`` as tuples of ints and strings, refused unless the
+    dims are positive and multiply to ``size`` (the ``length`` of the array)
+    and each factor has one party; ``size`` is held to the dimension cap."""
+    dims = tuple(int(d) for d in dims)
+    parties = tuple(str(p) for p in parties)
+    if any(d <= 0 for d in dims):
+        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    if prod(dims) != size:
+        raise ValueError(f"factor dimensions {dims} do not multiply to {length} {size}")
+    if len(parties) != len(dims):
+        raise ValueError("need exactly one party label per factor")
+    check_dim_cap(size, context)
+    return dims, parties
+
+
+def _check_hermitian(mat: np.ndarray) -> np.ndarray:
+    dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
+    if dev > CHECK_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return mat
 
 
@@ -38,10 +72,10 @@ class State(Frozen):
     subnormalized (trace < 1); use :func:`state` for fully validated
     unit-trace construction.
 
-    The constructor checks the shape, the factor dims and Hermiticity.  The
-    states the package derives from validated ones (marginals, permutations,
-    products, mixtures, relabelings) hold those by construction and are
-    built by ``_derived``, which checks nothing.
+    The constructor checks the shape, finite entries, the factor dims and
+    Hermiticity.  The states the package derives from validated ones
+    (marginals, permutations, products, mixtures) hold those by construction
+    and are built by ``_derived``, which checks nothing.
     """
 
     def __init__(self, matrix: np.ndarray, dims: tuple[int, ...], parties: tuple[Party, ...]):
@@ -49,21 +83,9 @@ class State(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        mat = _as_complex_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        parties = tuple(str(p) for p in self.parties)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"factor dimensions must be positive, got {dims}")
-        if prod(dims) != mat.shape[0]:
-            raise ValueError(
-                f"factor dimensions {dims} do not multiply to matrix dimension {mat.shape[0]}"
-            )
-        if len(parties) != len(dims):
-            raise ValueError("need exactly one party label per factor")
-        check_dim_cap(mat.shape[0], "State")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if herm_dev > CHECK_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
+        mat = _entries(self.matrix)
+        dims, parties = _factors(self.dims, self.parties, mat.shape[0], "matrix dimension", "State")
+        _check_hermitian(mat)  # after the dimension cap: it forms mat - mat^dagger
         vars(self).update(matrix=_freeze(mat), dims=dims, parties=parties)
 
     @property
@@ -99,45 +121,24 @@ class State(Frozen):
             raise ValueError(f"trace is {self.trace():.12f}, expected 1")
         return self
 
-    def relabel(self, mapping: dict[Party, Party]) -> "State":
-        """Return the same matrix with party labels renamed."""
-        parties = tuple(str(mapping.get(p, p)) for p in self.parties)
-        return State._derived(matrix=self.matrix, dims=self.dims, parties=parties)
-
 
 class PureState(Frozen):
-    """Unit vector over a factored Hilbert space, same metadata as State."""
+    """Unit vector over a factored Hilbert space, same metadata as State.
+
+    The constructor checks finite entries, the factor dims as ``State`` does,
+    and the norm."""
 
     def __init__(self, vector: np.ndarray, dims: tuple[int, ...], parties: tuple[Party, ...]):
-        vec = np.array(vector, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in dims)
-        parties = tuple(str(p) for p in parties)
-        if prod(dims) != vec.size:
-            raise ValueError(
-                f"factor dimensions {dims} do not multiply to vector length {vec.size}"
-            )
-        if len(parties) != len(dims):
-            raise ValueError("need exactly one party label per factor")
-        check_dim_cap(vec.size, "PureState")
+        vec = _entries(vector, "vector")
+        dims, parties = _factors(dims, parties, vec.size, "vector length", "PureState")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > CHECK_TOL:
             raise ValueError(f"vector norm is {norm:.12f}, expected 1")
         vars(self).update(vector=_freeze(vec), dims=dims, parties=parties)
 
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
     def density(self) -> State:
         matrix = np.outer(self.vector, self.vector.conj())
         return State._derived(matrix=matrix, dims=self.dims, parties=self.parties)
-
-    def factors_of(self, *parties: Party) -> tuple[int, ...]:
-        wanted = set(parties)
-        return tuple(i for i, p in enumerate(self.parties) if p in wanted)
-
-    def relabel(self, mapping: dict[Party, Party]) -> "PureState":
-        return PureState(self.vector, self.dims, tuple(mapping.get(p, p) for p in self.parties))
 
 
 def state(matrix, dims: Sequence[int] | None = None, parties: Sequence[Party] | None = None) -> State:
@@ -145,21 +146,19 @@ def state(matrix, dims: Sequence[int] | None = None, parties: Sequence[Party] | 
 
     Defaults: a single factor of the full dimension, assigned to party "A".
     """
-    mat = _as_complex_matrix(matrix)
     if dims is None:
-        dims = (mat.shape[0],)
+        dims = np.shape(matrix)[:1]  # State refuses a matrix that is not square
     if parties is None:
         parties = ("A",) * len(tuple(dims))
-    return State(mat, tuple(dims), tuple(parties)).validate()
+    return State(matrix, tuple(dims), tuple(parties)).validate()
 
 
 def pure_state(vector, dims: Sequence[int] | None = None, parties: Sequence[Party] | None = None) -> PureState:
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
     if dims is None:
-        dims = (vec.size,)
+        dims = (np.size(vector),)
     if parties is None:
         parties = ("A",) * len(tuple(dims))
-    return PureState(vec, tuple(dims), tuple(parties))
+    return PureState(vector, tuple(dims), tuple(parties))
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +258,7 @@ def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     built.  The reconstruction V diag(w) V* agrees with the input up to the
     solver's rounding.
     """
-    mat = _to_matrix(h)
-    if not isinstance(h, State):
-        dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if dev > CHECK_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(mat)
+    w, v = np.linalg.eigh(_hermitian(h))
     # stable sort keeps the solver's order within degenerate eigenspaces
     idx = np.argsort(-w, kind="stable")
     return w[idx], v[:, idx]
@@ -282,23 +276,26 @@ def resolved(w) -> np.ndarray:
 
 
 def _to_matrix(x) -> np.ndarray:
-    if isinstance(x, State):
-        return x.matrix
-    if isinstance(x, PureState):
-        return x.density().matrix
-    return _as_complex_matrix(x)
+    """A state's matrix, or a raw matrix checked by :func:`_entries`."""
+    return x.matrix if isinstance(x, State) else _entries(x)
+
+
+def _hermitian(x) -> np.ndarray:
+    """A state's matrix, or a raw matrix checked by :func:`_entries` and
+    :func:`_check_hermitian`."""
+    return x.matrix if isinstance(x, State) else _check_hermitian(_entries(x))
 
 
 def fidelity(a, b) -> float:
     """F(a, b) = ||sqrt(a) sqrt(b)||_1^2 for positive semidefinite a, b.
 
-    Accepts states or raw matrices; inputs need not be normalized.  One
-    ``eigh`` per argument gives both the PSD check and the Hermitian square
-    root.  Eigenvalues that :func:`resolved` does not keep are set to 0 in
-    the root, so the square root of a tensor power stays the product of the
-    factors' roots.
+    Accepts states or raw Hermitian matrices; inputs need not be
+    normalized.  One ``eigh`` per argument gives both the PSD check and the
+    Hermitian square root.  Eigenvalues that :func:`resolved` does not keep
+    are set to 0 in the root, so the square root of a tensor power stays the
+    product of the factors' roots.
     """
-    am, bm = _to_matrix(a), _to_matrix(b)
+    am, bm = _hermitian(a), _hermitian(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
     roots = []
@@ -315,8 +312,7 @@ def fidelity(a, b) -> float:
 
 def trace_norm(m) -> float:
     """Sum of singular values."""
-    mat = _as_complex_matrix(_to_matrix(m))
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+    return float(np.sum(np.linalg.svd(_to_matrix(m), compute_uv=False)))
 
 
 def trace_distance(a, b) -> float:
@@ -393,9 +389,7 @@ def schmidt_decomposition(p: PureState, left_factors: Iterable[int]) -> SchmidtD
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return retract_qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
 def random_density(

@@ -25,7 +25,7 @@ from .channels import (
     compose_instrument_with_protocols,
     trivial_resource,
 )
-from .config import CLOSE_TOL, Frozen, all_words, check_dim_cap, check_entries
+from .config import CHECK_TOL, CLOSE_TOL, Frozen, all_words, check_blocklength, check_dim_cap, check_entries
 from .entropy import conditional_entropy, mutual_info_env
 from .linalg import (
     PureState,
@@ -71,6 +71,12 @@ def _block_shift(m: int, rank: int, s: int) -> np.ndarray:
     return (np.arange(m) + s * rank) % m
 
 
+def _check_base(rho1: State) -> None:
+    # a State has one party per factor, so the parties fix the factor count
+    if rho1.parties != ("A", "B"):
+        raise ValueError("base state must have exactly two factors with parties (A, B)")
+
+
 def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     """Embed the base state's sending side into n orthogonal blocks.
 
@@ -82,12 +88,11 @@ def build_orthogonal_family(rho1: State, n: int) -> OrthogonalFamily:
     near-duplicate screen of ``StateSet``.  A family whose members together
     hold more than dim_cap^2 entries is refused before anything is built.
     """
-    if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
-        raise ValueError("base state must have exactly two factors with parties (A, B)")
+    _check_base(rho1)
     if n < 1:
         raise ValueError("family size must be >= 1")
     s_cond = conditional_entropy(rho1).value
-    if s_cond >= -1e-9:
+    if s_cond >= -CHECK_TOL:
         raise ValueError(
             f"base state needs strictly negative conditional entropy, got {s_cond:.6f}"
         )
@@ -156,17 +161,15 @@ def known_pure_state_merging(rho1: State, l: int) -> MergingProtocol:
     no exact protocol of this shape (local operations cannot flatten Schmidt
     coefficients); supply a dedicated subprotocol for those.
     """
-    if l < 1:
-        raise ValueError(f"blocklength must be >= 1, got {l}")
-    if len(rho1.dims) != 2 or rho1.parties != ("A", "B"):
-        raise ValueError("base state must have exactly two factors with parties (A, B)")
+    check_blocklength(l, "known_pure_state_merging")
+    _check_base(rho1)
     w, v = eigensystem(rho1)
     if abs(w[0] - 1.0) > CLOSE_TOL:
         raise ValueError("base state must be pure; plug in a subprotocol for mixed sources")
     psi = PureState(v[:, 0], rho1.dims, rho1.parties)
     sd = schmidt_decomposition(psi, [0])
     r = sd.rank
-    if np.max(np.abs(sd.coefficients[:r] - 1.0 / np.sqrt(r))) > 1e-9:
+    if np.max(np.abs(sd.coefficients[:r] - 1.0 / np.sqrt(r))) > CHECK_TOL:
         raise ValueError(
             "exact merging of a known pure state needs a flat Schmidt spectrum "
             "(local operations cannot flatten it); supply a subprotocol instead"
@@ -312,8 +315,7 @@ def rate_gap_report(fam: OrthogonalFamily, l: int = 1) -> RateGapReport:
     identity).  The protocol rates come from the wrapped base-state
     protocol at the given blocklength; both gaps are expected to be log2 n.
     """
-    if l < 1:
-        raise ValueError(f"blocklength must be >= 1, got {l}")
+    check_blocklength(l, "rate_gap_report")
     members = fam.members
     base_cond = conditional_entropy(fam.base).value
     base_env = mutual_info_env(fam.base).value

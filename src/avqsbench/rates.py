@@ -35,7 +35,6 @@ from .entropy import (
     instrument_rates,
     post_measurement_blocks,
     source_first,
-    spectrum_entropy,
 )
 from .linalg import _EPS, PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
 from .optim import (
@@ -92,20 +91,27 @@ class StateSet(Frozen):
 
     def word_state(self, word: Sequence[int]) -> State:
         """Tensor product of members along a word of member indices."""
-        word = [int(s) for s in word]
-        if not word or any(not 0 <= s < self.n for s in word):
-            raise ValueError(f"word {word} is not a nonempty sequence of indices into {self.n} members")
+        word = _check_word(word, self.n)
         out = self.members[word[0]]
         for s in word[1:]:
             out = tensor_product(out, self.members[s])
         return out
 
 
+def _check_word(word: Sequence[int], n: int) -> list[int]:
+    """``word`` as a list of ints, refused unless it is a nonempty sequence of
+    indices into ``n`` members."""
+    word = [int(s) for s in word]
+    if not word or any(not 0 <= s < n for s in word):
+        raise ValueError(f"word {word} is not a nonempty sequence of indices into {n} members")
+    return word
+
+
 def _check_simplex(weights) -> np.ndarray:
     """``weights`` as a float array, refused unless they sum to 1 and none is
-    negative, each within ``CHECK_TOL``."""
+    negative, each within ``CHECK_TOL``; written so that NaN fails."""
     w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > CHECK_TOL or w.min() < -CHECK_TOL:
+    if not (abs(w.sum() - 1.0) <= CHECK_TOL and w.min() >= -CHECK_TOL):
         raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
     return w
 
@@ -302,11 +308,11 @@ def _hull_rate(xs: StateSet, k: int):
         of conditional entropies, concave in q: :func:`_entropy_sum` on the
         blocks, ascended by :func:`optim.maximize_concave_over_simplex` in p,
         with the chain rule grad_p = (G + G^T) p at k=2.  The value is the rate
-        at the weights found, or the smallest vertex rate, all scored in one
-        batch from the same blocks, if that is lower.  At k=1 the objective is
-        concave in p, so the infimum lies in [value - inner_duality_gap,
-        value].  At k=2 it need not be: the ascent stops at a point where the
-        Frank-Wolfe gap is small ("stationary"), ``inner_duality_gap`` is None,
+        at the weights found, or the smallest vertex rate, all scored by one
+        ``rate`` call, if that is lower.  At k=1 the objective is concave in
+        p, so the infimum lies in [value - inner_duality_gap, value].  At k=2
+        it need not be: the ascent stops at a point where the Frank-Wolfe gap
+        is small ("stationary"), ``inner_duality_gap`` is None,
         ``inner_certified`` is false and the value is only an upper estimate of
         the infimum.
         """
@@ -327,8 +333,7 @@ def _hull_rate(xs: StateSet, k: int):
 
         p, top, meta = maximize_concave_over_simplex(objective, n)
         value = -top / k
-        vertex = [sign * spectrum_entropy(np.linalg.eigvalsh(m[diagonal])) for sign, m in blocks]
-        values = -sum(vertex) / k
+        values = rate(kraus)
         best = int(np.argmin(values))
         if values[best] < value:
             value, p = float(values[best]), np.eye(n)[best]
@@ -500,11 +505,7 @@ def _word_purification(purifications: Sequence[PureState], word: Sequence[int]) 
     """Product of member purifications along a word, reordered so that the
     source factors come first in word order, then one environment factor per
     letter."""
-    word = [int(s) for s in word]
-    if not word or any(not 0 <= s < len(purifications) for s in word):
-        raise ValueError(
-            f"word {word} is not a nonempty sequence of indices into {len(purifications)} members"
-        )
+    word = _check_word(word, len(purifications))
     letters = [purifications[s] for s in word]
     dims = tuple(d for psi in letters for d in psi.dims)
     parties = tuple(q for psi in letters for q in psi.parties)

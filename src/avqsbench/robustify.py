@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import Frozen, all_words
+from .config import CHECK_TOL, Frozen, all_words
 
 Word = tuple[int, ...]
 
@@ -78,7 +78,8 @@ def _word_table(n_symbols: int, l: int):
 def evaluate_on_words(f: Callable[[Word], float], n_symbols: int, l: int) -> np.ndarray:
     words, _, _, _ = _word_table(n_symbols, l)
     values = np.array([float(f(w)) for w in words])
-    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+    # written so that NaN fails
+    if not (values.min() >= -CHECK_TOL and values.max() <= 1.0 + CHECK_TOL):
         raise ValueError("word function must take values in [0, 1]")
     return values
 

@@ -29,7 +29,7 @@ from .config import (
     check_matrix_form_blocklength,
 )
 from .entropy import spectrum_entropy
-from .linalg import State, resolved
+from .linalg import State, _entries, _hermitian, resolved
 
 
 class YoungFrame(Frozen):
@@ -194,12 +194,9 @@ def isotypic_projector(f: YoungFrame, d: int) -> np.ndarray:
 
 
 def _spectrum_of(rho) -> np.ndarray:
-    if isinstance(rho, State):
-        return np.linalg.eigvalsh(rho.matrix)
-    arr = np.asarray(rho)
-    if arr.ndim == 1:
-        return arr.astype(float)
-    return np.linalg.eigvalsh(np.asarray(arr, dtype=complex))
+    if isinstance(rho, State) or np.ndim(rho) != 1:
+        return np.linalg.eigvalsh(_hermitian(rho))
+    return _entries(rho, "vector").real
 
 
 def frame_probability(f: YoungFrame, rho) -> float:

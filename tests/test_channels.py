@@ -127,7 +127,7 @@ class TestInstrumentStatistics:
         assert len(stats) == 1
         assert stats[0].index == 0
         assert stats[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert trace_distance(stats[0].state, rho.relabel({})) < 1e-10
+        assert trace_distance(stats[0].state, rho) < 1e-10
 
     def test_projective_on_maximally_mixed(self):
         inst = projective_instrument([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

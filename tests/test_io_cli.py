@@ -886,6 +886,28 @@ class TestCliParser:
         err = capsys.readouterr().err
         assert err.endswith(f"avqsbench {command}: error: argument --seed: must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize(
+        "command, usage",
+        [
+            (
+                "rates",
+                "usage: avqsbench rates [-h] [--seed SEED] [--format {json,csv}] [--csv]\n"
+                "                       [--dim-cap DIM_CAP] --set SET_PATH [--hull]\n",
+            ),
+            (
+                "merge-fidelity",
+                "usage: avqsbench merge-fidelity [-h] [--seed SEED] [--format {json,csv}]\n"
+                "                                [--csv] [--dim-cap DIM_CAP] --protocol\n"
+                "                                PROTOCOL_PATH --state STATE_PATH\n",
+            ),
+        ],
+    )
+    def test_unknown_flags_after_a_command_get_its_usage(self, command, usage, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, *REPRESENTATIVE_ARGV[command], "--bogus"]) == 2
+        error = f"avqsbench {command}: error: unrecognized arguments: --bogus\n"
+        assert capsys.readouterr() == ("", usage + error)
+
     @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
     def test_one_command_parser_agrees_with_the_full_one(self, command, capsys):
         argv = [command, *REPRESENTATIVE_ARGV[command]]

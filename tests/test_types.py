@@ -36,6 +36,7 @@ from avqsbench.linalg import (
     pure_state,
     purify,
     state,
+    trace_norm,
 )
 from avqsbench.rate_gap import (
     OrthogonalFamily,
@@ -43,14 +44,16 @@ from avqsbench.rate_gap import (
     build_orthogonal_family,
     known_pure_state_merging,
 )
-from avqsbench.rates import DistillationResult, RateReport, StateSet, word_fidelities
-from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution
+from avqsbench.rates import DistillationResult, RateReport, StateSet, convex_mixture, word_fidelities
+from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution, check_robustification
 from avqsbench.schur_weyl import (
     EntropyBin,
     EntropyBinning,
     EntropyInstrument,
     YoungFrame,
     frame_dimension,
+    frame_probabilities,
+    young_frames,
 )
 
 
@@ -105,10 +108,36 @@ def test_young_frames_with_equal_parts_are_equal():
     assert a.log_dimension == a.log_dimension == log(frame_dimension(a))
 
 
+def _bell_protocol(l=1):
+    return known_pure_state_merging(bell_pair().density(), l)
+
+
+def _merging(**changes):
+    # the Bell protocol at blocklength 1 with some of its arguments replaced
+    sub = _bell_protocol()
+    args = {"locc": sub.locc, "phi_in": sub.phi_in, "phi_out": sub.phi_out, "blocklength": 1}
+    return MergingProtocol(**{**args, **changes})
+
+
 def _split_isometry(delta):
     # two outcomes split one isometry, scaled so that they sum to (1 + delta) I
     v = np.sqrt(1.0 + delta) * np.linalg.qr(np.random.default_rng(5).standard_normal((8, 2)))[0]
     return Instrument((CpMap((v[:2],)), CpMap((v[2:4], v[4:6], v[6:]))))
+
+
+def _skewed_bell(delta):
+    # a two-qubit pure state whose larger Schmidt coefficient is 1/sqrt(2) + delta
+    big = np.sqrt(0.5) + delta
+    return pure_state([big, 0.0, 0.0, np.sqrt(1.0 - big**2)], (2, 2), ("A", "B"))
+
+
+def _flagged_bell(weight):
+    # a Bell pair on B's first two levels with this weight, else |0>|2>: B's
+    # level 2 flags the branch, so S(A|B) = -weight
+    mat = np.zeros((6, 6))
+    mat[np.ix_([0, 4], [0, 4])] = weight / 2
+    mat[2, 2] = 1.0 - weight
+    return State(mat, (2, 3), ("A", "B"))
 
 
 # each input misses an exact identity by delta: (tolerance, check, refusal message)
@@ -118,6 +147,14 @@ INPUT_CHECKS = {
     ),
     "eigensystem Hermiticity": (
         CHECK_TOL, lambda d: eigensystem(np.array([[0.5, d], [0.0, 0.5]])), "Hermitian"
+    ),
+    "fidelity Hermiticity": (
+        CHECK_TOL, lambda d: fidelity(np.array([[0.5, d], [0.0, 0.5]]), np.eye(2) / 2), "Hermitian"
+    ),
+    "frame_probabilities Hermiticity": (
+        CHECK_TOL,
+        lambda d: frame_probabilities(young_frames(2, 2), np.array([[0.5, d], [0.0, 0.5]])),
+        "Hermitian",
     ),
     "state() positivity": (CHECK_TOL, lambda d: state(np.diag([1.0 + d, -d])), "positive"),
     "state() trace": (CHECK_TOL, lambda d: state(np.diag([0.5 + d, 0.5])), "trace"),
@@ -139,6 +176,21 @@ INPUT_CHECKS = {
         ),
         "does not purify",
     ),
+    # S(A|B) = -CHECK_TOL^2 / d is within CHECK_TOL of 0 once d exceeds CHECK_TOL
+    "family base S(A|B)": (
+        CHECK_TOL,
+        lambda d: build_orthogonal_family(_flagged_bell(CHECK_TOL**2 / d), 2),
+        "strictly negative conditional entropy",
+    ),
+    "family base Schmidt flatness": (
+        CHECK_TOL, lambda d: known_pure_state_merging(_skewed_bell(d).density(), 1), "flat Schmidt spectrum"
+    ),
+    "resource Schmidt flatness": (
+        CHECK_TOL, lambda d: _merging(phi_out=_skewed_bell(d)), "phi_out must be maximally entangled"
+    ),
+    "word function range": (
+        CHECK_TOL, lambda d: check_robustification(lambda word: 1.0 + d, 2, 1), r"values in \[0, 1\]"
+    ),
 }
 
 
@@ -153,21 +205,33 @@ def test_input_checks_hold_at_their_tolerance(name, excess, accepted):
             check(excess * tol)
 
 
-def _bell_protocol(l=1):
-    return known_pure_state_merging(bell_pair().density(), l)
+@pytest.mark.parametrize("d", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(INPUT_CHECKS))
+def test_input_checks_refuse_non_finite_input(name, d):
+    _, check, message = INPUT_CHECKS[name]
+    # arithmetic on an infinite d may make NaN, which must be refused too
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=f"{message}|finite"):
+        check(d)
 
 
-def _merging(**changes):
-    # the Bell protocol at blocklength 1 with some of its arguments replaced
-    sub = _bell_protocol()
-    args = {"locc": sub.locc, "phi_in": sub.phi_in, "phi_out": sub.phi_out, "blocklength": 1}
-    return MergingProtocol(**{**args, **changes})
+# input that no entry of INPUT_CHECKS reaches, with a non-finite entry x
+NON_FINITE = {
+    "trace_norm": lambda x: trace_norm(np.diag([x, 1.0])),
+    "spectrum": lambda x: frame_probabilities(young_frames(3, 2), [x, 0.5]),
+    "convex_mixture weights": lambda x: convex_mixture(StateSet((_BELL, _MIXED)), (x, 1.0)),
+}
 
 
-def _two_outcomes(d=2):
-    # the computational-basis measurement on one qubit, lifted to d = 2 * m
-    halves = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    return Instrument(tuple(CpMap((np.kron(h, np.eye(d // 2)),)) for h in halves))
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(NON_FINITE))
+def test_non_finite_entries_are_refused(name, x):
+    with pytest.raises(ValueError, match="finite|simplex"):
+        NON_FINITE[name](x)
+
+
+def _two_outcomes():
+    # the computational-basis measurement on one qubit
+    return Instrument((CpMap((np.diag([1.0, 0.0]),)), CpMap((np.diag([0.0, 1.0]),))))
 
 
 def _mixed_copy_dims():
@@ -181,6 +245,7 @@ def _mixed_copy_dims():
 _WIDE_CHANNEL = CpMap((np.eye(2, 3), np.eye(2, 3, 2)))
 _HALF = CpMap((np.eye(2) / 2,))
 _BELL = bell_pair().density()
+_MIXED = State(np.eye(4) / 4, (2, 2), ("A", "B"))
 
 # malformed input: (build, exception, the start of its message)
 REFUSALS = {
@@ -188,6 +253,11 @@ REFUSALS = {
         lambda: State(np.ones((2, 3)), (2,), ("A",)), ValueError, "expected a square matrix, got shape (2, 3)"
     ),
     "state() of a vector": (lambda: state(np.ones(4)), ValueError, "expected a square matrix"),
+    "PureState dims not positive": (
+        lambda: PureState(np.eye(4)[0], (-2, -2), ("A", "B")),
+        ValueError,
+        "factor dimensions must be positive, got (-2, -2)",
+    ),
     "State dims not positive": (
         lambda: State(np.eye(4) / 4, (-2, -2), ("A", "B")), ValueError, "factor dimensions must be positive"
     ),
@@ -266,6 +336,11 @@ REFUSALS = {
     ),
     "MergingProtocol copy dims": (
         _mixed_copy_dims, ValueError, "copy factors must all share one dimension per side"
+    ),
+    "MergingProtocol resource flatness": (
+        lambda: _merging(phi_out=_skewed_bell(3 * CHECK_TOL)),
+        ValueError,
+        "phi_out must be maximally entangled with full Schmidt rank",
     ),
     "MergingProtocol mirror count": (
         lambda: _merging(mirrors=((),)),
