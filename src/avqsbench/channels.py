@@ -73,12 +73,6 @@ class CpMap(Frozen):
         vars(self).update(kraus=kraus, in_dims=in_dims, out_dims=out_dims)
 
     @property
-    def gram(self) -> np.ndarray:
-        """Sum of K^dagger K over the Kraus operators, as S^dagger S for the stacked S."""
-        stacked = np.concatenate(self.kraus)
-        return stacked.conj().T @ stacked
-
-    @property
     def dim_in(self) -> int:
         return self.kraus[0].shape[1]
 
@@ -88,8 +82,12 @@ class CpMap(Frozen):
 
     @property
     def is_trace_preserving(self) -> bool:
-        dev = np.max(np.abs(self.gram - np.eye(self.dim_in)))
-        return float(dev) <= CHECK_TOL
+        return _completeness(np.concatenate(self.kraus)) <= CHECK_TOL
+
+
+def _completeness(stacked: np.ndarray) -> float:
+    """max |S^dagger S - I| for the Kraus operators stacked into S."""
+    return float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))))
 
 
 def identity_channel(dims: Sequence[int]) -> CpMap:
@@ -116,8 +114,7 @@ class Instrument(Frozen):
             if m.in_dims != first.in_dims or m.out_dims != first.out_dims:
                 raise ValueError("all outcomes must share input and output factor dims")
         vars(self).update(outcomes=outcomes)
-        rows = self.kraus_stack().reshape(-1, first.dim_in)
-        dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(first.dim_in))))
+        dev = _completeness(self.kraus_stack().reshape(-1, first.dim_in))
         if dev > CHECK_TOL:
             raise ValueError(f"outcome maps do not sum to a channel (deviation {dev:.3e})")
 

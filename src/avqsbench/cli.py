@@ -226,7 +226,7 @@ _DISTILL_FLAGS = (
     ("--set", {"required": True, "dest": "set_path"}),
     ("--k", {"type": int, "default": 1, "choices": (1, 2)}),
     ("--outcomes", {"type": int, "default": 2, "help": "instrument outcomes to search over"}),
-    ("--restarts", {"type": int, "default": 8}),
+    ("--restarts", {"type": int, "default": 8, "help": "seeded ascents; none runs if a zero witness is found"}),
     ("--maxiter", {"type": int, "default": 500, "help": "ascent iterations per restart"}),
 )
 

@@ -349,6 +349,17 @@ def _hull_rate(xs: StateSet, k: int):
     return rate, inner_infimum
 
 
+def _b_extendible(s: State) -> bool:
+    """Whether the (A, B) marginal rho of a qubit pair passes tr rho_B^2 >=
+    tr rho^2 - 4 sqrt(det rho) by more than ``CHECK_TOL``: then it has a
+    symmetric extension on B (Chen, Ji, Kribs, Lutkenhaus & Zeng, PRA 90,
+    032318, 2014), so it and its tensor powers have no one-way A->B
+    distillable entanglement (Myhr, Renes, Doherty & Lutkenhaus, PRA 79,
+    042329, 2009)."""
+    w, rho_b = np.linalg.eigvalsh(s.marginal("A", "B").matrix), s.marginal("B").matrix
+    return float(np.vdot(rho_b, rho_b).real - w @ w + 4 * np.sqrt(max(w.prod(), 0.0))) > CHECK_TOL
+
+
 class DistillationResult(NamedTuple):
     report: RateReport
     instrument: Instrument
@@ -374,6 +385,11 @@ def distillation_rate_lower_bound(
     the gradient of the smallest vertex rate.  Each point scores all
     vertices in one :func:`entropy.instrument_rates` call.
 
+    The identity is scored first.  On qubit pairs, if a vertex or its infimum
+    weights (the hull point of least coherent information) pass
+    :func:`_b_extendible`, the capacity is 0 at every k: ``metadata.zero_witness``
+    gives those weights (else None), and no restart runs or reads ``seed``.
+
     The candidates are the single-outcome identity, the single-outcome
     trace-and-replace channel (Kraus operators |0><i| for every i, rate 0 on
     the whole hull) and each restart's isometry, in that order.  Each is
@@ -395,15 +411,14 @@ def distillation_rate_lower_bound(
         raise ValueError(
             f"n_outcomes, restarts and maxiter must be >= 1, got {n_outcomes}, {restarts} and {maxiter}"
         )
-    d_x = prod(xs.members[0].marginal("A").dims)
-    check_dim_cap((d_x * prod(xs.members[0].marginal("B").dims)) ** k, "distillation objective")
+    d_x, d_b = (prod(xs.members[0].marginal(q).dims) for q in "AB")
+    check_dim_cap((d_x * d_b) ** k, "distillation objective")
 
     dim = d_x**k
     shape = (dim * n_outcomes, dim)
     # the searched isometry has one row block per outcome
     check_dim_cap(shape[0], "the distillation instrument search")
     rate, inner_infimum = _hull_rate(xs, k)
-    rng = np.random.default_rng(seed)
 
     def guide(v):
         values, grads = rate(v.reshape(n_outcomes, 1, dim, dim), gradient=True)
@@ -415,12 +430,17 @@ def distillation_rate_lower_bound(
     identity = np.eye(dim, dtype=complex).reshape(1, 1, dim, dim)
     replace = kron(np.eye(dim), np.eye(dim, 1, dtype=complex)).reshape(1, dim, dim, dim)
     candidates, runs = {"identity": identity, "trace-and-replace": replace}, []
-    for i in range(restarts):
-        start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        v, _, meta = maximize_over_isometries(guide, start, maxiter)
-        runs.append(meta)
-        candidates[f"restart-{i}"] = v.reshape(n_outcomes, 1, dim, dim)
-    scores = {name: inner_infimum(kraus) for name, kraus in candidates.items()}
+    scores = {"identity": inner_infimum(identity)}
+    points = [*np.eye(xs.n), scores["identity"][1]] if d_x == d_b == 2 else []
+    witness = next((p for p in points if _b_extendible(convex_mixture(xs, p))), None)
+    if witness is None:
+        rng = np.random.default_rng(seed)
+        for i in range(restarts):
+            start = retract_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            v, _, meta = maximize_over_isometries(guide, start, maxiter)
+            runs.append(meta)
+            candidates[f"restart-{i}"] = v.reshape(n_outcomes, 1, dim, dim)
+    scores |= {name: inner_infimum(kraus) for name, kraus in candidates.items() if name not in scores}
     winner = max(scores, key=lambda name: scores[name][0])
     value, weights, inner_meta = scores[winner]
     instrument = Instrument(tuple(CpMap(tuple(ops)) for ops in candidates[winner]))
@@ -438,6 +458,7 @@ def distillation_rate_lower_bound(
             "outer_evaluations": sum(m["evaluations"] for m in runs),
             "outer_stop_reasons": [m["stop_reason"] for m in runs],
             "trivial_baseline": float(scores["identity"][0]),
+            "zero_witness": None if witness is None else [float(x) for x in witness],
             **inner_meta,
         },
     )

@@ -355,3 +355,17 @@ def distill_bench_set(seed: int) -> StateSet:
     werner = 0.9 * np.outer(phi, phi) + 0.1 * np.eye(4) / 4
     members = (random / np.trace(random).real, werner)
     return StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in members), ("random", "werner"))
+
+
+def werner_matrix(weight: float) -> np.ndarray:
+    """weight |Phi+><Phi+| + (1 - weight) I/4 on two qubits."""
+    phi = np.zeros(4)
+    phi[[0, 3]] = 1 / np.sqrt(2)
+    return weight * np.outer(phi, phi) + (1 - weight) * np.eye(4) / 4
+
+
+def bell_werner_set() -> StateSet:
+    """Bell pair and Werner(0.9): every hull point is a Werner state of weight
+    at least 0.9, so no zero witness exists and the search runs."""
+    members = (werner_matrix(1.0), werner_matrix(0.9))
+    return StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in members), ("bell", "werner"))

@@ -46,7 +46,7 @@ from avqsbench.rate_gap import (
     known_pure_state_merging,
 )
 
-from helpers import distill_bench_set
+from helpers import bell_werner_set, distill_bench_set
 
 rng = np.random.default_rng(61)
 
@@ -64,6 +64,13 @@ def two_state_file(tmp_path):
     other = state(np.diag([0.5, 0.0, 0.5, 0.0]), (2, 2), ("A", "B"))
     path = tmp_path / "two.json"
     save_json(str(path), state_set_to_dict(StateSet((bell, other), ("bell", "prod"))))
+    return str(path)
+
+
+@pytest.fixture
+def bell_werner_file(tmp_path):
+    path = tmp_path / "bell_werner.json"
+    save_json(str(path), state_set_to_dict(bell_werner_set()))
     return str(path)
 
 
@@ -1060,6 +1067,8 @@ def test_unseeded_commands_leave_numpy_random_unloaded(two_state_file, bell_stat
          "--state", bell_state_file],
         ["robustify-check", "--set", two_state_file, "--blocklength", "3"],
         ["example-gap", "--N", "3", "--blocklength", "2"],
+        # (I/2) x |0><0| is B-extendible, so the seeded search is skipped
+        ["distill-capacity", "--set", two_state_file],
     ]
     probe = (
         "import sys, json, contextlib, io; from avqsbench.cli import main\n"
@@ -1071,7 +1080,7 @@ def test_unseeded_commands_leave_numpy_random_unloaded(two_state_file, bell_stat
         [sys.executable, "-c", probe, json.dumps(argvs)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0] False"
+    assert out.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 def test_import_generates_no_class_code():
@@ -1107,11 +1116,12 @@ sys.exit(code)
 """
 
 
-def test_distill_capacity_runs_with_scipy_blocked(two_state_file):
+def test_distill_capacity_runs_with_scipy_blocked(bell_werner_file):
+    # a set with no zero witness, so the restarts run
     src = os.path.dirname(os.path.dirname(os.path.abspath(avqsbench.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_BLOCKED_DISTILL, two_state_file],
+        [sys.executable, "-c", SCIPY_BLOCKED_DISTILL, bell_werner_file],
         env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr

@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from avqsbench.linalg import (
 )
 from avqsbench.rates import (
     StateSet,
+    _b_extendible,
     _entropy_sum,
     _hull_rate,
     compound_classical_cost,
@@ -56,13 +58,16 @@ from avqsbench.rates import (
 from avqsbench.rate_gap import build_orthogonal_family, known_pure_state_merging
 
 from helpers import (
+    bell_werner_set,
     distill_bench_set,
     haar_isometry,
     random_instrument_kraus,
     random_kraus_channel,
+    random_pure,
     scalar_instrument_rate,
     stack_instrument,
     tensor_power,
+    werner_matrix,
 )
 
 rng = np.random.default_rng(41)
@@ -403,7 +408,7 @@ class TestDistillation:
     def test_returned_instrument_is_valid(self):
         xs = StateSet((bell_pair().density(),))
         result = distillation_rate_lower_bound(xs, k=1, restarts=1, maxiter=15, seed=3)
-        gram = sum(m.gram for m in result.instrument.outcomes)
+        gram = sum(k.conj().T @ k for m in result.instrument.outcomes for k in m.kraus)
         assert np.max(np.abs(gram - np.eye(result.instrument.dim_in))) < 1e-9
 
     def test_two_letter_matches_single_letter_on_product_structure(self):
@@ -449,6 +454,7 @@ class TestDistillation:
         assert meta["outer_evaluations"] >= meta["outer_iterations"] + 2
         assert meta["inner_stop_reason"] == "gap" and meta["inner_certified"]
         assert meta["inner_duality_gap"] <= 1e-9
+        assert meta["zero_witness"] is None  # A is not one qubit: no test, the search runs
 
     def test_never_below_the_free_zero(self):
         # the ascent's best vertex rates lose to trace-and-replace on this
@@ -567,9 +573,7 @@ class TestDistillation:
                 _original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        xs = StateSet(
-            tuple(random_density([2, 2], rng, parties=("A", "B")) for _ in range(2))
-        )
+        xs = bell_werner_set()  # no zero witness, so the search runs
         seen, iterations = [], []
         for maxiter in (3, 200):
             counts.clear()
@@ -579,6 +583,110 @@ class TestDistillation:
             iterations.append(result.report.metadata["outer_iterations"])
         assert iterations[1] > iterations[0]
         assert seen[0] == seen[1]
+
+
+def _reduce(rho: np.ndarray, keep: str) -> np.ndarray:
+    """Reduced state of a three-qubit rho_ABB' on the parties named in
+    ``keep``, a subsequence of "ABC" (C is B')."""
+    cols = "".join(q.lower() if q in keep else q for q in "ABC")
+    return np.einsum(f"ABC{cols}->{keep}{keep.lower()}", rho.reshape((2,) * 6)).reshape(
+        2 ** len(keep), -1
+    )
+
+
+def _extension_margin(rho: np.ndarray) -> float:
+    """tr rho_B^2 - tr rho^2 + 4 sqrt(det rho) of a two-qubit (A, B) matrix,
+    from the determinant rather than the spectrum."""
+    rho_b = np.einsum("abac->bc", rho.reshape(2, 2, 2, 2))
+    det = max(np.linalg.det(rho).real, 0.0)
+    return float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real + 4 * np.sqrt(det))
+
+
+class TestZeroWitness:
+    """The two-qubit symmetric-extension test on B and the gate it opens:
+    with a passing hull point the capacity is 0 and no restart runs."""
+
+    def test_symmetric_extension_passes_on_b_and_not_always_on_a(self):
+        # a seeded vector on A x Sym^2(B), so rho_ABB' is symmetric in B and
+        # B', with a little white noise to move it off the boundary
+        swap = np.kron(np.eye(2), np.eye(4)[[0, 2, 1, 3]])
+        fails_on_a = 0
+        for seed in range(20):
+            g = np.random.default_rng([seed, 9]).standard_normal((8, 2)) @ [1, 1j]
+            g = (g + swap @ g) / np.linalg.norm(g + swap @ g)
+            rho = 0.99 * np.outer(g, g.conj()) + 0.01 * np.eye(8) / 8
+            rho_ab = _reduce(rho, "AB")
+            assert np.allclose(rho_ab, _reduce(rho, "AC"))
+            assert _b_extendible(state(rho_ab, (2, 2), ("A", "B")))
+            # the parties swapped: the same formula with rho_A in place of rho_B
+            fails_on_a += not _b_extendible(state(rho_ab, (2, 2), ("B", "A")))
+        assert fails_on_a >= 1
+
+    @pytest.mark.parametrize(
+        "weight, extendible", [(2 / 3 - 0.01, True), (2 / 3, False), (2 / 3 + 0.01, False)]
+    )
+    def test_werner_threshold(self, weight, extendible):
+        # the bound is met with equality at 2/3; the margin refuses the boundary
+        assert _b_extendible(state(werner_matrix(weight), (2, 2), ("A", "B"))) == extendible
+        closed_form = (1 - 3 * weight**2 + np.sqrt((1 + 3 * weight) * (1 - weight) ** 3)) / 4
+        assert _extension_margin(werner_matrix(weight)) == pytest.approx(closed_form, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pure_entangled_states_never_pass(self, seed):
+        psi = random_pure((2, 2), np.random.default_rng(seed), ("A", "B")).density()
+        assert not _b_extendible(psi)
+        report = distillation_rate_lower_bound(StateSet((psi,)), restarts=1, maxiter=5).report
+        assert report.metadata["zero_witness"] is None
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_witness_on_werner_hulls_above_two_thirds(self, k):
+        members = tuple(state(werner_matrix(w), (2, 2), ("A", "B")) for w in (0.67, 0.9))
+        report = distillation_rate_lower_bound(StateSet(members), k, restarts=1, maxiter=5).report
+        assert report.metadata["zero_witness"] is None
+        assert report.metadata["restarts"] == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_extendible_hull_skips_the_search(self, seed):
+        xs = distill_bench_set(seed)
+        report = distillation_rate_lower_bound(xs, k=1, n_outcomes=2, seed=seed).report
+        meta = report.metadata
+        assert _extension_margin(convex_mixture(xs, meta["zero_witness"]).matrix) > 1e-9
+        assert meta["restarts"] == meta["outer_iterations"] == meta["outer_evaluations"] == 0
+        assert meta["outer_stop_reasons"] == []
+        assert meta["trivial_baseline"] <= report.value <= 1e-12
+        assert meta["candidate"] == "trace-and-replace"
+
+    def test_witness_at_the_least_coherent_point(self):
+        # Werner(0.9) and its image under Z on B, 0.9 Phi- + 0.1 I/4: neither
+        # vertex passes (0.9 > 2/3), but their midpoint, the hull point of
+        # least coherent information by symmetry, is Bell diagonal with
+        # weights (0.475, 0.475, 0.025, 0.025) and passes
+        flip = np.diag([1.0, -1.0, 1.0, -1.0])
+        mats = (werner_matrix(0.9), flip @ werner_matrix(0.9) @ flip)
+        xs = StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in mats))
+        assert not any(_b_extendible(m) for m in xs.members)
+        report = distillation_rate_lower_bound(xs, restarts=1, maxiter=5).report
+        assert report.metadata["restarts"] == 0
+        assert report.metadata["zero_witness"] == pytest.approx([0.5, 0.5], abs=1e-3)
+        assert report.value <= 1e-12
+
+    def test_two_letter_search_is_skipped(self):
+        # the search at the default 8 restarts makes about 1600 k=2 outer
+        # iterations on this set; without it the call takes milliseconds
+        start = time.perf_counter()
+        report = distillation_rate_lower_bound(distill_bench_set(7000), k=2, n_outcomes=2).report
+        assert time.perf_counter() - start < 0.5
+        assert report.metadata["restarts"] == 0
+        assert report.metadata["zero_witness"] is not None and report.value <= 1e-12
+
+    def test_rounding_level_restart_win_is_gone(self):
+        # this set once reported restart-1 at 5.6e-16 over trace-and-replace
+        report = distillation_rate_lower_bound(
+            distill_bench_set(203), k=1, n_outcomes=2, restarts=2, seed=203
+        ).report
+        assert report.metadata["candidate"] == "trace-and-replace"
+        assert report.metadata["zero_witness"] is not None
+        assert report.value <= 0
 
 
 class TestWorstCase:
