@@ -24,7 +24,6 @@ from .linalg import (
     trace_norm,
 )
 from .entropy import (
-    RateValue,
     coherent_information,
     conditional_entropy,
     instrument_coherent_info,

@@ -173,16 +173,14 @@ def _overrides(args) -> dict:
 
 
 def _flatten(doc, prefix=""):
-    rows = []
-    if isinstance(doc, dict):
-        for key in sorted(doc):
-            rows.extend(_flatten(doc[key], f"{prefix}{key}." if prefix else f"{key}."))
-    elif isinstance(doc, list):
-        for i, item in enumerate(doc):
-            rows.extend(_flatten(item, f"{prefix}{i}."))
-    else:
-        rows.append((prefix[:-1], doc))
-    return rows
+    """(key, value) rows of a JSON document, keys joined by '.'; null, true,
+    false and an empty list or object are written as their JSON text."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = sorted(doc.items()) if isinstance(doc, dict) else enumerate(doc)
+        return [row for key, item in items for row in _flatten(item, f"{prefix}{key}.")]
+    if doc is None or isinstance(doc, (bool, dict, list)):
+        doc = json.dumps(doc)
+    return [(prefix[:-1], doc)]
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -193,7 +191,7 @@ def _emit(payload: dict, fmt: str) -> None:
     import csv  # imported here so that a JSON report never loads it
 
     header, rows = payload["csv_rows"] if "csv_rows" in payload else (("key", "value"), _flatten(doc))
-    # fields holding ',', '"' or a newline are quoted; str keeps None as "None"
+    # fields holding ',', '"' or a newline are quoted
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([str(x) for x in row] for row in rows)

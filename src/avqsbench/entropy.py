@@ -1,31 +1,53 @@
 """Entropic quantities in bits: von Neumann entropy, conditional entropy,
 environment mutual information, coherent information, and the
 instrument-weighted coherent-information rate used by the distillation
-optimizer."""
+optimizer.  Each is returned as a :class:`RateReport` named by its
+quantity, the one report type of every rate in the package."""
 
 from __future__ import annotations
 
-from math import isfinite, prod
+from math import prod
 
 import numpy as np
 
-from .config import Frozen
+from .config import CHECK_TOL, Frozen
 from .linalg import State, permute_factors, resolved
 
-ENTROPY = "entropy"
-CONDITIONAL_ENTROPY = "conditional-entropy"
-MUTUAL_INFO_ENV = "mutual-info-env"
-COHERENT_INFO = "coherent-info"
-INSTRUMENT_RATE = "instrument-rate"
+
+def _check_simplex(weights) -> np.ndarray:
+    """``weights`` as a float array, refused unless they sum to 1 and none is
+    negative, each within ``CHECK_TOL``; written so that NaN fails."""
+    w = np.asarray(weights, dtype=float)
+    if not (abs(w.sum() - 1.0) <= CHECK_TOL and w.min() >= -CHECK_TOL):
+        raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
+    return w
 
 
-class RateValue(Frozen):
-    """A rate in bits together with the kind of quantity it measures."""
+class RateReport(Frozen):
+    """A computed rate in bits, named by its quantity, plus how it was attained."""
 
-    def __init__(self, value: float, kind: str):
-        if not isfinite(value):
-            raise ValueError(f"rate value must be finite, got {value}")
-        vars(self).update(value=value, kind=kind)
+    def __init__(
+        self,
+        quantity: str,
+        value: float,
+        attained_by: str | None = None,
+        weights: tuple[float, ...] | None = None,
+        metadata: dict | None = None,
+    ):
+        if weights is not None:
+            weights = tuple(float(x) for x in _check_simplex(weights))
+        vars(self).update(quantity=quantity, value=value, attained_by=attained_by, weights=weights)
+        vars(self).update(metadata={} if metadata is None else metadata)
+
+    def to_dict(self) -> dict:
+        out = {"quantity": self.quantity, "value": self.value}
+        if self.attained_by is not None:
+            out["attained_by"] = self.attained_by
+        if self.weights is not None:
+            out["weights"] = list(self.weights)
+        if self.metadata:
+            out["metadata"] = self.metadata
+        return out
 
 
 def spectrum_entropy(weights):
@@ -41,9 +63,9 @@ def spectrum_entropy(weights):
     return -np.sum(w * np.log2(w), axis=-1)
 
 
-def von_neumann_entropy(s: State) -> RateValue:
+def von_neumann_entropy(s: State) -> RateReport:
     """S(rho) = -sum_i w_i log2 w_i over the resolved spectrum."""
-    return RateValue(float(spectrum_entropy(np.linalg.eigvalsh(s.matrix))), ENTROPY)
+    return RateReport("entropy", float(spectrum_entropy(np.linalg.eigvalsh(s.matrix))))
 
 
 # Each quantity on the fixed A/B split as a signed sum of marginal
@@ -63,28 +85,28 @@ def entropy_sum(s: State, terms) -> float:
     return value
 
 
-def conditional_entropy(s: State) -> RateValue:
+def conditional_entropy(s: State) -> RateReport:
     """S(A|B) = S(rho_AB) - S(rho_B).
 
     Lies in [-log2 d_A, log2 d_A]; negative values witness entanglement
     across the cut.
     """
-    return RateValue(entropy_sum(s, CONDITIONAL_ENTROPY_TERMS), CONDITIONAL_ENTROPY)
+    return RateReport("conditional-entropy", entropy_sum(s, CONDITIONAL_ENTROPY_TERMS))
 
 
-def mutual_info_env(s: State) -> RateValue:
+def mutual_info_env(s: State) -> RateReport:
     """Mutual information between A and the purifying environment:
     S(rho_A) + S(rho_AB) - S(rho_B).
 
     Computed from the bipartite marginals; for a purification psi of rho_AB
     on a third system E this equals I(A;E).  Always nonnegative.
     """
-    return RateValue(entropy_sum(s, MUTUAL_INFO_ENV_TERMS), MUTUAL_INFO_ENV)
+    return RateReport("mutual-info-env", entropy_sum(s, MUTUAL_INFO_ENV_TERMS))
 
 
-def coherent_information(s: State) -> RateValue:
+def coherent_information(s: State) -> RateReport:
     """I_c(A > B) = S(rho_B) - S(rho_AB)."""
-    return RateValue(entropy_sum(s, COHERENT_INFO_TERMS), COHERENT_INFO)
+    return RateReport("coherent-info", entropy_sum(s, COHERENT_INFO_TERMS))
 
 
 def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
@@ -148,7 +170,7 @@ def post_measurement_blocks(rhos, kraus, d_target: int):
     return scaled, np.einsum("sjkaicy,jkdc->sjaidy", scaled, kraus.conj())
 
 
-def instrument_coherent_info(s: State, instrument) -> RateValue:
+def instrument_coherent_info(s: State, instrument) -> RateReport:
     """Outcome-probability-weighted coherent information after measuring the
     A side with an instrument.
 
@@ -167,7 +189,7 @@ def instrument_coherent_info(s: State, instrument) -> RateValue:
         )
     rho, d_target = source_first(s)
     value = instrument_rates(rho[None], instrument.kraus_stack(), d_target)[0]
-    return RateValue(float(value), INSTRUMENT_RATE)
+    return RateReport("instrument-rate", float(value))
 
 
 def source_first(s: State) -> tuple[np.ndarray, int]:

@@ -6,6 +6,7 @@ k=1 distillation inner infimum carry a Frank-Wolfe duality gap."""
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from math import prod
 from typing import NamedTuple, Sequence
@@ -31,12 +32,14 @@ from .config import (
 from .entropy import (
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
+    RateReport,
+    _check_simplex,
     entropy_sum,
     instrument_rates,
     post_measurement_blocks,
     source_first,
 )
-from .linalg import _EPS, PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
+from .linalg import PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -59,17 +62,10 @@ class StateSet(Frozen):
         for m in members[1:]:
             if m.dims != first.dims or m.parties != first.parties:
                 raise ValueError("all members must share dims and party structure")
-        # trace norm >= Frobenius norm, screened for all pairs by one Gram
-        # product: ||a - b||_F^2 = ||a||^2 + ||b||^2 - 2 Re tr(a^dagger b).  Pairs
-        # within its rounding bound, length * eps * (||a||^2 + ||b||^2), of
-        # CLOSE_TOL^2 or below get the exact test
-        flat = np.stack([m.matrix.reshape(-1) for m in members]).view(float)
-        gram = flat @ flat.T
-        norms = np.diag(gram)
-        both = norms[:, None] + norms
-        near = both - 2 * gram <= CLOSE_TOL**2 + flat.shape[1] * _EPS * both
-        for i, j in zip(*np.nonzero(np.triu(near, 1))):
-            diff = members[i].matrix - members[j].matrix
+        # trace norm >= Frobenius norm, so the cheap test goes first; CLI sets
+        # hold a few members, and derived sets (the orthogonal family) skip this
+        for (i, a), (j, b) in itertools.combinations(enumerate(members), 2):
+            diff = a.matrix - b.matrix
             if np.linalg.norm(diff) <= CLOSE_TOL and trace_norm(diff) <= CLOSE_TOL:
                 warnings.warn(
                     f"members {labels[i]!r} and {labels[j]!r} coincide up to tolerance",
@@ -105,42 +101,6 @@ def _check_word(word: Sequence[int], n: int) -> list[int]:
     if not word or any(not 0 <= s < n for s in word):
         raise ValueError(f"word {word} is not a nonempty sequence of indices into {n} members")
     return word
-
-
-def _check_simplex(weights) -> np.ndarray:
-    """``weights`` as a float array, refused unless they sum to 1 and none is
-    negative, each within ``CHECK_TOL``; written so that NaN fails."""
-    w = np.asarray(weights, dtype=float)
-    if not (abs(w.sum() - 1.0) <= CHECK_TOL and w.min() >= -CHECK_TOL):
-        raise ValueError(f"weights are not on the simplex (sum {w.sum():.12f}, min {w.min():.3e})")
-    return w
-
-
-class RateReport(Frozen):
-    """A computed rate in bits plus how it was attained."""
-
-    def __init__(
-        self,
-        quantity: str,
-        value: float,
-        attained_by: str | None = None,
-        weights: tuple[float, ...] | None = None,
-        metadata: dict | None = None,
-    ):
-        if weights is not None:
-            weights = tuple(float(x) for x in _check_simplex(weights))
-        vars(self).update(quantity=quantity, value=value, attained_by=attained_by, weights=weights)
-        vars(self).update(metadata={} if metadata is None else metadata)
-
-    def to_dict(self) -> dict:
-        out = {"quantity": self.quantity, "value": self.value}
-        if self.attained_by is not None:
-            out["attained_by"] = self.attained_by
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        if self.metadata:
-            out["metadata"] = self.metadata
-        return out
 
 
 def _mixture_matrix(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:

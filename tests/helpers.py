@@ -350,10 +350,7 @@ def distill_bench_set(seed: int) -> StateSet:
     rng = np.random.default_rng([seed, 1])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     random = g @ g.conj().T
-    phi = np.zeros(4)
-    phi[[0, 3]] = 1 / np.sqrt(2)
-    werner = 0.9 * np.outer(phi, phi) + 0.1 * np.eye(4) / 4
-    members = (random / np.trace(random).real, werner)
+    members = (random / np.trace(random).real, werner_matrix(0.9))
     return StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in members), ("random", "werner"))
 
 

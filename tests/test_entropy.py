@@ -6,6 +6,7 @@ from avqsbench.entropy import (
     COHERENT_INFO_TERMS,
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
+    RateReport,
     coherent_information,
     conditional_entropy,
     entropy_sum,
@@ -65,8 +66,23 @@ class TestVonNeumannEntropy:
         # frozen from the scalar formula
         assert von_neumann_entropy(rho).value == pytest.approx(0.4689955935892812, abs=1e-12)
 
-    def test_kind_tag(self):
-        assert von_neumann_entropy(maximally_mixed(2)).kind == "entropy"
+
+# each entropy function, by the quantity its report names
+RATE_FUNCTIONS = {
+    "entropy": von_neumann_entropy,
+    "conditional-entropy": conditional_entropy,
+    "mutual-info-env": mutual_info_env,
+    "coherent-info": coherent_information,
+    "instrument-rate": lambda rho: instrument_coherent_info(rho, identity_instrument((2,))),
+}
+
+
+@pytest.mark.parametrize("quantity", list(RATE_FUNCTIONS))
+def test_entropies_report_their_quantity(quantity):
+    report = RATE_FUNCTIONS[quantity](bell_pair().density())
+    assert isinstance(report, RateReport)
+    assert report.quantity == quantity
+    assert report.to_dict() == {"quantity": quantity, "value": report.value}
 
 
 class TestOneFormulaEach:

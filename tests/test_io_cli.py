@@ -375,6 +375,36 @@ class TestCliCommands:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows == [["key", "value"]] + [[key, str(value)] for key, value in _flatten(doc)]
 
+    def test_flatten_writes_json_literals(self):
+        doc = {"n": None, "t": True, "f": False, "empty": [], "obj": {}, "xs": [1, "a"], "x": 0.5}
+        assert _flatten(doc) == [
+            ("empty", "[]"), ("f", "false"), ("n", "null"), ("obj", "{}"), ("t", "true"),
+            ("x", 0.5), ("xs.0", 1), ("xs.1", "a"),
+        ]
+
+    @pytest.mark.parametrize(
+        "make_set, expected",
+        [
+            # a zero witness skips the restarts, so no stop reason is recorded
+            (
+                lambda: distill_bench_set(0),
+                {"report.metadata.outer_stop_reasons": "[]", "report.metadata.inner_certified": "true"},
+            ),
+            (bell_werner_set, {"report.metadata.zero_witness": "null"}),
+        ],
+        ids=["witness", "no-witness"],
+    )
+    def test_distill_capacity_csv_reads_as_json(self, tmp_path, capsys, make_set, expected):
+        import csv
+
+        path = str(tmp_path / "set.json")
+        save_json(path, state_set_to_dict(make_set()))
+        argv = ["distill-capacity", "--set", path, "--restarts", "2", "--maxiter", "50", "--csv"]
+        assert main(argv) == 0
+        rows = dict(csv.reader(capsys.readouterr().out.splitlines()))
+        assert {key: rows[key] for key in expected} == expected
+        assert not {"None", "True", "False"} & set(rows.values())
+
     def test_schur_demo_json_format(self, bell_state_file, capsys):
         assert main(
             [

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +376,25 @@ class TestCompoundCosts:
         report = compound_merging_cost(xs, hull=True)
         assert report.value >= 1 - 1e-9
         assert report.weights[0] > 0
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, loaded by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_distill_bench_set_is_the_benchmark_set():
+    inputs = _perfbench_inputs()
+    for seed in [*range(30), 203, 7000, 52000]:
+        xs = distill_bench_set(seed)
+        mats = inputs.distill_set_matrices(seed)
+        assert sorted(mats) == list(xs.labels)
+        for label, member in zip(xs.labels, xs.members):
+            assert np.array_equal(member.matrix, mats[label]), (seed, label)
 
 
 class TestDistillation:

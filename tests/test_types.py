@@ -22,7 +22,6 @@ from avqsbench.channels import (
     trivial_resource,
 )
 from avqsbench.config import CHECK_TOL, CLOSE_TOL, DimensionCapError, check_dim_cap, local_config
-from avqsbench.entropy import RateValue
 from avqsbench.linalg import (
     PureState,
     SchmidtDecomposition,
@@ -486,7 +485,6 @@ SIGNATURES = {
     StateSet: "members, labels=()",
     RateReport: "quantity, value, attained_by=None, weights=None, metadata=None",
     DistillationResult: "report, instrument",
-    RateValue: "value, kind",
     OrthogonalFamily: "base, n, embed, members",
     RateGapReport: "n, blocklength, base_conditional_entropy, base_env_mutual_info, "
     "hull_merging_numeric, hull_merging_closed, hull_merging_weights, hull_merging_duality_gap, "
