@@ -78,9 +78,8 @@ _COMMON_FLAGS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser with every subcommand, or with ``command``'s
-    alone; the top-level usage lists every subcommand either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand."""
     import argparse
 
     class CommandParser(argparse.ArgumentParser):
@@ -98,12 +97,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # argparse's usage lists the subparsers built unless given a metavar, and
-    # its error messages name the action by its metavar, so the full parser has none
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, parser_class=CommandParser)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, flags, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON_FLAGS + flags:
             p.add_argument(flag, **kwargs)
@@ -161,15 +156,6 @@ def _read_plain(argv):
         default = False if spec.get("action") == "store_true" else None
         values.setdefault(dest, spec.get("default", default))
     return SimpleNamespace(command=argv[0], **values)
-
-
-def _overrides(args) -> dict:
-    """The setting that ``--dim-cap`` overrides."""
-    if args.dim_cap is None:
-        return {}
-    if args.dim_cap <= 0:
-        raise ParseError("--dim-cap must be positive")
-    return {"dim_cap": args.dim_cap}
 
 
 def _flatten(doc, prefix=""):
@@ -299,13 +285,8 @@ _SCHUR_DEMO_FLAGS = (
 
 def _cmd_schur_demo(args):
     source = state_from_dict(load_json(args.state_path), args.state_path)
-    marginal = sending_marginal(source)
-    if marginal.dim != args.dim:
-        raise ParseError(
-            f"--dim {args.dim} does not match the sending-side dimension {marginal.dim}"
-        )
     instrument = build_entropy_instrument(args.blocklength, args.dim, args.eta)
-    rows = instrument.probabilities(marginal)
+    rows = instrument.probabilities(sending_marginal(source))
     payload = {
         "dim": args.dim,
         "blocklength": args.blocklength,
@@ -425,13 +406,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        with local_config(**_overrides(args)):
+        with local_config(args.dim_cap):
             payload, code, default_fmt = _COMMANDS[args.command][2](args)
             _emit({"command": args.command, "seed": args.seed, **payload}, args.format or default_fmt)
         return code

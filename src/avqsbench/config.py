@@ -73,8 +73,11 @@ _dim_cap = 4096  # largest dense matrix dimension allowed
 @contextmanager
 def local_config(dim_cap: int | None = None):
     """Set the dimension cap within a ``with`` block (None keeps the current
-    one); yields the cap in force, and the previous one is back on leaving."""
+    one); yields the cap in force, and the previous one is back on leaving.
+    A cap below 1 raises ``ValueError``."""
     global _dim_cap
+    if dim_cap is not None and dim_cap < 1:
+        raise ValueError(f"the dimension cap must be >= 1, got {dim_cap}")
     previous = _dim_cap
     if dim_cap is not None:
         _dim_cap = dim_cap

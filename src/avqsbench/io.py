@@ -4,14 +4,15 @@ Complex entries are stored as [re, im] pairs; matrices are flat row-major
 lists.  Parsing is strict: every field is read through ``_get``/``_typed``,
 which check its JSON type; wrong lengths, entries that are not JSON numbers
 or not finite floats, non-square matrices, or dims that are not positive
-integers or do not multiply up are rejected with the offending field named.
+integers are rejected with the offending field named.  The constructors
+hold the dims to the matrix and the parties, and ``_field`` names the field.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from math import isqrt, prod
+from math import isqrt
 from typing import Any
 
 import numpy as np
@@ -87,22 +88,18 @@ def _complex_list(raw: Any, field: str) -> np.ndarray:
     return out
 
 
-def _square_matrix(raw: Any, field: str, dim: int) -> np.ndarray:
-    """A ``dim`` x ``dim`` matrix from a flat row-major list of pairs."""
+def _square_matrix(raw: Any, field: str) -> np.ndarray:
+    """A square matrix from a flat row-major list of pairs."""
     flat = _complex_list(raw, field)
     d = isqrt(flat.size)
     if d * d != flat.size:
         raise ParseError(f"{field}: {flat.size} entries do not form a square matrix")
-    if d != dim:
-        raise ParseError(f"{field}: dimension {d} does not match dims product {dim}")
     return flat.reshape(d, d)
 
 
 def _dims_parties(doc: Any, field: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     dims = _positive_ints(_get(doc, "dims", object, field), f"{field}.dims")
     parties = _get(doc, "parties", list, field)
-    if len(parties) != len(dims):
-        raise ParseError(f"{field}.parties: need one party label per factor")
     return dims, tuple(_typed(p, str, f"{field}.parties[{i}]") for i, p in enumerate(parties))
 
 
@@ -116,7 +113,7 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
 
 def state_from_dict(doc: dict, field: str = "state") -> State:
     dims, parties = _dims_parties(doc, field)
-    mat = _square_matrix(_get(doc, "matrix", object, field), f"{field}.matrix", prod(dims))
+    mat = _square_matrix(_get(doc, "matrix", object, field), f"{field}.matrix")
     with _field(field):
         return state(mat, dims, parties)
 
@@ -149,7 +146,7 @@ def state_set_from_dict(doc: dict, field: str = "state_set") -> StateSet:
     members = _get(doc, "members", dict, field, nonempty=True)
     states = []
     for name, raw in members.items():
-        mat = _square_matrix(raw, f"{field}.members.{name}", prod(dims))
+        mat = _square_matrix(raw, f"{field}.members.{name}")
         with _field(f"{field}.members.{name}"):
             states.append(state(mat, dims, parties))
     return StateSet(tuple(states), tuple(members))

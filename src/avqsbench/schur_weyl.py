@@ -73,8 +73,6 @@ def _partitions(n: int, max_part: int | None = None, max_rows: int | None = None
     if n == 0:
         yield ()
         return
-    if max_rows is not None and max_rows <= 0:
-        return
     top = n if max_part is None else min(n, max_part)
     # the first part is the largest, so at least n / max_rows
     low = 1 if max_rows is None else -(-n // max_rows)
@@ -375,13 +373,25 @@ class EntropyInstrument(Frozen):
         return self.binning.blocklength
 
     def probabilities(self, rho) -> list[tuple[int, float, float, float]]:
-        """(bin index, interval lo, interval hi, probability) per nonempty bin."""
-        p = frame_probabilities([f for b in self.bins for f in b.frames], rho)
+        """(bin index, interval lo, interval hi, probability) per nonempty bin
+        for one copy ``rho`` (a State, a density matrix or a spectrum)."""
+        p = frame_probabilities([f for b in self.bins for f in b.frames], _copy_spectrum(self, rho))
         ends = np.cumsum([len(b.frames) for b in self.bins])
         return [
             (b.index, *self.binning.interval(b.index), float(p[end - len(b.frames) : end].sum()))
             for b, end in zip(self.bins, ends)
         ]
+
+
+def _copy_spectrum(inst: EntropyInstrument, rho) -> np.ndarray:
+    """The spectrum of one copy ``rho``; ``ValueError`` unless its dimension
+    is the instrument's local dimension."""
+    spectrum = _spectrum_of(rho)
+    if spectrum.size != inst.local_dim:
+        raise ValueError(
+            f"a copy of dimension {spectrum.size} does not fit an instrument of dimension {inst.local_dim}"
+        )
+    return spectrum
 
 
 def build_entropy_instrument(l: int, d: int, eta: float) -> EntropyInstrument:
@@ -412,7 +422,7 @@ def misbin_probability(inst: EntropyInstrument, rho: State, true_bin: int | None
     entropy (derived when not supplied).
     """
     check_frame_work(inst.blocklength, inst.local_dim, "misbin_probability")
-    spectrum = np.linalg.eigvalsh(sending_marginal(rho).matrix)
+    spectrum = _copy_spectrum(inst, sending_marginal(rho))
     if true_bin is None:
         true_bin = inst.binning.bin_of(spectrum_entropy(spectrum))
     far = [f for b in inst.bins if abs(b.index - true_bin) > 1 for f in b.frames]

@@ -366,3 +366,23 @@ def bell_werner_set() -> StateSet:
     at least 0.9, so no zero witness exists and the search runs."""
     members = (werner_matrix(1.0), werner_matrix(0.9))
     return StateSet(tuple(state(m, (2, 2), ("A", "B")) for m in members), ("bell", "werner"))
+
+
+def flag_set(weights=(0.3, 0.6)) -> StateSet:
+    """A = flag x qubit: q|0><0| x Phi+ + (1-q)|1><1| x Phi-, one member per
+    weight q.  The default hull reaches q = 1/2, where the identity's
+    coherent information is 0; measuring the flag leaves a Bell pair, 1 bit
+    on the whole hull."""
+    phi_plus = werner_matrix(1.0)
+    z = np.diag([1.0, 1.0, -1.0, -1.0])  # Z on A maps Phi+ to Phi-
+    flags = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    return StateSet(
+        tuple(
+            state(
+                q * np.kron(flags[0], phi_plus) + (1 - q) * np.kron(flags[1], z @ phi_plus @ z),
+                (2, 2, 2),
+                ("A", "A", "B"),
+            )
+            for q in weights
+        )
+    )

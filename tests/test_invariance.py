@@ -1,7 +1,8 @@
-"""Symmetries that every reported hull rate must respect, and one identity
-between two code paths.
+"""Symmetries that every reported hull rate must respect, how the rates
+move when the set grows, and one identity between two code paths.
 
-A hull cost is a bracket: the maximum lies in [value, value + duality_gap].
+A hull cost is a bracket: the maximum lies in [value, value + duality_gap];
+an instrument's hull rate is one too, the infimum in [value - gap, value].
 Two brackets of the same true number must overlap, so each test compares
 brackets, with 1e-12 for rounding.  Sets: the distillation benchmark's
 qubit-pair sets at seeds 0-29, and seeded random sets of two to four members
@@ -21,10 +22,11 @@ from avqsbench.rates import (
     _hull_rate,
     compound_classical_cost,
     compound_merging_cost,
+    convex_mixture,
     distillation_rate_lower_bound,
 )
 
-from helpers import distill_bench_set
+from helpers import bell_werner_set, distill_bench_set, flag_set, werner_matrix
 
 ROUNDING = 1e-12
 COSTS = (compound_merging_cost, compound_classical_cost)
@@ -38,6 +40,15 @@ def _bracket(report) -> tuple[float, float]:
 
 def _overlap(a, b) -> bool:
     return a[0] <= b[1] + ROUNDING and b[0] <= a[1] + ROUNDING
+
+
+def _rate_bracket(value, meta) -> tuple[float, float]:
+    """[value - inner_duality_gap, value] of an instrument's hull rate at k=1."""
+    return value - meta["inner_duality_gap"], value
+
+
+def _rotated(xs: StateSet, u: np.ndarray) -> StateSet:
+    return StateSet(tuple(state(u @ m.matrix @ u.conj().T, xs.dims, xs.parties) for m in xs.members), xs.labels)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +85,7 @@ def test_local_unitaries_leave_the_costs_unchanged(sets):
     rng = np.random.default_rng(15)
     for xs, costs in sets:
         d_a, d_b = xs.dims
-        u = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
-        rotated = StateSet(
-            tuple(state(u @ m.matrix @ u.conj().T, xs.dims, xs.parties) for m in xs.members),
-            xs.labels,
-        )
+        rotated = _rotated(xs, np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng)))
         for (cost, hull), report in costs.items():
             before, after = _bracket(report), _bracket(cost(rotated, hull=hull))
             assert _overlap(before, after), (cost.__name__, hull, before, after)
@@ -92,6 +99,61 @@ def test_member_order_leaves_the_hull_costs_unchanged(sets):
         for cost in COSTS:
             before, after = _bracket(costs[cost, True]), _bracket(cost(permuted, hull=True))
             assert _overlap(before, after), (cost.__name__, before, after)
+
+
+def test_rotated_instrument_keeps_its_rate_on_the_rotated_set():
+    # a restart wins on the flag set; K_j U_A^dagger on the U_A x U_B-rotated
+    # set is the same instrument in rotated coordinates
+    xs = flag_set()
+    result = distillation_rate_lower_bound(xs, k=1, n_outcomes=2, restarts=2, seed=0)
+    meta = result.report.metadata
+    assert meta["candidate"].startswith("restart-")
+    rng = np.random.default_rng(17)
+    u_a, u_b = random_unitary(4, rng), random_unitary(2, rng)
+    value, _, rotated_meta = _hull_rate(_rotated(xs, np.kron(u_a, u_b)), 1)[1](
+        result.instrument.kraus_stack() @ u_a.conj().T
+    )
+    before, after = _rate_bracket(result.report.value, meta), _rate_bracket(value, rotated_meta)
+    assert _overlap(before, after), (before, after)
+
+
+def test_duplicated_and_mixed_in_members_leave_the_hull_costs_unchanged(sets):
+    # neither adds a point outside the hull; every fifth set and the
+    # three-member one
+    rng = np.random.default_rng(18)
+    for xs, costs in sets[::5] + sets[-1:]:
+        with pytest.warns(UserWarning, match="coincide"):
+            duplicated = StateSet(xs.members + xs.members[-1:])
+        mixture = convex_mixture(xs, rng.dirichlet(np.ones(xs.n)))
+        mixed_in = StateSet(xs.members + (state(mixture.matrix, xs.dims, xs.parties),))
+        for grown in (duplicated, mixed_in):
+            for cost in COSTS:
+                before, after = _bracket(costs[cost, True]), _bracket(cost(grown, hull=True))
+                assert _overlap(before, after), (cost.__name__, grown.n, before, after)
+
+
+def test_a_larger_set_costs_no_less_and_distils_no_more(sets):
+    # a cost is a supremum and a distillation rate an infimum over the set or
+    # its hull, so a new member cannot lower the first or raise the second
+    rng = np.random.default_rng(19)
+    for xs, costs in sets[::6]:
+        larger = StateSet(xs.members + (random_density(xs.dims, rng, parties=xs.parties),))
+        for (cost, hull), report in costs.items():
+            before, after = _bracket(report), _bracket(cost(larger, hull=hull))
+            assert after[1] + ROUNDING >= before[0], (cost.__name__, hull, before, after)
+    # the larger set's instrument, scored on the smaller set: the identity
+    # wins on the first pair, a restart on the second
+    werner_08 = state(werner_matrix(0.8), (2, 2), ("A", "B"))
+    pairs = [
+        (bell_werner_set(), werner_08, "identity"),
+        (flag_set(), flag_set((0.9,)).members[0], "restart-0"),
+    ]
+    for xs, member, winner in pairs:
+        result = distillation_rate_lower_bound(StateSet(xs.members + (member,)), k=1, restarts=1, seed=0)
+        assert result.report.metadata["candidate"] == winner
+        value, _, meta = _hull_rate(xs, 1)[1](result.instrument.kraus_stack())
+        smaller, larger = _rate_bracket(value, meta), _rate_bracket(result.report.value, result.report.metadata)
+        assert smaller[1] + ROUNDING >= larger[0], (result.report.metadata["candidate"], smaller, larger)
 
 
 def _cli_hull_brackets(path, capsys):

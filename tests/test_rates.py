@@ -62,6 +62,7 @@ from avqsbench.rate_gap import build_orthogonal_family, known_pure_state_merging
 from helpers import (
     bell_werner_set,
     distill_bench_set,
+    flag_set,
     haar_isometry,
     random_instrument_kraus,
     random_kraus_channel,
@@ -450,23 +451,7 @@ class TestDistillation:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_search_measures_the_flag(self, seed):
-        # A = flag x qubit: q|0><0| x Phi+ + (1-q)|1><1| x Phi-.  The hull
-        # reaches q = 1/2, where the identity's coherent information is 0;
-        # measuring the flag leaves a Bell pair, 1 bit on the whole hull.
-        phi_plus = maximally_entangled(2).density().matrix
-        z = np.diag([1.0, 1.0, -1.0, -1.0])  # Z on A maps Phi+ to Phi-
-        flags = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        members = tuple(
-            state(
-                q * np.kron(flags[0], phi_plus) + (1 - q) * np.kron(flags[1], z @ phi_plus @ z),
-                (2, 2, 2),
-                ("A", "A", "B"),
-            )
-            for q in (0.3, 0.6)
-        )
-        result = distillation_rate_lower_bound(
-            StateSet(members), k=1, n_outcomes=2, restarts=2, seed=seed
-        )
+        result = distillation_rate_lower_bound(flag_set(), k=1, n_outcomes=2, restarts=2, seed=seed)
         meta = result.report.metadata
         assert meta["trivial_baseline"] == pytest.approx(0.0, abs=1e-9)
         assert result.report.value >= 1 - 1e-6

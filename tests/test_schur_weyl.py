@@ -400,6 +400,18 @@ class TestFrameWorkCap:
 
 
 class TestEntropyInstrument:
+    def test_copies_of_another_dimension_are_refused(self):
+        # on the qubit frames this qutrit's bin probabilities would sum to
+        # 0.7381, and its misbin probability would read 0.0619
+        inst = build_entropy_instrument(6, 2, 0.25)
+        spectrum = np.array([0.5, 0.3, 0.2])
+        message = "^a copy of dimension 3 does not fit an instrument of dimension 2$"
+        for copy in (state(np.diag(spectrum)), np.diag(spectrum), spectrum):
+            with pytest.raises(ValueError, match=message):
+                inst.probabilities(copy)
+        with pytest.raises(ValueError, match=message):
+            misbin_probability(inst, state(np.diag(spectrum)))
+
     def test_single_bin_is_identity(self):
         inst = build_entropy_instrument(2, 2, 1.0)
         assert len(inst.bins) == 1

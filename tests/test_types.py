@@ -16,12 +16,18 @@ from avqsbench.channels import (
     MergingProtocol,
     OneWayLoccChannel,
     OutcomeStat,
+    apply_cp_map,
+    apply_one_way_locc,
     compose_instrument_with_protocols,
     identity_channel,
     identity_instrument,
+    instrument_statistics,
+    permutation_channel,
     trivial_resource,
 )
 from avqsbench.config import CHECK_TOL, CLOSE_TOL, DimensionCapError, check_dim_cap, local_config
+from avqsbench.entropy import instrument_coherent_info
+from avqsbench.io import ParseError, cp_map_from_dict, state_from_dict
 from avqsbench.linalg import (
     PureState,
     SchmidtDecomposition,
@@ -32,19 +38,35 @@ from avqsbench.linalg import (
     fidelity,
     maximally_entangled,
     maximally_mixed,
+    permute_factors,
     pure_state,
     purify,
     state,
     trace_norm,
 )
+from avqsbench.optim import maximize_concave_over_simplex
 from avqsbench.rate_gap import (
     OrthogonalFamily,
     RateGapReport,
     build_orthogonal_family,
+    family_merging_protocol,
     known_pure_state_merging,
 )
-from avqsbench.rates import DistillationResult, RateReport, StateSet, convex_mixture, word_fidelities
-from avqsbench.robustify import RobustificationReport, TypeCheck, TypeDistribution, check_robustification
+from avqsbench.rates import (
+    DistillationResult,
+    RateReport,
+    StateSet,
+    convex_mixture,
+    hausdorff_distance,
+    word_fidelities,
+)
+from avqsbench.robustify import (
+    RobustificationReport,
+    TypeCheck,
+    TypeDistribution,
+    check_robustification,
+    enumerate_types,
+)
 from avqsbench.schur_weyl import (
     EntropyBin,
     EntropyBinning,
@@ -52,6 +74,8 @@ from avqsbench.schur_weyl import (
     YoungFrame,
     frame_dimension,
     frame_probabilities,
+    make_binning,
+    symmetric_group_character,
     young_frames,
 )
 
@@ -245,6 +269,11 @@ _WIDE_CHANNEL = CpMap((np.eye(2, 3), np.eye(2, 3, 2)))
 _HALF = CpMap((np.eye(2) / 2,))
 _BELL = bell_pair().density()
 _MIXED = State(np.eye(4) / 4, (2, 2), ("A", "B"))
+_QUBIT_LOCC = OneWayLoccChannel(identity_instrument((2,)), (identity_channel((2,)),))
+# a Kraus operator within CHECK_TOL of complete, on a non-PSD unit-trace
+# state whose large entries turn the 5e-10 excess into a weight error of 5e-4
+_HUGE = State(np.diag([1e6, 1.0 - 1e6]), (2,), ("A",))
+_NEARLY_COMPLETE = Instrument((CpMap((np.diag([1.0, np.sqrt(1.0 + 5e-10)]),)),))
 
 # malformed input: (build, exception, the start of its message)
 REFUSALS = {
@@ -430,6 +459,99 @@ REFUSALS = {
     "known-state merging blocklength": (
         lambda: known_pure_state_merging(_BELL, 0), ValueError, "blocklength must be >= 1"
     ),
+    "family protocol copy dims": (
+        lambda: family_merging_protocol(
+            build_orthogonal_family(_BELL, 2), known_pure_state_merging(maximally_entangled(3).density(), 1)
+        ),
+        ValueError,
+        "subprotocol must act on the base state's spaces",
+    ),
+    "apply_cp_map no targets": (
+        lambda: apply_cp_map(identity_channel((2,)), maximally_mixed(2), []),
+        ValueError,
+        "target factor set must be nonempty",
+    ),
+    "apply_cp_map target range": (
+        lambda: apply_cp_map(identity_channel((2,)), maximally_mixed(2), [1]),
+        ValueError,
+        "target factors [1] out of range for 1 factors",
+    ),
+    "instrument_statistics weights": (
+        lambda: instrument_statistics(_NEARLY_COMPLETE, _HUGE, [0]), ValueError, "outcome weights sum to 0.9995"
+    ),
+    "apply_one_way_locc parties": (
+        lambda: apply_one_way_locc(_QUBIT_LOCC, maximally_mixed(2)),
+        ValueError,
+        "state lacks factors for parties 'A'/'B'",
+    ),
+    "apply_one_way_locc sending side": (
+        lambda: apply_one_way_locc(_QUBIT_LOCC, state(np.eye(6) / 6, (3, 2), ("A", "B"))),
+        ValueError,
+        "sending-side dimension mismatch",
+    ),
+    "apply_one_way_locc receiving side": (
+        lambda: apply_one_way_locc(_QUBIT_LOCC, state(np.eye(6) / 6, (2, 3), ("A", "B"))),
+        ValueError,
+        "receiving-side dimension mismatch",
+    ),
+    "permutation_channel": (
+        lambda: permutation_channel([0, 0], 2), ValueError, "[0, 0] is not a permutation of range(2)"
+    ),
+    "instrument rate without A": (
+        lambda: instrument_coherent_info(state(np.eye(2) / 2, (2,), ("B",)), identity_instrument((2,))),
+        ValueError,
+        "state has no factors for party 'A'",
+    ),
+    "instrument rate without B": (
+        lambda: instrument_coherent_info(maximally_mixed(2), identity_instrument((2,))),
+        ValueError,
+        "state has no factors for parties ('B',)",
+    ),
+    "permute_factors": (
+        lambda: permute_factors(_BELL, [0, 0]), ValueError, "[0, 0] is not a permutation of the 2 factors"
+    ),
+    "fidelity shapes": (
+        lambda: fidelity(_BELL, maximally_mixed(2)), ValueError, "shape mismatch (4, 4) vs (2, 2)"
+    ),
+    "check_purification factors": (
+        lambda: check_purification(bell_pair(), maximally_mixed(3)),
+        ValueError,
+        "purification must extend the source factors",
+    ),
+    "simplex dimension": (
+        lambda: maximize_concave_over_simplex(lambda p: (0.0, p), 0),
+        ValueError,
+        "simplex dimension must be >= 1",
+    ),
+    "convex_mixture weight count": (
+        lambda: convex_mixture(StateSet((_BELL, _MIXED)), [1.0]), ValueError, "need 2 weights, got 1"
+    ),
+    "hausdorff_distance mode": (
+        lambda: hausdorff_distance(StateSet((_BELL,)), StateSet((_BELL,)), "nope"),
+        ValueError,
+        "unknown mode 'nope'",
+    ),
+    "enumerate_types": (
+        lambda: enumerate_types(0, 1), ValueError, "need at least one symbol and length >= 1"
+    ),
+    "YoungFrame parts": (lambda: YoungFrame((2, 0)), ValueError, "parts must be positive, got (2, 0)"),
+    "young_frames": (
+        lambda: young_frames(0, 2), ValueError, "need blocklength >= 1 and local dimension >= 2"
+    ),
+    "character sizes": (
+        lambda: symmetric_group_character((2,), (1,)),
+        ValueError,
+        "frame size and cycle type total must agree",
+    ),
+    "bin index": (lambda: make_binning(4, 2, 0.5).interval(0), ValueError, "bin index 0 out of range 1..2"),
+    "state file missing key": (
+        lambda: state_from_dict({"dims": [2], "matrix": []}), ParseError, "state: missing 'parties'"
+    ),
+    "Kraus entries short": (
+        lambda: cp_map_from_dict({"kraus": [{"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}]}),
+        ParseError,
+        "cp_map.kraus[0]: 1 entries do not fill 2x2",
+    ),
 }
 
 
@@ -459,6 +581,16 @@ def test_local_config_sets_the_dimension_cap_within_its_block():
     check_dim_cap(4096)
     with pytest.raises(DimensionCapError, match="cap of 4096"):
         check_dim_cap(4097)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_local_config_refuses_a_cap_below_one(cap):
+    with local_config(dim_cap=8):
+        with pytest.raises(ValueError, match=f"^the dimension cap must be >= 1, got {cap}$"):
+            with local_config(dim_cap=cap):
+                pass
+        with local_config() as inner:
+            assert inner == 8
 
 
 def test_rate_report_normalizes_and_checks_weights():
