@@ -63,9 +63,22 @@ def spectrum_entropy(weights):
     return -np.sum(w * np.log2(w), axis=-1)
 
 
+def _block_entropies(mats, log: bool = False):
+    """S~(X) = -tr X log2 X of each Hermitian matrix of a stack, over the
+    eigenvalues that :func:`linalg.resolved` keeps, from one batched
+    ``eigvalsh``.  With ``log``, from one ``eigh``, with the eigenvectors and
+    the log2 eigenvalues, 0 off the support: ``(entropies, vectors, logs)``."""
+    if not log:
+        return spectrum_entropy(np.linalg.eigvalsh(mats))
+    w, v = np.linalg.eigh(mats)
+    w = np.where(resolved(w), w, 1.0)  # a dropped entry adds 1 log 1 = 0
+    logs = np.log2(w)
+    return -np.sum(w * logs, axis=-1), v, logs
+
+
 def von_neumann_entropy(s: State) -> RateReport:
     """S(rho) = -sum_i w_i log2 w_i over the resolved spectrum."""
-    return RateReport("entropy", float(spectrum_entropy(np.linalg.eigvalsh(s.matrix))))
+    return RateReport("entropy", float(_block_entropies(s.matrix)))
 
 
 # Each quantity on the fixed A/B split as a signed sum of marginal
@@ -79,10 +92,7 @@ COHERENT_INFO_TERMS = ((("B",), 1.0), (("A", "B"), -1.0))
 def entropy_sum(s: State, terms) -> float:
     """sum_b sign_b S(rho_b) over the marginals rho_b of ``s`` named by the
     terms, added left to right."""
-    value = 0.0
-    for parties, sign in terms:
-        value += sign * von_neumann_entropy(s.marginal(*parties)).value
-    return value
+    return float(sum(sign * _block_entropies(s.marginal(*t).matrix) for t, sign in terms))
 
 
 def conditional_entropy(s: State) -> RateReport:
@@ -122,33 +132,25 @@ def instrument_rates(rhos, kraus, d_target: int, gradient: bool = False):
     :func:`post_measurement_blocks`; the outcome weights are their traces.
     The rate is sum_j [S~(X_j^B) - S~(X_j)] with S~(X) = -tr X log2 X of
     the unnormalized blocks: it equals sum_j w_j [S(B) - S(AB)] of the
-    normalized ones, as the -w_j log2 w_j terms cancel.  Both come from two
-    batched ``eigvalsh`` calls and :func:`spectrum_entropy`.
+    normalized ones, as the -w_j log2 w_j terms cancel.  Both stacks of
+    blocks go through one :func:`_block_entropies` call each.
 
-    With ``gradient``, ``eigh`` instead gives also the gradients in the Kraus
-    stack, shape (n,) + kraus.shape, in the inner product Re tr(A^dagger B):
-    2 tr_B[G_j (K_jk x I) rho] with G_j = log2 X_j - I x log2 X_j^B on the
-    resolved support.
+    With ``gradient``, also the gradients in the Kraus stack, shape (n,) +
+    kraus.shape, in the inner product Re tr(A^dagger B): 2 tr_B[G_j (K_jk x
+    I) rho] with G_j = log2 X_j - I x log2 X_j^B on the resolved support.
     """
     rhos = np.asarray(rhos)
     n = rhos.shape[0]
     scaled, post = post_measurement_blocks(rhos, kraus, d_target)
     size = kraus.shape[2] * d_target
-
-    def entropies(mats):
-        if not gradient:
-            return spectrum_entropy(np.linalg.eigvalsh(mats)), None
-        # spectrum_entropy inline: the logs below are its terms, 0 off the support
-        w, v = np.linalg.eigh(mats)
-        w = np.where(resolved(w), w, 1.0)
-        logs = np.log2(w)
-        return -np.sum(w * logs, axis=-1), (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-    s_joint, log_joint = entropies(post.reshape(n, -1, size, size))
-    s_marginal, log_marginal = entropies(np.trace(post, axis1=2, axis2=4))
-    values = (s_marginal - s_joint).sum(axis=1)
+    joint = _block_entropies(post.reshape(n, -1, size, size), log=gradient)
+    marginal = _block_entropies(np.trace(post, axis1=2, axis2=4), log=gradient)
     if not gradient:
-        return values
+        return (marginal - joint).sum(axis=1)
+    values = (marginal[0] - joint[0]).sum(axis=1)
+    log_joint, log_marginal = (
+        (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2) for _, v, logs in (joint, marginal)
+    )
     eye = np.eye(kraus.shape[2])[:, None, :, None]
     g = log_joint.reshape(post.shape) - eye * log_marginal[:, :, None, :, None]
     return values, 2 * np.einsum("sjaidz,sjkdzci->sjkac", g, scaled)

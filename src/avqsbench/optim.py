@@ -93,25 +93,23 @@ def _line_search(value_and_grad, p, direction, end):
 def minimize_over_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
-) -> tuple[np.ndarray, float, dict]:
+) -> tuple[np.ndarray, float]:
     """Projected subgradient descent of a convex, possibly nonsmooth f over the n-simplex.
 
     ``value_and_grad(p)`` returns f(p) and a subgradient.  From the uniform point,
     step t moves a length max(|f(uniform)|, 0.1)/sqrt(t+1) against the normalized
-    subgradient and projects back.  The best iterate seen is returned, so the value
-    is an upper estimate of the minimum; it stops after 50 steps in a row that
-    improve the best value by at most 1e-6, or after 2000 steps.
+    subgradient and projects back.  The best iterate seen and its value are
+    returned, so the value is an upper estimate of the minimum; it stops after 50
+    steps in a row that improve the best value by at most 1e-6, or after 2000 steps.
     """
     p = np.full(n, 1.0 / n)
     value, g = value_and_grad(p)
     best_p, best_v = p, value
     if n == 1:
-        return best_p, best_v, {"iterations": 0}
+        return best_p, best_v
     step0 = max(abs(value), 0.1)
     stall = 0
-    used = 0
     for t in range(2000):
-        used = t + 1
         norm = np.linalg.norm(g)
         if norm < 1e-14:
             break
@@ -126,7 +124,7 @@ def minimize_over_simplex(
             stall += 1
             if stall >= 50:
                 break
-    return best_p, best_v, {"iterations": used}
+    return best_p, best_v
 
 
 def retract_qr(y: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Source models over finite state sets: convex-hull geometry, Hausdorff
 distance, compound merging costs, and the instrument-maximized distillation
 rate for both compound and adversarially varying sources; hull costs and the
-k=1 distillation inner infimum carry a Frank-Wolfe duality gap."""
+k=1 distillation inner infimum carry a Frank-Wolfe duality gap, and report the
+ascent's own value, the one the gap certifies.  Every entropy comes from the
+one kernel of :mod:`entropy`."""
 
 from __future__ import annotations
 
@@ -33,13 +35,13 @@ from .entropy import (
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
     RateReport,
+    _block_entropies,
     _check_simplex,
-    entropy_sum,
     instrument_rates,
     post_measurement_blocks,
     source_first,
 )
-from .linalg import PureState, State, kron, purify, resolved, tensor_product, trace_distance, trace_norm
+from .linalg import PureState, State, kron, purify, tensor_product, trace_distance, trace_norm
 from .optim import (
     maximize_concave_over_simplex,
     maximize_over_isometries,
@@ -103,18 +105,13 @@ def _check_word(word: Sequence[int], n: int) -> list[int]:
     return word
 
 
-def _mixture_matrix(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
-    """sum_s p_s mats[s], with the weights checked to lie on the simplex."""
-    w = np.asarray(p, dtype=float)
-    if w.size != len(mats):
-        raise ValueError(f"need {len(mats)} weights, got {w.size}")
-    w = np.clip(_check_simplex(w), 0.0, None)
-    return sum(float(q) * m for q, m in zip(w, mats))
-
-
 def convex_mixture(xs: StateSet, p: Sequence[float]) -> State:
-    """Mixture sum_s p_s rho_s of the set members."""
-    matrix = _mixture_matrix([m.matrix for m in xs.members], p)
+    """Mixture sum_s p_s rho_s of the set members, with the weights checked to lie on the simplex."""
+    w = np.asarray(p, dtype=float)
+    if w.size != xs.n:
+        raise ValueError(f"need {xs.n} weights, got {w.size}")
+    w = np.clip(_check_simplex(w), 0.0, None)
+    matrix = sum(float(q) * m.matrix for q, m in zip(w, xs.members))
     return State._derived(matrix=matrix, dims=xs.dims, parties=xs.parties)
 
 
@@ -159,50 +156,48 @@ def hausdorff_distance(xs: StateSet, ys: StateSet, mode: str = "pointset") -> fl
 # compound merging costs
 
 def _entropy_sum(blocks):
-    """p -> (sum_b sign_b S~(X_b(p)), its gradient), one eigh per block.
+    """p -> (sum_b sign_b S~(X_b(p)), its gradient), one kernel eigh per block.
 
     Each block is a sign and a stack of matrices M_s, one per simplex vertex,
-    with X_b(p) = sum_s p_s M_s and S~(X) = -tr X log2 X, the entropy of a
-    density matrix and its extension to unnormalized blocks.  d/dp_s S~(X_b(p))
-    = -tr[M_s log2 X_b(p)] - tr(M_s)/ln 2; the second terms are left out, as
-    the signed traces sum to the same number for every s (the marginals of
-    states, or a block against its own marginal).  The log on the eigenvalues
-    that :func:`linalg.resolved` keeps is exact for vertices inside the
-    mixture's support: those of positive weight, and those dropped to 0, as
-    the line search never empties a vertex whose support leaves the rest's
-    (the derivative in its weight is +inf there).  Exception: if a block's
-    marginal loses support at the same rate, the divergences cancel and the
-    outside part's own conditional entropy, <= 0 if it is pure, is left out.
+    with X_b(p) = sum_s p_s M_s and S~(X) = -tr X log2 X from
+    :func:`entropy._block_entropies`.  d/dp_s S~(X_b(p)) = -sum_k
+    <v_k|M_s|v_k> log2 w_k - tr(M_s)/ln 2 over the eigenpairs of X_b(p); the
+    second terms are left out, as the signed traces sum to the same number
+    for every s (the marginals of states, or a block against its own
+    marginal).  The log, 0 off the eigenvalues that :func:`linalg.resolved`
+    keeps, is exact for vertices inside the mixture's support: those of
+    positive weight, and those dropped to 0, as the line search never
+    empties a vertex whose support leaves the rest's (the derivative in its
+    weight is +inf there).  Exception: if a block's marginal loses support
+    at the same rate, the divergences cancel and the outside part's own
+    conditional entropy, <= 0 if it is pure, is left out.
     """
 
     def value_and_grad(p):
         value, grad = 0.0, np.zeros(len(p))
         for sign, mats in blocks:
-            w, v = np.linalg.eigh(np.tensordot(p, mats, axes=1))
-            # kept pairs only: the gradient needs just their (few, if rank deficient) eigenvectors
-            on = resolved(w)
-            w, v = w[on], v[:, on]
-            log_w = np.log2(w)
-            value -= sign * float(w @ log_w)
-            # <v_k|M_s|v_k> for every s and k, from one stacked product
-            grad -= sign * (v.conj() * (mats @ v)).sum(axis=1).real @ log_w
+            entropy, v, logs = _block_entropies(np.tensordot(p, mats, axes=1), log=True)
+            value += sign * float(entropy)
+            # <v_k|M_s|v_k> for every s, only for the k of nonzero log (few if rank deficient)
+            on = logs != 0
+            v, logs = v[:, on], logs[on]
+            grad -= sign * (v.conj() * (mats @ v)).sum(axis=1).real @ logs
         return value, grad
 
     return value_and_grad
 
 
 def _compound_cost(xs: StateSet, hull: bool, quantity: str, terms) -> RateReport:
-    """Largest signed entropy sum of ``terms``, each a (parties, sign) pair,
-    over the members or, by a certified ascent, over the hull."""
+    """Largest signed entropy sum of ``terms``, each a (parties, sign) pair, over
+    the members or over the hull, where it is the certified ascent's f at its weights."""
+    blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
     if not hull:
-        values = [entropy_sum(m, terms) for m in xs.members]
+        values = sum(sign * _block_entropies(mats) for sign, mats in blocks)
         idx = int(np.argmax(values))
         return RateReport(
             quantity, float(values[idx]), attained_by=xs.labels[idx], metadata={"over": "members"}
         )
-    blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
-    p, _, meta = maximize_concave_over_simplex(_entropy_sum(blocks), xs.n)
-    value = entropy_sum(convex_mixture(xs, p), terms)
+    p, value, meta = maximize_concave_over_simplex(_entropy_sum(blocks), xs.n)
     return RateReport(quantity, value, weights=tuple(p), metadata={"over": "hull", **meta})
 
 
@@ -210,7 +205,8 @@ def compound_merging_cost(xs: StateSet, hull: bool = False) -> RateReport:
     """Largest conditional entropy S(A|B) = S(AB) - S(B) over the set or hull.
 
     This is the achievable entanglement cost per copy; callers add their own
-    slack.  Over the hull the maximum lies in [value, value + duality_gap].
+    slack.  Over the hull ``value`` is the ascent's objective at ``weights``,
+    the number its gap certifies: the maximum lies in [value, value + duality_gap].
     """
     return _compound_cost(xs, hull, "merging-cost", CONDITIONAL_ENTROPY_TERMS)
 

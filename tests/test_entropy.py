@@ -7,6 +7,7 @@ from avqsbench.entropy import (
     CONDITIONAL_ENTROPY_TERMS,
     MUTUAL_INFO_ENV_TERMS,
     RateReport,
+    _block_entropies,
     coherent_information,
     conditional_entropy,
     entropy_sum,
@@ -140,6 +141,32 @@ class TestOneFormulaEach:
             rho = random_density(dims, case_rng, rank=2)
             value = von_neumann_entropy(rho).value
             assert value == spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+
+
+class TestBlockEntropies:
+    def _stacks(self):
+        # full-rank, rank-deficient and all-zero blocks, one stack per size
+        case_rng = np.random.default_rng(15)
+        for d in (2, 4, 9):
+            blocks = [random_density([d], case_rng).matrix for _ in range(2)]
+            blocks += [0.3 * random_density([d], case_rng, rank=1).matrix, np.zeros((d, d))]
+            yield np.stack(blocks).reshape(2, 2, d, d)
+
+    def test_kernel_is_the_spectrum_entropy_of_each_block(self):
+        for mats in self._stacks():
+            expected = [[spectrum_entropy(np.linalg.eigvalsh(m)) for m in row] for row in mats]
+            assert _block_entropies(mats).tolist() == expected
+            assert _block_entropies(mats[1, 1]) == expected[1][1]
+
+    def test_log_mode_returns_the_terms_of_its_entropies(self):
+        for mats in self._stacks():
+            entropies, v, logs = _block_entropies(mats, log=True)
+            w = np.linalg.eigh(mats)[0]
+            on = resolved(w)
+            assert entropies.tolist() == spectrum_entropy(w).tolist()
+            assert np.array_equal(logs[on], np.log2(w[on])) and not logs[~on].any()
+            rebuilt = (v * np.where(on, w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            assert np.allclose(rebuilt, mats, atol=1e-12)
 
 
 class TestConditionalEntropy:

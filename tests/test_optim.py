@@ -60,7 +60,7 @@ class TestSimplexOptimizers:
     def test_minimize_linear_hits_a_vertex(self):
         cost = np.array([0.3, 0.8, 0.1])
         fn = lambda p: (float(cost @ p), cost)
-        p, value, _ = minimize_over_simplex(fn, 3)
+        p, value = minimize_over_simplex(fn, 3)
         assert value == pytest.approx(0.1, abs=1e-3)
 
     def test_single_point_simplex(self):
@@ -71,8 +71,9 @@ class TestSimplexOptimizers:
 
 
 def _entropy_plus_first(p):
-    # the log is clipped to the support, as in rates._entropy_sum: the slope along
-    # (1, -1) tends to -inf at the end, where p_1 = 0, but reads +1 there
+    # the log is 0 off the support, as the hull ascents' logs from
+    # entropy._block_entropies: the slope along (1, -1) tends to -inf at the
+    # end, where p_1 = 0, but reads +1 there
     log = np.log2(np.where(p > 0, p, 1.0))
     return float(-(p * log).sum() + p[0]), -log + [1.0, 0.0]
 

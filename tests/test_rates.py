@@ -272,11 +272,20 @@ class TestCompoundCosts:
         assert compound_classical_cost(xs).value == pytest.approx(2 * s_a, abs=1e-8)
 
     def test_member_costs_are_the_largest_named_quantity(self):
-        # the costs sum the same term tables as the named quantities, so bit for bit
-        for xs in (_random_set(3), build_orthogonal_family(bell_pair().density(), 3).members):
-            merging, classical = compound_merging_cost(xs), compound_classical_cost(xs)
-            assert merging.value == max(conditional_entropy(m).value for m in xs.members)
-            assert classical.value == max(mutual_info_env(m).value for m in xs.members)
+        # the costs sum the same term tables as the named quantities, so bit
+        # for bit: one batched stack per marginal scores each member as
+        # entropy_sum does, on sets with A or B first and on pure family members
+        family = build_orthogonal_family(bell_pair().density(), 3).members
+        for xs in (_random_set(3), _random_set(3, dims=(2, 3), parties=("B", "A")), family):
+            for cost, quantity in (
+                (compound_merging_cost, conditional_entropy),
+                (compound_classical_cost, mutual_info_env),
+            ):
+                values = [quantity(m).value for m in xs.members]
+                report = cost(xs)
+                assert report.value == max(values)
+                assert report.attained_by == xs.labels[int(np.argmax(values))]
+                assert [cost(StateSet((m,))).value for m in xs.members] == values
 
     def test_monotone_under_inclusion(self):
         members = tuple(random_density([2, 2], rng, parties=("A", "B")) for _ in range(3))
@@ -366,6 +375,20 @@ class TestCompoundCosts:
             step[s_idx], step[0] = h, -h
             slope = (objective(p + step)[0] - objective(p - step)[0]) / (2 * h)
             assert slope == pytest.approx(grad[s_idx] - grad[0], abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "cost, terms",
+        [(compound_merging_cost, CONDITIONAL_ENTROPY_TERMS), (compound_classical_cost, MUTUAL_INFO_ENV_TERMS)],
+        ids=["merging", "classical"],
+    )
+    def test_hull_value_is_the_ascent_objective_at_its_weights(self, cost, terms):
+        # the value the duality gap certifies, not a second scoring of the
+        # mixture, which differs from it in the last bits on most of these sets
+        families = [build_orthogonal_family(bell_pair().density(), n).members for n in (2, 6)]
+        for xs in [distill_bench_set(seed) for seed in range(10)] + families:
+            blocks = [(sign, np.stack([m.marginal(*t).matrix for m in xs.members])) for t, sign in terms]
+            report = cost(xs, hull=True)
+            assert report.value == _entropy_sum(blocks)(np.array(report.weights))[0]
 
     def test_hull_keeps_a_member_whose_support_leaves_the_rest(self):
         # the derivative in the weight of |00><00| is -inf where it is emptied,
