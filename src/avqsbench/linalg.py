@@ -385,7 +385,7 @@ def schmidt_decomposition(p: PureState, left_factors: Iterable[int]) -> SchmidtD
 
 
 # ---------------------------------------------------------------------------
-# random instances (seeded; used by tests and optimizer restarts)
+# random instances (seeded; used by tests, not by the restarts: they call optim.retract_qr)
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""

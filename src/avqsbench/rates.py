@@ -228,30 +228,24 @@ def _hull_rate(xs: StateSet, k: int):
     Kraus stack on the k-copy sending side, the rate of the k-th tensor power
     of every member, and with ``gradient`` its gradients, from one
     :func:`entropy.instrument_rates` call.  ``inner_infimum(kraus)``: the
-    infimum of that rate over the hull, ``(value, weights, meta)``.  The member
-    matrices with the sending side in front, their dims, the k=2 factor order
-    and the n^k products of members, the vertex powers among them, are fixed
-    here, once; no ``State`` is built per evaluation.  The products are the
-    k-letter words of the source, so their number is held to the word cap.
+    infimum of that rate over the hull, ``(value, weights, meta)``.  The n^k
+    products, the vertex powers among them, are fixed here, once: the word
+    states (:meth:`StateSet.word_state`) of the members' (A, B) marginals, with
+    the A factors put first by :func:`entropy.source_first`.  No ``State`` is
+    built per evaluation.  The products are the k-letter words of the source,
+    so their number is held to the word cap and their dimension to the dimension cap.
     """
-    arranged = [source_first(m) for m in xs.members]
-    mats = [mat for mat, _ in arranged]
-    d_b = arranged[0][1]
-    d_a = mats[0].shape[0] // d_b
-    n = len(mats)
+    marginals = tuple(m.marginal("A", "B") for m in xs.members)
+    pairs, n = StateSet._derived(members=marginals, labels=xs.labels), xs.n
     words = all_words(n, k, "the distillation inner infimum")
-
-    def product(a, b):
-        # (A1, B1, A2, B2) -> (A1, A2, B1, B2) on both sides of the matrix
-        split = kron(a, b).reshape((d_a, d_b) * 4)
-        return split.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(a.size, a.size)
-
-    products = np.stack([functools.reduce(product, [mats[s] for s in w]) for w in words])
+    arranged = [source_first(pairs.word_state(w)) for w in words]
+    products = np.stack([mat for mat, _ in arranged])
+    d_target = arranged[0][1]
     diagonal = [i for i, w in enumerate(words) if len(set(w)) == 1]
     vertices = products[diagonal]
 
     def rate(kraus, gradient=False):
-        out = instrument_rates(vertices, kraus, d_b**k, gradient)
+        out = instrument_rates(vertices, kraus, d_target, gradient)
         return (out[0] / k, out[1] / k) if gradient else out / k
 
     def inner_infimum(kraus):
@@ -272,7 +266,7 @@ def _hull_rate(xs: StateSet, k: int):
         ``inner_certified`` is false and the value is only an upper estimate of
         the infimum.
         """
-        _, post = post_measurement_blocks(products, kraus, d_b**k)
+        _, post = post_measurement_blocks(products, kraus, d_target)
         size = post.shape[2] * post.shape[3]
         outcomes = range(post.shape[1])
         blocks = [(1.0, post[:, j].reshape(-1, size, size)) for j in outcomes] + [

@@ -52,10 +52,11 @@ def enumerate_types(n_symbols: int, l: int) -> list[TypeDistribution]:
 
 
 def word_type(word: Sequence[int], n_symbols: int) -> TypeDistribution:
-    counts = [0] * n_symbols
-    for s in word:
-        counts[int(s)] += 1
-    return TypeDistribution(tuple(counts))
+    """Symbol counts of ``word``; every symbol must index one of ``n_symbols``."""
+    word = [int(s) for s in word]
+    if any(not 0 <= s < n_symbols for s in word):
+        raise ValueError(f"word {word} is not a sequence of indices into {n_symbols} symbols")
+    return TypeDistribution(tuple(word.count(i) for i in range(n_symbols)))
 
 
 @lru_cache(maxsize=None)

@@ -63,6 +63,21 @@ class TestSimplexOptimizers:
         p, value = minimize_over_simplex(fn, 3)
         assert value == pytest.approx(0.1, abs=1e-3)
 
+    def test_minimize_keeps_improvements_below_the_stall_threshold(self):
+        # every value is below 1e-8, so no step improves by 1e-6: each one
+        # counts toward the 50-step stall, yet the best is still kept
+        target = np.array([0.6, 0.3, 0.1])
+        seen = []
+
+        def fn(p):
+            seen.append((1e-8 * float(np.sum((p - target) ** 2)), p))
+            return seen[-1][0], 2e-8 * (p - target)
+
+        p, value = minimize_over_simplex(fn, 3)
+        assert len(seen) == 51
+        assert value == min(v for v, _ in seen) < seen[0][0]
+        assert p is min(seen, key=lambda vp: vp[0])[1]
+
     def test_single_point_simplex(self):
         p, value, meta = maximize_concave_over_simplex(lambda p: (5.0, np.zeros(1)), 1)
         assert p.tolist() == [1.0]

@@ -36,6 +36,7 @@ from avqsbench.linalg import (
     fidelity,
     maximally_entangled,
     maximally_mixed,
+    permute_factors,
     purify,
     random_density,
     resolved,
@@ -235,6 +236,11 @@ class TestHausdorff:
         mid = StateSet((maximally_mixed(2),))
         ends = StateSet((state(np.diag([1.0, 0.0])), state(np.diag([0.0, 1.0]))))
         assert hausdorff_distance(mid, ends, mode="hull") <= 1e-6
+
+    def test_hull_mode_to_one_member_is_the_trace_distance(self):
+        xs, one = _random_set(3), _random_set(1)
+        expected = max(trace_distance(a, one.members[0]) for a in xs.members)
+        assert hausdorff_distance(xs, one, mode="hull") == pytest.approx(expected, abs=1e-12)
 
     def test_pointset_symmetry_and_triangle(self):
         for _ in range(25):
@@ -588,6 +594,34 @@ class TestDistillation:
         # the infimum lies in [value - gap, value] and the grid in the hull
         assert value - meta["inner_duality_gap"] <= grid_min
         assert value <= grid_min + 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_factor_layout_leaves_the_report_unchanged(self, seed, k):
+        # members Bell x |0><0|_E mixed with seeded noise on (A, B, E), so no
+        # zero witness exists and the restarts run (restart-0 wins at seed 0,
+        # k=1); the same (A, B) marginals stored A-first, B-first and with E
+        # give the same report
+        case_rng = np.random.default_rng(seed)
+        bell_e = np.kron(werner_matrix(1.0), np.diag([1.0, 0.0]))
+        noisy = [0.85 * bell_e + 0.15 * random_density((2, 2, 2), case_rng).matrix for _ in range(2)]
+        with_env = StateSet(tuple(state(m, (2, 2, 2), ("A", "B", "E")) for m in noisy))
+        a_first = StateSet(tuple(m.marginal("A", "B") for m in with_env.members))
+        b_first = StateSet(tuple(permute_factors(m, [1, 0]) for m in a_first.members))
+        reports = [
+            distillation_rate_lower_bound(xs, k=k, restarts=2, maxiter=40, seed=seed).report
+            for xs in (a_first, b_first, with_env)
+        ]
+        assert reports[0].metadata["zero_witness"] is None
+        for report in reports[1:]:
+            assert report.value == reports[0].value
+            assert report.weights == reports[0].weights
+            assert report.metadata["candidate"] == reports[0].metadata["candidate"]
+
+    def test_two_letter_products_are_held_to_the_dimension_cap(self):
+        # the 16x16 products of two qubit pairs exceed a cap of 8
+        with local_config(dim_cap=8), pytest.raises(DimensionCapError, match="tensor_product"):
+            _hull_rate(_random_set(2), 2)
 
     def test_search_work_does_not_grow_with_its_length(self, monkeypatch):
         # the objective runs on raw arrays, so longer searches build no more

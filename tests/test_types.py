@@ -66,6 +66,7 @@ from avqsbench.robustify import (
     TypeDistribution,
     check_robustification,
     enumerate_types,
+    word_type,
 )
 from avqsbench.schur_weyl import (
     EntropyBin,
@@ -533,6 +534,16 @@ REFUSALS = {
     ),
     "enumerate_types": (
         lambda: enumerate_types(0, 1), ValueError, "need at least one symbol and length >= 1"
+    ),
+    "word_type negative symbol": (
+        lambda: word_type((0, -1), 2),
+        ValueError,
+        "word [0, -1] is not a sequence of indices into 2 symbols",
+    ),
+    "word_type symbol past the count": (
+        lambda: word_type((0, 2), 2),
+        ValueError,
+        "word [0, 2] is not a sequence of indices into 2 symbols",
     ),
     "YoungFrame parts": (lambda: YoungFrame((2, 0)), ValueError, "parts must be positive, got (2, 0)"),
     "young_frames": (
