@@ -61,6 +61,20 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
+def _report_json(fields: dict) -> dict:
+    """A report's JSON object: ``fields`` under their own names, the None ones and
+    empty dicts left out; tuples and named tuples become lists and objects at any depth."""
+
+    def plain(v):
+        if hasattr(v, "_asdict"):
+            v = v._asdict()
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return [plain(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+    return plain({k: v for k, v in fields.items() if v is not None and v != {}})
+
+
 # how far an input may miss an exact identity: Hermiticity (max entry),
 # positivity (min eigenvalue), unit trace and norm, instrument completeness,
 # trace non-increase and simplex weights

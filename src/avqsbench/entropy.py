@@ -10,7 +10,7 @@ from math import prod
 
 import numpy as np
 
-from .config import CHECK_TOL, Frozen
+from .config import CHECK_TOL, Frozen, _report_json
 from .linalg import State, permute_factors, resolved
 
 
@@ -40,14 +40,9 @@ class RateReport(Frozen):
         vars(self).update(metadata={} if metadata is None else metadata)
 
     def to_dict(self) -> dict:
-        out = {"quantity": self.quantity, "value": self.value}
-        if self.attained_by is not None:
-            out["attained_by"] = self.attained_by
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        if self.metadata:
-            out["metadata"] = self.metadata
-        return out
+        """The report's JSON object: its fields, None ones and an empty ``metadata``
+        left out (a None inside ``metadata`` is kept)."""
+        return _report_json(vars(self))
 
 
 def spectrum_entropy(weights):
@@ -196,10 +191,10 @@ def instrument_coherent_info(s: State, instrument) -> RateReport:
 
 def source_first(s: State) -> tuple[np.ndarray, int]:
     """Matrix of the (A, B) marginal of ``s`` with the A factors in front,
-    and the dimension of the B side."""
+    and the dimension of the B side; a state without A or B factors is refused."""
     sources, targets = s.factors_of("A"), s.factors_of("B")
-    if not targets:
-        raise ValueError("state has no factors for parties ('B',)")
+    if not (sources and targets):
+        raise ValueError(f"state has no factors for parties ({'B' if sources else 'A'!r},)")
     reduced = s.marginal("A", "B")
     keep = sorted(sources + targets)
     order = [keep.index(i) for i in sources + targets]

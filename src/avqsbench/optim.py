@@ -50,15 +50,17 @@ def maximize_concave_over_simplex(
             break
         away = int(np.argmin(np.where(p > 0, grad, np.inf)))
         direction = np.eye(n)[fw] - np.eye(n)[away]
-        p = p + _line_search(value_and_grad, p, direction, p[away]) * direction
-        value, grad = value_and_grad(p)
+        t, landed = _line_search(value_and_grad, p, direction, p[away], direction @ grad)
+        p = p + t * direction
+        value, grad = value_and_grad(p) if landed is None else landed
     stop_reason = "gap" if gap <= tol else "maxiter"
     return p, value, {"iterations": iterations, "duality_gap": gap, "stop_reason": stop_reason}
 
 
-def _line_search(value_and_grad, p, direction, end):
+def _line_search(value_and_grad, p, direction, end, slope):
     """Exact line search on the derivative of the concave t -> f(p + t d), which
-    decreases on [0, end], until its bracket is at most 1e-12 * end wide.  The
+    decreases on [0, end] from ``slope`` at 0, until its bracket is at most 1e-12 * end
+    wide; returns t and the search's own f(p + t d), or None at ``end`` or 0.  The
     slope at ``end`` itself is never taken: the away vertex is empty there, and a
     log clipped to the support misses the infinite slope of a vertex whose support
     leaves the rest's.  So trials bisect until the bracket has left ``end``, then
@@ -67,18 +69,19 @@ def _line_search(value_and_grad, p, direction, end):
     If no trial has a negative slope, ``end`` is returned exactly, emptying the
     away vertex; a leftover 1e-12 would stall the loop on tiny steps."""
     tol = 1e-12 * end
-    lo, hi, f_lo, f_hi = 0.0, end, direction @ value_and_grad(p)[1], np.nan
+    lo, hi, f_lo, f_hi, at_lo = 0.0, end, slope, np.nan, None
     side = 0  # which end the last trial replaced
     while hi - lo > tol:
         if np.isfinite(f_lo - f_hi):
             t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + tol / 2), hi - tol / 2)
         else:  # the bracket still ends at ``end``, or a slope is infinite
             t = (lo + hi) / 2
-        f_t = direction @ value_and_grad(p + t * direction)[1]
+        at_t = value_and_grad(p + t * direction)
+        f_t = direction @ at_t[1]
         if f_t == 0:
-            return t
+            return t, at_t
         if f_t > 0:
-            lo, f_lo = t, f_t
+            lo, f_lo, at_lo = t, f_t, at_t
             if side > 0:
                 f_hi /= 2
             side = 1
@@ -87,7 +90,7 @@ def _line_search(value_and_grad, p, direction, end):
             if side < 0:
                 f_lo /= 2
             side = -1
-    return end if hi == end else lo
+    return (end, None) if hi == end else (lo, at_lo)
 
 
 def minimize_over_simplex(

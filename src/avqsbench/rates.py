@@ -361,7 +361,7 @@ def distillation_rate_lower_bound(
         raise ValueError(
             f"n_outcomes, restarts and maxiter must be >= 1, got {n_outcomes}, {restarts} and {maxiter}"
         )
-    d_x, d_b = (prod(xs.members[0].marginal(q).dims) for q in "AB")
+    d_x, d_b = (prod(d for d, q in zip(xs.dims, xs.parties) if q == side) for side in "AB")
     check_dim_cap((d_x * d_b) ** k, "distillation objective")
 
     dim = d_x**k

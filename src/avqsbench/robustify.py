@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import CHECK_TOL, Frozen, all_words
+from .config import CHECK_TOL, Frozen, _report_json, all_words
 
 Word = tuple[int, ...]
 
@@ -106,25 +106,9 @@ class RobustificationReport(NamedTuple):
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_symbols": self.n_symbols,
-            "blocklength": self.blocklength,
-            "gamma": self.gamma,
-            "bound": self.bound,
-            "types": [
-                {
-                    "counts": list(tc.counts),
-                    "iid_average": tc.iid_average,
-                    "hypothesis_margin": tc.hypothesis_margin,
-                    "permutation_average": tc.permutation_average,
-                    "conclusion_margin": tc.conclusion_margin,
-                }
-                for tc in self.type_checks
-            ],
-            "worst_word": list(self.worst_word),
-            "worst_value": self.worst_value,
-            "passed": self.passed,
-        }
+        """The report's JSON object: its fields, ``type_checks`` under the key ``types``."""
+        fields = self._asdict()
+        return _report_json({"types": fields.pop("type_checks"), **fields})
 
 
 def check_robustification(

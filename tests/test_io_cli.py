@@ -325,6 +325,18 @@ class TestCliCommands:
         assert both.pop("random_tables") == {"trials": 5, "failures": 0}
         assert both == alone
 
+    def test_robustify_check_csv_walks_the_nested_lists(self, two_state_file, capsys):
+        # the one report whose JSON holds a list of objects
+        import csv
+
+        argv = ["robustify-check", "--set", two_state_file, "--blocklength", "2"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert main(argv + ["--csv"]) == 0
+        rows = dict(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows["report.types.0.counts.0"] == str(report["types"][0]["counts"][0]) == "2"
+        assert rows["report.worst_word.0"] == str(report["worst_word"][0])
+
     def test_merge_fidelity(self, bell_protocol_file, bell_state_file, capsys):
         assert main(
             ["merge-fidelity", "--protocol", bell_protocol_file, "--state", bell_state_file]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from avqsbench import optim
 from avqsbench.optim import (
     _line_search,
     maximize_concave_over_simplex,
@@ -57,6 +58,31 @@ class TestSimplexOptimizers:
         assert np.allclose(p, 0.25, atol=1e-4)
         assert meta["iterations"] == 0
 
+    def test_maximize_evaluates_each_point_once(self, monkeypatch):
+        # each step evaluates only its line-search trials: not its start again,
+        # whose gradient the ascent holds and gives the slope at t = 0, nor the
+        # point it lands on, which the search has evaluated (the target is
+        # interior, so no step ends on an emptied vertex)
+        target = np.array([0.6, 0.3, 0.1])
+        points, searches = [], []
+
+        def fn(p):
+            points.append(p.tobytes())
+            return -np.sum((p - target) ** 2), -2 * (p - target)
+
+        def counted(*args):
+            before = len(points)
+            t, landed = _line_search(*args)
+            searches.append((len(points) - before, landed))
+            return t, landed
+
+        monkeypatch.setattr(optim, "_line_search", counted)
+        _, _, meta = maximize_concave_over_simplex(fn, 3)
+        assert len(searches) == meta["iterations"] >= 1
+        assert all(landed is not None for _, landed in searches)
+        assert len(points) == 1 + sum(trials for trials, _ in searches)
+        assert len(set(points)) == len(points)
+
     def test_minimize_linear_hits_a_vertex(self):
         cost = np.array([0.3, 0.8, 0.1])
         fn = lambda p: (float(cost @ p), cost)
@@ -111,28 +137,33 @@ class TestLineSearch:
         calls = []
 
         def counted(p):
-            calls.append(p)
-            return fn(p)
+            calls.append((p, fn(p)))
+            return calls[-1][1]
 
-        t = _line_search(counted, self.start, self.direction, self.end)
+        t, landed = _line_search(counted, self.start, self.direction, self.end, self.slope(fn))
         assert abs(t - best) <= 1e-12 * self.end
-        assert len(calls) <= 12
+        assert len(calls) <= 11
+        # the landing evaluation is the search's own, at the point it lands on
+        point = next(p for p, out in calls if out is landed)
+        assert np.array_equal(point, self.start + t * self.direction)
 
     def test_positive_derivative_returns_the_end_exactly(self):
         target = np.array([1.5, -0.5])
-        t = _line_search(
-            lambda p: (-np.sum((p - target) ** 2), -2 * (p - target)),
-            self.start,
-            self.direction,
-            self.end,
-        )
+        fn = lambda p: (-np.sum((p - target) ** 2), -2 * (p - target))
+        t, landed = _line_search(fn, self.start, self.direction, self.end, self.slope(fn))
         assert t == self.end
+        assert landed is None
         assert (self.start + t * self.direction)[1] == 0.0
 
     def test_slope_read_at_the_emptied_vertex_is_not_trusted(self):
         # the entropy's maximizer is interior although its slope reads +1 at the end
-        t = _line_search(_entropy_plus_first, self.start, self.direction, self.end)
+        fn = _entropy_plus_first
+        t, _ = _line_search(fn, self.start, self.direction, self.end, self.slope(fn))
         assert t < self.end
+
+    @classmethod
+    def slope(cls, fn):
+        return cls.direction @ fn(cls.start)[1]
 
 
 class TestIsometryAscent:

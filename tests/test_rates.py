@@ -752,6 +752,30 @@ class TestZeroWitness:
         assert report.value <= 0
 
 
+def test_rate_report_json_objects():
+    # a field that is None, and an empty metadata, are left out; a None
+    # inside the metadata is kept
+    xs = distill_bench_set(7000)
+    members = compound_merging_cost(xs)
+    assert members.to_dict() == {
+        "quantity": members.quantity,
+        "value": members.value,
+        "attained_by": members.attained_by,
+        "metadata": {"over": "members"},
+    }
+    distill = distillation_rate_lower_bound(xs, k=2, n_outcomes=2).report
+    for report in (compound_merging_cost(xs, hull=True), distill):
+        assert report.attained_by is None
+        assert report.to_dict() == {
+            "quantity": report.quantity,
+            "value": report.value,
+            "weights": list(report.weights),
+            "metadata": report.metadata,
+        }
+    assert distill.metadata["inner_duality_gap"] is None
+    assert distill.to_dict()["metadata"]["inner_duality_gap"] is None
+
+
 class TestWorstCase:
     def test_singleton_single_evaluation(self):
         from avqsbench.rate_gap import known_pure_state_merging

@@ -128,6 +128,27 @@ class TestCheckRobustification:
         report = check_robustification(table.__getitem__, 2, 2, gamma=0.01)
         assert not report.passed
 
+    def test_report_json_object(self):
+        # dyadic values, so every number is exact; lists, not tuples, throughout
+        table = {(0, 0): 1.0, (0, 1): 0.75, (1, 0): 0.5, (1, 1): 0.25}
+        assert check_robustification(table.__getitem__, 2, 2).to_dict() == {
+            "n_symbols": 2,
+            "blocklength": 2,
+            "gamma": 0.75,
+            "bound": -5.75,
+            "types": [
+                {"counts": [2, 0], "iid_average": 1.0, "hypothesis_margin": 0.75,
+                 "permutation_average": 1.0, "conclusion_margin": 6.75},
+                {"counts": [1, 1], "iid_average": 0.625, "hypothesis_margin": 0.375,
+                 "permutation_average": 0.625, "conclusion_margin": 6.375},
+                {"counts": [0, 2], "iid_average": 0.25, "hypothesis_margin": 0.0,
+                 "permutation_average": 0.25, "conclusion_margin": 6.0},
+            ],
+            "worst_word": [1, 1],
+            "worst_value": 0.25,
+            "passed": True,
+        }
+
     def test_word_cap_before_any_word(self, monkeypatch):
         # 4^12 = 16.7M words would need a 455 x 16.7M table of type probabilities
         def no_words(*args, **kwargs):

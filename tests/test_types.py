@@ -57,6 +57,7 @@ from avqsbench.rates import (
     RateReport,
     StateSet,
     convex_mixture,
+    distillation_rate_lower_bound,
     hausdorff_distance,
     word_fidelities,
 )
@@ -505,6 +506,16 @@ REFUSALS = {
     ),
     "instrument rate without B": (
         lambda: instrument_coherent_info(maximally_mixed(2), identity_instrument((2,))),
+        ValueError,
+        "state has no factors for parties ('B',)",
+    ),
+    "distillation without A": (
+        lambda: distillation_rate_lower_bound(StateSet((state(np.eye(4) / 4, (2, 2), ("B", "E")),))),
+        ValueError,
+        "state has no factors for parties ('A',)",
+    ),
+    "distillation without B": (
+        lambda: distillation_rate_lower_bound(StateSet((state(np.eye(4) / 4, (2, 2), ("A", "E")),))),
         ValueError,
         "state has no factors for parties ('B',)",
     ),
